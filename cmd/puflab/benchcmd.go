@@ -189,9 +189,9 @@ func runBench(args []string) {
 		report.TracedOverheadPercent = (traced.NsPerOp - e2e.NsPerOp) / e2e.NsPerOp * 100
 	}
 
-	// Macro: the same session over binary wire protocol v2 — first a single
-	// session per op on one warm persistent connection, then the pipelined
-	// arm (one worker per proc, 16 multiplexed sessions per round trip)
+	// Macro: the same session with the shared-feature device — first a
+	// single session per op on one warm persistent connection, then the
+	// pipelined arm (one worker per proc, 16 multiplexed sessions per round trip)
 	// whose sessions/sec figure is the BENCH_PR9 headline.  Only the
 	// throughput arm runs at -procs: raising GOMAXPROCS above the core
 	// count would turn the serial latency loops' cooperative goroutine
@@ -347,7 +347,7 @@ func benchKeyexSession(seed uint64, kcfg keyex.Config) testing.BenchmarkResult {
 	go func() { _ = srv.Serve(ln) }()
 	defer srv.Close()
 
-	client := &netauth.Client{
+	client := &netauth.V2Client{
 		Addr:   ln.Addr().String(),
 		ChipID: chipID,
 		Device: modelDevice{m: model},
@@ -498,7 +498,8 @@ func benchAuthSessionV2(n int, seed uint64, pipelined bool) testing.BenchmarkRes
 }
 
 // benchAuthSession measures one full authentication session per iteration
-// against a loopback server, with telemetry either wired or disabled.  A
+// over a warm connection to a loopback server, with telemetry either wired
+// or disabled.  A
 // non-empty trace is sent as each session's distributed-trace context, so
 // the server records the full per-session span tree.
 func benchAuthSession(n int, seed uint64, instrumented bool, trace string) testing.BenchmarkResult {
@@ -527,7 +528,7 @@ func benchAuthSession(n int, seed uint64, instrumented bool, trace string) testi
 	go func() { _ = srv.Serve(ln) }()
 	defer srv.Close()
 
-	client := &netauth.Client{
+	client := &netauth.V2Client{
 		Addr:   ln.Addr().String(),
 		ChipID: chipID,
 		Device: modelDevice{m: model},
@@ -535,6 +536,7 @@ func benchAuthSession(n int, seed uint64, instrumented bool, trace string) testi
 		Policy: netauth.RetryPolicy{MaxAttempts: 1},
 		Trace:  trace,
 	}
+	defer client.Close()
 	ctx := context.Background()
 	return testing.Benchmark(func(b *testing.B) {
 		b.ReportAllocs()

@@ -33,7 +33,6 @@ func runKeyex(args []string) {
 	tempC := fs.Float64("temp", silicon.Nominal.TempC, "temperature (°C) the device is read at")
 	payload := fs.Int("payload", 1024, "bytes of application payload to ship over the channel (0 = none)")
 	skipAuth := fs.Bool("no-auth", false, "skip the authentication exchange inside the channel")
-	proto := fs.String("proto", "auto", "wire protocol for the key exchange: auto (binary v2, fall back to JSON), 1 (JSON only), 2 (binary only, no fallback)")
 	fault := faultFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		os.Exit(2)
@@ -43,42 +42,17 @@ func runKeyex(args []string) {
 	device := nc.chip(*chipIdx, *impostor)
 	cond := silicon.Condition{VDD: *vdd, TempC: *tempC}
 	chipID := fmt.Sprintf("chip-%d", *chipIdx)
-	client := &netauth.Client{
+	client := &netauth.V2Client{
 		Addr:    *addr,
 		ChipID:  chipID,
 		Device:  device,
 		Cond:    cond,
 		Timeout: *timeout,
 	}
-	var v2c *netauth.V2Client
-	switch *proto {
-	case "1":
-	case "auto", "2":
-		v2c = &netauth.V2Client{
-			Addr:      *addr,
-			ChipID:    chipID,
-			Device:    device,
-			Cond:      cond,
-			Timeout:   *timeout,
-			RequireV2: *proto == "2",
-		}
-		defer v2c.Close()
-	default:
-		fmt.Fprintf(os.Stderr, "puflab keyex: -proto must be auto, 1, or 2 (got %q)\n", *proto)
-		os.Exit(2)
-	}
 	if cfg := fault(); cfg.ResetProb > 0 || cfg.CorruptProb > 0 || cfg.StallProb > 0 ||
 		cfg.PartialWriteProb > 0 || cfg.MaxLatency > 0 {
-		dc := faultnet.NewDialer(cfg).DialContext
-		client.DialContext = dc
-		if v2c != nil {
-			v2c.DialContext = dc
-		}
+		client.DialContext = faultnet.NewDialer(cfg).DialContext
 		fmt.Printf("fault injection active: %+v\n", cfg)
-	}
-	establish := client.Establish
-	if v2c != nil {
-		establish = v2c.Establish
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
@@ -86,7 +60,7 @@ func runKeyex(args []string) {
 	exitCode := 0
 	for i := 0; i < *sessions; i++ {
 		start := time.Now()
-		ss, err := establish(ctx)
+		ss, err := client.Establish(ctx)
 		if err != nil {
 			kind := "transient"
 			if !netauth.Transient(err) {
@@ -136,9 +110,6 @@ func runKeyex(args []string) {
 		if err := ss.Close(); err != nil {
 			fmt.Printf("session %d: close: %v\n", i+1, err)
 		}
-	}
-	if v2c != nil && v2c.FellBack() {
-		fmt.Println("note: server speaks protocol v1 only; key exchange ran over the JSON fallback")
 	}
 	os.Exit(exitCode)
 }

@@ -106,7 +106,6 @@ func runServe(args []string) {
 	replStrict := fs.Bool("repl-strict", false, "fail issuance when the quorum cannot ack, instead of degrading to async (with -primary)")
 	replFault := fs.Bool("repl-fault", false, "apply the -fault-* chaos knobs to the replication link instead of the auth port")
 	migrateListen := fs.String("migrate-listen", "", "listen address for inbound chip-range migrations (empty = off; see \"puflab rebalance\")")
-	v2 := fs.Bool("v2", true, "accept binary wire protocol v2 (JSON v1 clients keep working either way)")
 	fault := faultFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		os.Exit(2)
@@ -158,10 +157,6 @@ func runServe(args []string) {
 	srv.SetLockout(*lockout)
 	srv.SetThrottle(*throttle)
 	srv.SetChallengeBudget(*budget)
-	srv.SetV2(*v2)
-	if !*v2 {
-		fmt.Println("binary wire protocol v2 disabled: v2 clients will negotiate down to JSON")
-	}
 	if *keyexOn {
 		kcfg := keyex.Config{M: *keyexM, T: *keyexT}
 		if err := srv.SetKeyExchange(kcfg); err != nil {
@@ -606,8 +601,7 @@ func runAuth(args []string) {
 	vdd := fs.Float64("vdd", silicon.Nominal.VDD, "supply voltage the device is read at")
 	tempC := fs.Float64("temp", silicon.Nominal.TempC, "temperature (°C) the device is read at")
 	encrypt := fs.Bool("encrypt", false, "establish a PUF-derived session key first and authenticate inside the encrypted channel (server must run -keyex)")
-	proto := fs.String("proto", "auto", "wire protocol: auto (binary v2, fall back to JSON), 1 (JSON only), 2 (binary only, no fallback)")
-	batch := fs.Int("batch", 1, "sessions pipelined per round trip over one v2 connection (ignored with -proto 1 or -encrypt)")
+	batch := fs.Int("batch", 1, "sessions pipelined per round trip over the persistent connection (ignored with -encrypt)")
 	traced := fs.Bool("trace", false, "mint a distributed-trace context, propagate it to the server, and print the trace ID")
 	fault := faultFlags(fs)
 	if err := fs.Parse(args); err != nil {
@@ -623,7 +617,7 @@ func runAuth(args []string) {
 		Multiplier:  2,
 		Jitter:      0.5,
 	}
-	client := &netauth.Client{
+	client := &netauth.V2Client{
 		Addr:    *addr,
 		ChipID:  fmt.Sprintf("chip-%d", *chipIdx),
 		Device:  chip,
@@ -631,6 +625,7 @@ func runAuth(args []string) {
 		Timeout: *timeout,
 		Policy:  policy,
 	}
+	defer client.Close()
 	if *traced {
 		// The device is the trace root: every server-side span nests under
 		// this context, and the printed ID is what `puflab trace show`
@@ -640,44 +635,17 @@ func runAuth(args []string) {
 		client.Trace = tc.String()
 		fmt.Printf("trace ID: %s\n", tc.Trace)
 	}
-	var v2c *netauth.V2Client
-	switch *proto {
-	case "1":
-	case "auto", "2":
-		v2c = &netauth.V2Client{
-			Addr:      client.Addr,
-			ChipID:    client.ChipID,
-			Device:    chip,
-			Cond:      client.Cond,
-			Timeout:   *timeout,
-			Policy:    policy,
-			RequireV2: *proto == "2",
-			Trace:     client.Trace,
-		}
-		defer v2c.Close()
-	default:
-		fmt.Fprintf(os.Stderr, "puflab auth: -proto must be auto, 1, or 2 (got %q)\n", *proto)
-		os.Exit(2)
-	}
 	if cfg := fault(); cfg.ResetProb > 0 || cfg.CorruptProb > 0 || cfg.StallProb > 0 ||
 		cfg.PartialWriteProb > 0 || cfg.MaxLatency > 0 {
-		dc := faultnet.NewDialer(cfg).DialContext
-		client.DialContext = dc
-		if v2c != nil {
-			v2c.DialContext = dc
-		}
+		client.DialContext = faultnet.NewDialer(cfg).DialContext
 		fmt.Printf("fault injection active: %+v\n", cfg)
-	}
-	authenticate, establish := client.Authenticate, client.Establish
-	if v2c != nil {
-		authenticate, establish = v2c.Authenticate, v2c.Establish
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	if v2c != nil && !*encrypt && *batch > 1 {
-		runAuthBatched(ctx, v2c, *sessions, *batch)
+	if !*encrypt && *batch > 1 {
+		runAuthBatched(ctx, client, *sessions, *batch)
 		return
 	}
 
@@ -688,7 +656,7 @@ func runAuth(args []string) {
 		var err error
 		if *encrypt {
 			var ss *netauth.SecureSession
-			ss, err = establish(ctx)
+			ss, err = client.Establish(ctx)
 			if err == nil {
 				fmt.Printf("session %d: key established (%s, %d challenges, %d bits corrected)\n",
 					i+1, ss.Result.Cipher, ss.Result.Challenges, ss.Result.Corrected)
@@ -696,7 +664,7 @@ func runAuth(args []string) {
 				_ = ss.Close()
 			}
 		} else {
-			res, err = authenticate(ctx)
+			res, err = client.Authenticate(ctx)
 		}
 		elapsed := time.Since(start).Round(time.Millisecond)
 		switch {
@@ -720,14 +688,11 @@ func runAuth(args []string) {
 			exitCode = 1
 		}
 	}
-	if v2c != nil && v2c.FellBack() {
-		fmt.Println("note: server speaks protocol v1 only; sessions ran over the JSON fallback")
-	}
 	os.Exit(exitCode)
 }
 
 // runAuthBatched drives the pipelined arm of `puflab auth`: batches of
-// sessions multiplexed over one persistent v2 connection, reporting
+// sessions multiplexed over one persistent connection, reporting
 // aggregate throughput instead of per-session latency.
 func runAuthBatched(ctx context.Context, c *netauth.V2Client, sessions, batch int) {
 	exitCode := 0
@@ -763,8 +728,5 @@ func runAuthBatched(ctx context.Context, c *netauth.V2Client, sessions, batch in
 	rate := float64(approved+denied) / elapsed.Seconds()
 	fmt.Printf("%d sessions in batches of %d: %d approved, %d denied in %v (%.0f sessions/sec)\n",
 		sessions, batch, approved, denied, elapsed.Round(time.Millisecond), rate)
-	if c.FellBack() {
-		fmt.Println("note: server speaks protocol v1 only; sessions ran over the JSON fallback")
-	}
 	os.Exit(exitCode)
 }

@@ -68,9 +68,10 @@ func main() {
 	defer srv.Close()
 	fmt.Printf("verification server listening on %s (faulty link)\n\n", ln.Addr())
 
-	// Genuine device authenticates from several operating corners,
-	// retrying transient faults with jittered exponential backoff.
-	client := &netauth.Client{
+	// Genuine device authenticates from several operating corners over one
+	// persistent connection, retrying transient faults with jittered
+	// exponential backoff.
+	client := &netauth.V2Client{
 		Addr:    ln.Addr().String(),
 		ChipID:  "device-0042",
 		Device:  chip,
@@ -83,6 +84,7 @@ func main() {
 			Jitter:      0.5,
 		},
 	}
+	defer client.Close()
 	for _, cond := range []xorpuf.Condition{
 		xorpuf.Nominal,
 		{VDD: 0.8, TempC: 0},
@@ -103,12 +105,13 @@ func main() {
 	counterfeit := xorpuf.NewChip(666, params, 6)
 	fmt.Println()
 	for i := 1; ; i++ {
-		imp := &netauth.Client{
+		imp := &netauth.V2Client{
 			Addr: ln.Addr().String(), ChipID: "device-0042",
 			Device: counterfeit, Cond: xorpuf.Nominal,
 			Timeout: 300 * time.Millisecond, Policy: client.Policy,
 		}
 		res, err := imp.Authenticate(context.Background())
+		imp.Close()
 		var pe *netauth.ProtocolError
 		if errors.As(err, &pe) && pe.Code == netauth.CodeLockedOut {
 			fmt.Printf("counterfeit attempt %d     → %v\n", i, err)

@@ -135,7 +135,7 @@ func NewDialer(cfg Config) *Dialer {
 }
 
 // DialContext dials like net.Dialer and wraps the result.  Its signature
-// matches netauth.Client.DialContext.
+// matches netauth.V2Client.DialContext.
 func (d *Dialer) DialContext(ctx context.Context, network, addr string) (net.Conn, error) {
 	conn, err := d.dialer.DialContext(ctx, network, addr)
 	if err != nil {

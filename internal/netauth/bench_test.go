@@ -41,7 +41,7 @@ func (d modelAnswerDevice) ReadXOR(c challenge.Challenge, _ silicon.Condition) u
 
 // startBenchServer brings up a loopback server over one synthetic chip and
 // returns a ready client.  instrumented toggles the telemetry plane.
-func startBenchServer(tb testing.TB, n int, instrumented bool) *Client {
+func startBenchServer(tb testing.TB, n int, instrumented bool) *V2Client {
 	tb.Helper()
 	model := benchChipModel(7, 4, 64)
 	reg, err := registry.Open("", registry.Options{Seed: 7})
@@ -64,18 +64,21 @@ func startBenchServer(tb testing.TB, n int, instrumented bool) *Client {
 	}
 	go func() { _ = srv.Serve(ln) }()
 	tb.Cleanup(func() { srv.Close() })
-	return &Client{
+	c := &V2Client{
 		Addr:   ln.Addr().String(),
 		ChipID: chipID,
 		Device: modelAnswerDevice{m: model},
 		Cond:   silicon.Nominal,
 		Policy: RetryPolicy{MaxAttempts: 1},
 	}
+	tb.Cleanup(c.Close)
+	return c
 }
 
 // BenchmarkAuthSessionE2E measures one full authentication session —
-// dial, hello, select, challenge round trip, verdict — per iteration, with
-// the telemetry plane fully wired (the production configuration).
+// hello, select, challenge round trip, verdict over a warm connection —
+// per iteration, with the telemetry plane fully wired (the production
+// configuration).
 func BenchmarkAuthSessionE2E(b *testing.B) {
 	client := startBenchServer(b, 16, true)
 	ctx := context.Background()
@@ -132,25 +135,27 @@ func TestServerMetricsRecorded(t *testing.T) {
 	go func() { _ = srv.Serve(ln) }()
 	defer srv.Close()
 
-	client := &Client{
+	client := &V2Client{
 		Addr:   ln.Addr().String(),
 		ChipID: "chip-0",
 		Device: modelAnswerDevice{m: model},
 		Cond:   silicon.Nominal,
 		Policy: RetryPolicy{MaxAttempts: 1},
 	}
+	defer client.Close()
 	res, err := client.Authenticate(context.Background())
 	if err != nil || !res.Approved {
 		t.Fatalf("approved=%v err=%v", res.Approved, err)
 	}
 	// A second session from an unknown chip exercises a denial counter.
-	bad := &Client{
+	bad := &V2Client{
 		Addr:   ln.Addr().String(),
 		ChipID: "nope",
 		Device: modelAnswerDevice{m: model},
 		Cond:   silicon.Nominal,
 		Policy: RetryPolicy{MaxAttempts: 1},
 	}
+	defer bad.Close()
 	if _, err := bad.Authenticate(context.Background()); err == nil {
 		t.Fatal("unknown chip must fail")
 	}
@@ -195,7 +200,7 @@ func TestServerMetricsRecorded(t *testing.T) {
 	for _, s := range ok.Steps {
 		steps[s.Name] = true
 	}
-	for _, name := range []string{"hello", "select", "device_rtt", "verdict"} {
+	for _, name := range []string{"select", "device_rtt", "verdict"} {
 		if !steps[name] {
 			t.Errorf("approved trace missing step %q (has %+v)", name, ok.Steps)
 		}

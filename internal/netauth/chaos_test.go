@@ -78,7 +78,7 @@ func TestChaosAuthentication(t *testing.T) {
 	}
 	approved, terminalErrs := 0, 0
 	for i := 0; i < sessions; i++ {
-		client := &Client{
+		client := &V2Client{
 			Addr: ln.Addr().String(), ChipID: "legit",
 			Device: chip, Cond: silicon.Nominal,
 			Timeout: msgTimeout, Policy: policy,
@@ -89,6 +89,7 @@ func TestChaosAuthentication(t *testing.T) {
 		ctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
 		res, err := client.Authenticate(ctx)
 		cancel()
+		client.Close()
 		switch {
 		case errors.Is(err, context.DeadlineExceeded):
 			t.Fatalf("session %d hung past the outer deadline", i)
@@ -114,7 +115,7 @@ func TestChaosAuthentication(t *testing.T) {
 	var lockedOut bool
 	deniedSeen := 0
 	for i := 0; i < 30 && !lockedOut; i++ {
-		client := &Client{
+		client := &V2Client{
 			Addr: ln.Addr().String(), ChipID: "victim",
 			Device: attacker, Cond: silicon.Nominal,
 			Timeout: msgTimeout, Policy: policy,
@@ -123,6 +124,7 @@ func TestChaosAuthentication(t *testing.T) {
 		ctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
 		res, err := client.Authenticate(ctx)
 		cancel()
+		client.Close()
 		var pe *ProtocolError
 		switch {
 		case errors.As(err, &pe) && pe.Code == CodeLockedOut:
@@ -147,7 +149,7 @@ func TestChaosAuthentication(t *testing.T) {
 	}
 	burned := st.Issued
 	// A locked chip must not leak further CRPs.
-	client := &Client{
+	client := &V2Client{
 		Addr: ln.Addr().String(), ChipID: "victim",
 		Device: attacker, Cond: silicon.Nominal,
 		Timeout: msgTimeout, Policy: policy,
@@ -156,6 +158,7 @@ func TestChaosAuthentication(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
 	_, err = client.Authenticate(ctx)
 	cancel()
+	client.Close()
 	var pe *ProtocolError
 	if !errors.As(err, &pe) || pe.Code != CodeLockedOut {
 		t.Errorf("locked victim err = %v, want locked_out", err)

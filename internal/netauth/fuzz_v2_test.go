@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"bytes"
 	"errors"
-	"fmt"
 	"io"
 	"net"
 	"testing"
@@ -13,12 +12,12 @@ import (
 	"xorpuf/internal/wire"
 )
 
-// FuzzV2Negotiate throws arbitrary opening bytes at a live dual-protocol
-// server over real TCP.  Whatever the first bytes are — a v2 frame, a v1
-// JSON line, a torn prefix, a lying length field — the server must (a)
-// never hold the connection open once the client's write side closes,
-// and (b) answer, if it answers at all, in exactly one protocol: a
-// stream of CRC-valid v2 frames or newline-terminated JSON lines.
+// FuzzV2Negotiate throws arbitrary opening bytes at a live server over
+// real TCP.  Whatever the first bytes are — a frame, a JSON line from a
+// retired protocol v1 device, a torn prefix, a lying length field — the
+// server must (a) never hold the connection open once the client's write
+// side closes, (b) answer, if it answers at all, with CRC-valid frames,
+// and (c) burn no challenge unless the bytes open with a well-formed hello.
 func FuzzV2Negotiate(f *testing.F) {
 	srv := NewServer(4, 3)
 	if err := srv.Register("chip-A", benchChipModel(7, 4, 64)); err != nil {
@@ -34,22 +33,19 @@ func FuzzV2Negotiate(f *testing.F) {
 
 	hello := wire.AppendFrame(nil, &wire.Msg{Type: wire.THello, Stream: 0,
 		ChipID: "chip-A", Batch: 2, Caps: wire.CapChaCha20Poly1305})
-	f.Add(append(append([]byte(nil), hello...), wire.Guard))
-	unknown := wire.AppendFrame(nil, &wire.Msg{Type: wire.THello, ChipID: "ghost", Batch: 1})
-	f.Add(append(append([]byte(nil), unknown...), wire.Guard))
-	keyex := wire.AppendFrame(nil, &wire.Msg{Type: wire.TKeyexInit, ChipID: "chip-A",
-		Caps: wire.CapChaCha20Poly1305})
-	f.Add(append(append([]byte(nil), keyex...), wire.Guard))
-	if b, err := encodeFrame(message{Type: "hello", ChipID: "chip-A"}); err == nil {
-		f.Add(b)
-	}
-	f.Add(hello[:3])                                              // torn negotiation frame
+	f.Add(hello)
+	f.Add(wire.AppendFrame(nil, &wire.Msg{Type: wire.THello, ChipID: "ghost", Batch: 1}))
+	f.Add(wire.AppendFrame(nil, &wire.Msg{Type: wire.TKeyexInit, ChipID: "chip-A",
+		Caps: wire.CapChaCha20Poly1305}))
+	f.Add([]byte(`{"type":"hello","chip_id":"chip-A"}` + "\n"))   // a v1 JSON hello
+	f.Add(hello[:3])                                              // torn frame
 	f.Add([]byte{wire.Magic, 0x01, 0x00, 0xFF, 0xFF, 0xFF, 0xFF}) // lying length field
-	f.Add([]byte{wire.Guard})                                     // bare guard byte
+	f.Add([]byte{'\n'})                                           // a lone newline
 	f.Add([]byte("{\"type\":\"hello\""))                          // unterminated JSON
 	f.Add([]byte{0x00, 0x01, 0x02, 0x03})                         // garbage
 
 	f.Fuzz(func(t *testing.T, data []byte) {
+		before := srv.ChipStatus("chip-A").Issued
 		conn, err := net.Dial("tcp", addr)
 		if err != nil {
 			t.Skip("dial:", err)
@@ -64,26 +60,30 @@ func FuzzV2Negotiate(f *testing.F) {
 			_ = tc.CloseWrite()
 		}
 		reply, err := io.ReadAll(conn)
-		if err != nil {
+		var ne net.Error
+		if errors.As(err, &ne) && ne.Timeout() {
 			t.Fatalf("server held the connection open on %q: %v", data, err)
 		}
-		if len(reply) == 0 {
-			return // silent close: a legitimate answer to garbage
-		}
-		if reply[0] == wire.Magic {
-			if err := validV2Stream(reply); err != nil {
-				t.Fatalf("malformed v2 reply to %q: %v (reply %x)", data, err, reply)
+		// Any other read error is a reset: the server closed with our
+		// bytes unread, which is a legitimate end to garbage.
+		if len(reply) > 0 {
+			if err := validStream(reply); err != nil {
+				t.Fatalf("malformed reply to %q: %v (reply %x)", data, err, reply)
 			}
+		}
+		if opensWithHello(data) {
 			return
 		}
-		if err := validV1Lines(reply); err != nil {
-			t.Fatalf("malformed v1 reply to %q: %v (reply %q)", data, err, reply)
+		// The server has closed the connection, so its handler — and any
+		// issuance it ran — is done.
+		if after := srv.ChipStatus("chip-A").Issued; after != before {
+			t.Fatalf("%q burned %d challenges without a well-formed hello", data, after-before)
 		}
 	})
 }
 
-// validV2Stream checks the reply parses as complete, CRC-valid v2 frames.
-func validV2Stream(data []byte) error {
+// validStream checks the reply parses as complete, CRC-valid frames.
+func validStream(data []byte) error {
 	r := wire.NewReader(bufio.NewReader(bytes.NewReader(data)))
 	defer r.Release()
 	var m wire.Msg
@@ -97,18 +97,13 @@ func validV2Stream(data []byte) error {
 	}
 }
 
-// validV1Lines checks the reply splits into newline-terminated lines that
-// each decode as a v1 JSON message.
-func validV1Lines(data []byte) error {
-	for len(data) > 0 {
-		i := bytes.IndexByte(data, '\n')
-		if i < 0 {
-			return fmt.Errorf("unterminated trailing line %q", data)
-		}
-		if _, err := decodeFrame(data[:i+1]); err != nil {
-			return fmt.Errorf("line %q: %w", data[:i+1], err)
-		}
-		data = data[i+1:]
+// opensWithHello reports whether data begins with a complete, well-formed
+// hello frame — the only opening that may burn challenges.
+func opensWithHello(data []byte) bool {
+	raw, err := wire.ReadRawFrame(bufio.NewReader(bytes.NewReader(data)))
+	if err != nil {
+		return false
 	}
-	return nil
+	var m wire.Msg
+	return wire.Decode(raw, &m) == nil && m.Type == wire.THello
 }

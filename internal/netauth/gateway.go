@@ -9,8 +9,8 @@
 //
 // The gateway stays protocol-thin on purpose: it parses exactly one frame
 // (the hello or keyex_init) and never terminates the authentication
-// protocol, so the end-to-end CRC and error semantics between device and
-// verifier are untouched.  The one extra frame it reads is the backend's
+// protocol, so the end-to-end frame checks and error semantics between
+// device and verifier are untouched.  The one extra frame it reads is the backend's
 // first reply: a "moved" error there means the chip's range was rebalanced
 // to another shard, and the gateway follows the redirect within a
 // per-session budget instead of bouncing the device.
@@ -21,17 +21,14 @@
 // frame with its own "gateway.session" span as the parent — so every
 // backend span of the session nests under the gateway's, and one
 // `puflab trace show` renders the whole gateway → shard → quorum tree.
-// Everything after the opening frame is spliced verbatim.
-//
-// Both wire protocols route through the same code: the first byte of the
-// opening frame says which one the device speaks (0xF2 is the v2 magic and
-// can never begin v1 JSON), the chip ID is lifted from either encoding,
-// and refusals go back in the format the device used — so a v2 device
-// never mistakes a gateway "busy" for a v1-only downgrade signal.
+// Everything after the opening frame is spliced verbatim.  The gateway's
+// own refusals (unroutable chip, malformed opening frame) are error frames
+// like the server's.
 package netauth
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"math/rand"
@@ -48,7 +45,6 @@ import (
 
 var (
 	gatewaySessions   = telemetry.Default.Counter("gateway_sessions_total")
-	gatewaySessionsV2 = telemetry.Default.Counter("gateway_sessions_v2_total")
 	gatewayActive     = telemetry.Default.Gauge("gateway_active_sessions")
 	gatewayReroutes   = telemetry.Default.Counter("gateway_reroutes_total")
 	gatewayUnroutable = telemetry.Default.Counter("gateway_unroutable_total")
@@ -302,19 +298,11 @@ func (g *Gateway) handle(client net.Conn) {
 
 	br := bufio.NewReader(client)
 	client.SetReadDeadline(time.Now().Add(g.cfg.HelloTimeout))
-	first, err := br.Peek(1)
-	if err != nil {
-		return
-	}
-	v2 := first[0] == wire.Magic
-	line, chipID, span, ok := g.readOpening(client, br, v2)
+	opening, chipID, span, ok := g.readOpening(client, br)
 	if !ok {
 		return
 	}
 	client.SetReadDeadline(time.Time{})
-	if v2 {
-		gatewaySessionsV2.Inc()
-	}
 	span.SetAttr("chip", chipID)
 	defer span.End()
 
@@ -336,27 +324,27 @@ func (g *Gateway) handle(client net.Conn) {
 			hop.SetStatus("error:unroutable")
 			hop.End()
 			span.SetStatus("refused:" + CodeBusy)
-			g.refuse(client, v2, CodeBusy, fmt.Sprintf("gateway: no reachable owner for %s", label), true)
+			g.refuse(client, CodeBusy, fmt.Sprintf("gateway: no reachable owner for %s", label), true)
 			return
 		}
 		hop.SetAttr("backend", backend.RemoteAddr().String())
-		if _, err := backend.Write(line); err != nil {
+		if _, err := backend.Write(opening); err != nil {
 			backend.Close()
 			hop.SetStatus("error:write")
 			hop.End()
 			span.SetStatus("refused:" + CodeBusy)
-			g.refuse(client, v2, CodeBusy, "gateway: shard owner dropped the session", true)
+			g.refuse(client, CodeBusy, "gateway: shard owner dropped the session", true)
 			return
 		}
 		bbr = bufio.NewReader(backend)
 		backend.SetReadDeadline(time.Now().Add(g.cfg.HelloTimeout))
-		reply, moved, redirect, err := g.readReply(bbr, v2)
+		reply, moved, redirect, err := g.readReply(bbr)
 		if err != nil {
 			backend.Close()
 			hop.SetStatus("error:read")
 			hop.End()
 			span.SetStatus("refused:" + CodeBusy)
-			g.refuse(client, v2, CodeBusy, "gateway: shard owner dropped the session", true)
+			g.refuse(client, CodeBusy, "gateway: shard owner dropped the session", true)
 			return
 		}
 		backend.SetReadDeadline(time.Time{})
@@ -400,60 +388,33 @@ func (g *Gateway) handle(client net.Conn) {
 	<-done
 }
 
-// readOpening reads the device's opening frame in whichever protocol the
-// first byte announced, returning the bytes to forward (for v2, including
-// the negotiation guard byte, which each fresh backend also expects), the
-// chip ID to route on, and the session's gateway span.
+// readOpening reads the device's opening frame, returning the bytes to
+// forward, the chip ID to route on, and the session's gateway span.
+// Anything but a well-formed hello or keyex_init — including bytes of
+// another protocol — gets a bad_message refusal.
 //
 // Trace mint-or-adopt: a device hello carrying a parseable trace context
 // makes the gateway span a child of the device's; anything else — absent,
 // malformed, oversized — mints a fresh root trace.  Either way the frame is
 // re-encoded with the gateway span's context, so downstream spans nest
 // under it.
-func (g *Gateway) readOpening(client net.Conn, br *bufio.Reader, v2 bool) (line []byte, chipID string, span *dtrace.Span, ok bool) {
-	if v2 {
-		raw, err := wire.ReadRawFrame(br)
-		if err != nil {
-			g.refuse(client, true, CodeBadMessage, "gateway: bad v2 opening frame", false)
-			return nil, "", nil, false
-		}
-		var m wire.Msg
-		if err := wire.Decode(raw, &m); err != nil ||
-			(m.Type != wire.THello && m.Type != wire.TKeyexInit) || m.ChipID == "" {
-			g.refuse(client, true, CodeBadMessage, "gateway: first frame must be a hello or keyex_init", false)
-			return nil, "", nil, false
-		}
-		span = g.sessionSpan(m.Trace)
-		m.Trace = span.Context().String()
-		raw = wire.AppendFrame(raw[:0], &m)
-		// Forward the negotiation guard byte when it arrived with the
-		// frame.  Only already-buffered bytes are examined — a straggling
-		// guard reaches the backend through the splice, and both backend
-		// protocols tolerate it there (v2 skips it, v1 line-reads it).
-		if br.Buffered() > 0 {
-			if b, err := br.Peek(1); err == nil && b[0] == wire.Guard {
-				br.Discard(1) //nolint:errcheck
-				raw = append(raw, wire.Guard)
-			}
-		}
-		return raw, m.ChipID, span, true
-	}
-	raw, err := readLine(br)
+func (g *Gateway) readOpening(client net.Conn, br *bufio.Reader) (opening []byte, chipID string, span *dtrace.Span, ok bool) {
+	raw, err := wire.ReadRawFrame(br)
 	if err != nil {
+		if errors.Is(err, wire.ErrFrame) {
+			g.refuse(client, CodeBadMessage, "gateway: bad opening frame", false)
+		}
 		return nil, "", nil, false
 	}
-	hello, err := decodeFrame(raw)
-	if err != nil || (hello.Type != "hello" && hello.Type != "keyex_init") || hello.ChipID == "" {
-		g.refuse(client, false, CodeBadMessage, "gateway: first frame must be a hello or keyex_init", false)
+	var m wire.Msg
+	if err := wire.Decode(raw, &m); err != nil ||
+		(m.Type != wire.THello && m.Type != wire.TKeyexInit) || m.ChipID == "" {
+		g.refuse(client, CodeBadMessage, "gateway: first frame must be a hello or keyex_init", false)
 		return nil, "", nil, false
 	}
-	span = g.sessionSpan(hello.Trace)
-	hello.Trace = span.Context().String()
-	framed, err := encodeFrame(*hello)
-	if err != nil {
-		return nil, "", nil, false
-	}
-	return framed, hello.ChipID, span, true
+	span = g.sessionSpan(m.Trace)
+	m.Trace = span.Context().String()
+	return wire.AppendFrame(raw[:0], &m), m.ChipID, span, true
 }
 
 // sessionSpan starts the "gateway.session" span: a child of the device's
@@ -465,26 +426,16 @@ func (g *Gateway) sessionSpan(deviceTrace string) *dtrace.Span {
 	return dtrace.Default.StartRoot("gateway.session")
 }
 
-// readReply reads the backend's first reply in the session's protocol and
-// reports whether it is a follow-able "moved" redirect.
-func (g *Gateway) readReply(bbr *bufio.Reader, v2 bool) (reply []byte, moved bool, redirect string, err error) {
-	if v2 {
-		raw, err := wire.ReadRawFrame(bbr)
-		if err != nil {
-			return nil, false, "", err
-		}
-		var m wire.Msg
-		if derr := wire.Decode(raw, &m); derr == nil &&
-			m.Type == wire.TError && codeFromByte(m.Code) == CodeMoved {
-			return raw, true, m.Redirect, nil
-		}
-		return raw, false, "", nil
-	}
-	raw, err := readLine(bbr)
+// readReply reads the backend's first reply and reports whether it is a
+// follow-able "moved" redirect.
+func (g *Gateway) readReply(bbr *bufio.Reader) (reply []byte, moved bool, redirect string, err error) {
+	raw, err := wire.ReadRawFrame(bbr)
 	if err != nil {
 		return nil, false, "", err
 	}
-	if m, derr := decodeFrame(raw); derr == nil && m.Type == "error" && m.Code == CodeMoved {
+	var m wire.Msg
+	if derr := wire.Decode(raw, &m); derr == nil &&
+		m.Type == wire.TError && codeFromByte(m.Code) == CodeMoved {
 		return raw, true, m.Redirect, nil
 	}
 	return raw, false, "", nil
@@ -584,21 +535,11 @@ func (g *Gateway) markUp(addr string) {
 	g.mu.Unlock()
 }
 
-// refuse sends one structured error frame, in the protocol the device
-// spoke, and closes.
-func (g *Gateway) refuse(conn net.Conn, v2 bool, code, msg string, retryable bool) {
-	var frame []byte
-	if v2 {
-		frame = wire.AppendFrame(nil, &wire.Msg{
-			Type: wire.TError, Code: codeToByte(code), ErrMsg: msg, Retryable: retryable,
-		})
-	} else {
-		var err error
-		frame, err = encodeFrame(message{Type: "error", Code: code, Message: msg, Retryable: retryable})
-		if err != nil {
-			return
-		}
-	}
+// refuse sends one structured error frame and closes.
+func (g *Gateway) refuse(conn net.Conn, code, msg string, retryable bool) {
+	frame := wire.AppendFrame(nil, &wire.Msg{
+		Type: wire.TError, Code: codeToByte(code), ErrMsg: msg, Retryable: retryable,
+	})
 	conn.SetWriteDeadline(time.Now().Add(g.cfg.HelloTimeout))
 	conn.Write(frame) //nolint:errcheck
 }

@@ -1,8 +1,6 @@
 package netauth
 
 import (
-	"bufio"
-	"encoding/json"
 	"errors"
 	"net"
 	"testing"
@@ -12,6 +10,7 @@ import (
 	"xorpuf/internal/registry"
 	"xorpuf/internal/rng"
 	"xorpuf/internal/silicon"
+	"xorpuf/internal/wire"
 )
 
 // startGateway serves a gateway over the given shards on a loopback
@@ -125,25 +124,16 @@ func TestGatewayRefusalsAreStructured(t *testing.T) {
 		t.Fatalf("unroutable session error = %v, want retryable %s", err, CodeBusy)
 	}
 
-	// A session that does not open with a hello is refused outright.
-	conn, err := net.Dial("tcp", gwAddr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	if _, err := conn.Write([]byte("{\"type\":\"challenges\"}\n")); err != nil {
-		t.Fatal(err)
-	}
-	line, err := bufio.NewReader(conn).ReadBytes('\n')
-	if err != nil {
-		t.Fatal(err)
-	}
-	var m message
-	if err := json.Unmarshal(line, &m); err != nil {
-		t.Fatalf("refusal frame not JSON: %v", err)
-	}
-	if m.Type != "error" || m.Code != CodeBadMessage {
-		t.Fatalf("refusal frame %+v, want %s", m, CodeBadMessage)
+	// A session that does not open with a hello is refused outright, with
+	// an error frame — whether it opens with another frame type or with
+	// bytes that are not a frame at all.
+	for _, opening := range [][]byte{
+		wire.AppendFrame(nil, &wire.Msg{Type: wire.TBye}),
+		[]byte("{\"type\":\"hello\",\"chip_id\":\"chip-A\"}\n"),
+	} {
+		rc := dialRaw(t, gwAddr)
+		rc.sendBytes(opening)
+		expectRefusal(t, rc, CodeBadMessage, false)
 	}
 }
 

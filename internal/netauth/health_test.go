@@ -148,7 +148,7 @@ func TestHealthyTrafficNeverQuarantines(t *testing.T) {
 // TestClientRejectsOutOfEnvelopeCondition: the client refuses to start a
 // session at a condition the silicon model cannot evaluate, before dialing.
 func TestClientRejectsOutOfEnvelopeCondition(t *testing.T) {
-	c := &Client{
+	c := &V2Client{
 		Addr: "127.0.0.1:1", ChipID: "x", Device: zeroDevice{},
 		Cond: silicon.Condition{VDD: 0.5, TempC: 25},
 	}

@@ -6,16 +6,19 @@ package netauth
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"crypto/sha256"
-	"encoding/base64"
 	"encoding/hex"
 	"errors"
 	"fmt"
 	"net"
 	"time"
 
+	"xorpuf/internal/challenge"
+	"xorpuf/internal/core"
 	"xorpuf/internal/keyex"
+	"xorpuf/internal/silicon"
 	"xorpuf/internal/wire"
 )
 
@@ -28,33 +31,39 @@ type KeyexResult struct {
 	// Corrected is how many bit errors the code-offset extractor fixed in
 	// the device's noisy reading — a live reliability measurement.
 	Corrected int
-	// Cipher is the negotiated channel cipher; empty means the exchange
-	// was confirm-only (mutual proof of key possession, no channel).
+	// Cipher is the negotiated channel cipher.
 	Cipher string
 }
 
-// SecureSession is an established, mutually key-confirmed session.  When a
-// cipher was negotiated it carries an AEAD-encrypted channel over the same
-// connection; Authenticate and SendPayload then run the v1 JSON protocol
-// inside it.  Not safe for concurrent use.  Close it when done.
+// SecureSession is an established, mutually key-confirmed session with an
+// AEAD-encrypted channel over the same connection; Authenticate and
+// SendPayload run their frames inside it.  Not safe for concurrent use.
+// Close it when done.
 type SecureSession struct {
 	Result KeyexResult
 
-	c    *Client
+	chipID  string
+	dev     core.Device
+	cond    silicon.Condition
+	timeout time.Duration
+	session []byte
+
 	conn net.Conn
-	ch   *keyex.Channel // nil when no cipher was negotiated
-	stop func() bool    // cancels the context watchdog on the conn
-	bin  bool           // inner frames use the binary v2 codec
+	ch   *keyex.Channel
+	rd   *wire.Reader // frames decrypted from ch
+	wb   []byte
+	stop func() bool // cancels the context watchdog on the conn
 }
 
-// Establish dials the server and runs the key exchange: it requests helper
-// data, reads the chip once per challenge, reproduces the session key with
-// the code-offset extractor, and exchanges key-confirmation MACs (device
-// first).  On success the returned session holds the encrypted channel.
+// Establish dials a dedicated connection and runs the key exchange: it
+// requests helper data, reads the chip once per challenge, reproduces the
+// session key with the code-offset extractor, and exchanges
+// key-confirmation MACs (device first).  On success the returned session
+// holds the encrypted channel.
 //
-// Unlike Authenticate there is no retry loop: every handshake burns
+// Unlike AuthenticateBatch there is no retry loop: every handshake burns
 // fresh challenges, so retrying is an explicit caller decision.
-func (c *Client) Establish(ctx context.Context) (*SecureSession, error) {
+func (c *V2Client) Establish(ctx context.Context) (*SecureSession, error) {
 	c.init()
 	if c.Device == nil {
 		return nil, errors.New("netauth: client has no device")
@@ -81,57 +90,56 @@ func (c *Client) Establish(ctx context.Context) (*SecureSession, error) {
 	return ss, nil
 }
 
-// establish runs the handshake frames on an open connection.
-func (c *Client) establish(conn net.Conn) (*SecureSession, error) {
-	pf := &clientPlainFrames{conn: conn, timeout: c.Timeout, r: bufio.NewReader(conn)}
-
-	caps := []string{keyex.CipherChaCha20Poly1305}
-	if err := pf.write(message{
-		Type: "keyex_init", ChipID: c.ChipID, Caps: caps, Trace: c.Trace,
-	}); err != nil {
+// establish runs the handshake frames on an open connection.  The
+// handshake is three frames; ReadRawFrame's fresh buffers keep the code
+// simple — key-exchange throughput is bounded by BCH math, not allocs.
+func (c *V2Client) establish(conn net.Conn) (*SecureSession, error) {
+	br := bufio.NewReader(conn)
+	send := func(m *wire.Msg) error {
+		_ = conn.SetWriteDeadline(time.Now().Add(c.Timeout))
+		_, err := conn.Write(wire.AppendFrame(nil, m))
+		return err
+	}
+	if err := send(&wire.Msg{Type: wire.TKeyexInit, ChipID: c.ChipID,
+		Caps: wire.CapChaCha20Poly1305, Trace: c.Trace}); err != nil {
 		return nil, err
 	}
-	offer, err := pf.read("keyex_offer")
+	offer, err := c.readHandshake(conn, br, wire.TKeyexOffer)
 	if err != nil {
 		return nil, err
 	}
-	// Downgrade check: the server must pick a cipher we actually offered.
-	// Accepting anything else — in particular cipher "" (confirm-only, no
-	// encrypted channel) — would let an active attacker who tampers with
-	// the negotiation silently strip the session's encryption.  The caps
-	// list is also bound into the transcript below, so even a tampered
-	// keyex_init that survives this check fails key confirmation.
-	offered := false
-	for _, c := range caps {
-		if offer.Cipher == c {
-			offered = true
-			break
-		}
+	// Downgrade check: we offered exactly ChaCha20-Poly1305, so the server
+	// must pick it.  Accepting anything else — in particular CipherNone
+	// (confirm-only, no encrypted channel) — would let an active attacker
+	// who tampers with the negotiation silently strip the session's
+	// encryption.  The capability list is also bound into the transcript
+	// below, so even a tampered keyex_init that survives this check fails
+	// key confirmation.
+	if offer.Cipher != wire.CipherChaCha20 {
+		return nil, fmt.Errorf("netauth: server chose cipher %d, which this client did not offer", offer.Cipher)
 	}
-	if !offered {
-		return nil, fmt.Errorf("netauth: server chose cipher %q, which this client did not offer", offer.Cipher)
-	}
-	cfg := keyex.Config{M: offer.BchM, T: offer.BchT}
+	cfg := keyex.Config{M: offer.M, T: offer.T}
 	if err := cfg.Validate(); err != nil {
 		return nil, fmt.Errorf("netauth: server offered bad code parameters: %w", err)
 	}
 	n := cfg.N()
-	if len(offer.Challenges) != n {
-		return nil, fmt.Errorf("netauth: offer carries %d challenges, code needs %d", len(offer.Challenges), n)
+	if offer.Count != n || offer.Width <= 0 {
+		return nil, fmt.Errorf("netauth: offer carries %d challenges of width %d, code needs %d",
+			offer.Count, offer.Width, n)
 	}
-	helper, err := keyex.ParseBits(offer.Helper, n)
-	if err != nil || len(helper) != n {
-		return nil, fmt.Errorf("netauth: bad helper data: %v", err)
-	}
+	bits := wire.UnpackBits(nil, offer.Packed, n*offer.Width)
+	helper := wire.UnpackBits(nil, offer.Helper, n)
+	sessRaw := append([]byte(nil), offer.Session...)
+	session := hex.EncodeToString(sessRaw)
 
 	// One single-shot XOR readout per challenge — the protocol's designed
-	// device workload, same as authentication.
+	// device workload, same as authentication — and the canonical
+	// challenge strings the transcript binds.
+	chalStrs := make([]string, n)
 	w := make([]uint8, n)
-	for i, bits := range offer.Challenges {
-		cc, err := parseChallenge(bits)
-		if err != nil {
-			return nil, err
-		}
+	for i := 0; i < n; i++ {
+		cc := challenge.Challenge(bits[i*offer.Width : (i+1)*offer.Width])
+		chalStrs[i] = cc.String()
 		w[i] = c.Device.ReadXOR(cc, c.Cond)
 	}
 	master, corrected, err := keyex.Reproduce(cfg, w, helper)
@@ -142,81 +150,95 @@ func (c *Client) establish(conn net.Conn) (*SecureSession, error) {
 	// Bind the key schedule to the exact offer we answered.  A tampered
 	// offer (different challenges, helper, or cipher) yields a different
 	// transcript, so the server's confirm MAC will not verify.
-	o := keyex.Offer{
-		Session:    offer.Session,
+	transcript := keyex.Transcript(keyex.Offer{
+		Session:    session,
 		ChipID:     c.ChipID,
-		Caps:       caps,
-		Challenges: offer.Challenges,
-		Helper:     offer.Helper,
-		M:          offer.BchM,
-		T:          offer.BchT,
-		Cipher:     offer.Cipher,
-	}
-	transcript := keyex.Transcript(o)
+		Caps:       []string{keyex.CipherChaCha20Poly1305},
+		Challenges: chalStrs,
+		Helper:     keyex.FormatBits(helper),
+		M:          offer.M,
+		T:          offer.T,
+		Cipher:     keyex.CipherChaCha20Poly1305,
+	})
 	keys := keyex.DeriveSession(master, transcript)
 	keyex.Zeroize(master[:])
 
 	devMAC := keyex.ConfirmMAC(keys, keyex.RoleDevice, transcript)
-	if err := pf.write(message{
-		Type: "keyex_confirm", Session: offer.Session, MAC: hex.EncodeToString(devMAC[:]),
-	}); err != nil {
+	if err := send(&wire.Msg{Type: wire.TKeyexConfirm, Session: sessRaw, MAC: devMAC[:]}); err != nil {
 		return nil, err
 	}
-	accept, err := pf.read("keyex_accept")
+	accept, err := c.readHandshake(conn, br, wire.TKeyexAccept)
 	if err != nil {
 		return nil, err // includes the structured key_mismatch denial
 	}
-	srvMAC, err := hex.DecodeString(accept.MAC)
-	if err != nil || !keyex.VerifyConfirm(keys, keyex.RoleServer, transcript, srvMAC) {
+	if !keyex.VerifyConfirm(keys, keyex.RoleServer, transcript, accept.MAC) {
 		return nil, errors.New("netauth: server failed key confirmation")
 	}
 
-	ss := &SecureSession{
+	ch := keyex.NewChannel(readWriter{br, conn}, keys, transcript, true)
+	return &SecureSession{
 		Result: KeyexResult{
-			Session:    offer.Session,
+			Session:    session,
 			Challenges: n,
 			Corrected:  corrected,
-			Cipher:     offer.Cipher,
+			Cipher:     keyex.CipherChaCha20Poly1305,
 		},
-		c:    c,
-		conn: conn,
+		chipID:  c.ChipID,
+		dev:     c.Device,
+		cond:    c.Cond,
+		timeout: c.Timeout,
+		session: sessRaw,
+		conn:    conn,
+		ch:      ch,
+		rd:      wire.NewReader(bufio.NewReader(&channelStream{ch: ch})),
+	}, nil
+}
+
+// readHandshake reads one handshake frame, surfacing server refusals as
+// structured ProtocolErrors.
+func (c *V2Client) readHandshake(conn net.Conn, br *bufio.Reader, want byte) (*wire.Msg, error) {
+	_ = conn.SetReadDeadline(time.Now().Add(c.Timeout))
+	raw, err := wire.ReadRawFrame(br)
+	if err != nil {
+		return nil, err
 	}
-	if offer.Cipher == keyex.CipherChaCha20Poly1305 {
-		ss.ch = keyex.NewChannel(readWriter{pf.r, conn}, keys, transcript, true)
+	var m wire.Msg
+	if err := wire.Decode(raw, &m); err != nil {
+		return nil, err
 	}
-	return ss, nil
+	if m.Type == wire.TError {
+		return nil, protocolError(&m)
+	}
+	if m.Type != want {
+		return nil, fmt.Errorf("netauth: unexpected frame type 0x%02x, want 0x%02x", m.Type, want)
+	}
+	return &m, nil
 }
 
 // Authenticate runs one full authentication exchange inside the encrypted
-// channel — the same challenge/response/verdict protocol, now opaque to a
+// channel — the same challenge/response/verdict frames, now opaque to a
 // network observer.
 func (s *SecureSession) Authenticate() (Result, error) {
-	if err := s.write(message{Type: "hello", ChipID: s.c.ChipID}); err != nil {
+	if err := s.write(&wire.Msg{Type: wire.THello, ChipID: s.chipID, Batch: 1}); err != nil {
 		return Result{}, err
 	}
-	ch, err := s.read("challenges")
-	if err != nil {
+	var m wire.Msg
+	if err := s.read(&m, wire.TChallenges); err != nil {
 		return Result{}, err
 	}
-	resp := message{Type: "responses", Session: ch.Session, Responses: make([]uint8, len(ch.Challenges))}
-	for i, bits := range ch.Challenges {
-		cc, err := parseChallenge(bits)
-		if err != nil {
-			return Result{}, err
-		}
-		resp.Responses[i] = s.c.Device.ReadXOR(cc, s.c.Cond)
-	}
-	if err := s.write(resp); err != nil {
+	challenges := m.Count
+	packed := readChallenges(nil, make(challenge.Challenge, m.Width), s.dev, s.cond, &m)
+	if err := s.write(&wire.Msg{Type: wire.TResponses, Stream: m.Stream,
+		Session: m.Session, Count: m.Count, Packed: packed}); err != nil {
 		return Result{}, err
 	}
-	verdict, err := s.read("verdict")
-	if err != nil {
+	if err := s.read(&m, wire.TVerdict); err != nil {
 		return Result{}, err
 	}
 	return Result{
-		Approved:   verdict.Approved,
-		Mismatches: verdict.Mismatches,
-		Challenges: len(ch.Challenges),
+		Approved:   m.Approved,
+		Mismatches: m.Mismatches,
+		Challenges: challenges,
 		Attempts:   1,
 	}, nil
 }
@@ -225,21 +247,16 @@ func (s *SecureSession) Authenticate() (Result, error) {
 // verifies the server's acknowledged digest end to end.
 func (s *SecureSession) SendPayload(data []byte) error {
 	sum := sha256.Sum256(data)
-	digest := hex.EncodeToString(sum[:])
-	if err := s.write(message{
-		Type:    "payload",
-		Session: s.Result.Session,
-		Payload: base64.StdEncoding.EncodeToString(data),
-		Digest:  digest,
-	}); err != nil {
+	if err := s.write(&wire.Msg{Type: wire.TPayload, Session: s.session,
+		Digest: sum[:], Data: data}); err != nil {
 		return err
 	}
-	ack, err := s.read("payload_ack")
-	if err != nil {
+	var m wire.Msg
+	if err := s.read(&m, wire.TPayloadAck); err != nil {
 		return err
 	}
-	if ack.Digest != digest {
-		return fmt.Errorf("netauth: server acknowledged digest %s, want %s", ack.Digest, digest)
+	if !bytes.Equal(m.Digest, sum[:]) {
+		return fmt.Errorf("netauth: server acknowledged digest %x, want %x", m.Digest, sum)
 	}
 	return nil
 }
@@ -247,91 +264,45 @@ func (s *SecureSession) SendPayload(data []byte) error {
 // Close says bye (best effort), tears down the channel, and closes the
 // connection.  Safe to call more than once.
 func (s *SecureSession) Close() error {
-	if s.ch != nil && !s.ch.Broken() {
-		if err := s.write(message{Type: "bye"}); err == nil {
-			_, _ = s.read("bye")
+	if !s.ch.Broken() {
+		if err := s.write(&wire.Msg{Type: wire.TBye}); err == nil {
+			var m wire.Msg
+			_ = s.read(&m, wire.TBye)
 		}
 	}
-	if s.ch != nil {
-		s.ch.Close()
-	}
+	s.ch.Close()
 	if s.stop != nil {
 		s.stop()
+	}
+	if s.rd != nil {
+		s.rd.Release()
+		s.rd = nil
 	}
 	return s.conn.Close()
 }
 
-// write sends one message through the encrypted channel — CRC-framed JSON
-// for a session established over protocol v1, a binary frame for v2.
-func (s *SecureSession) write(m message) error {
-	if s.ch == nil {
-		return errors.New("netauth: no encrypted channel was negotiated")
-	}
-	var b []byte
-	if s.bin {
-		var w wire.Msg
-		if err := messageToWire(m, &w); err != nil {
-			return err
-		}
-		b = wire.AppendFrame(nil, &w)
-	} else {
-		var err error
-		b, err = encodeFrame(m)
-		if err != nil {
-			return err
-		}
-	}
-	_ = s.conn.SetWriteDeadline(time.Now().Add(s.c.Timeout))
-	return s.ch.WriteFrame(b)
+// write seals one frame into the channel.
+func (s *SecureSession) write(m *wire.Msg) error {
+	s.wb = wire.AppendFrame(s.wb[:0], m)
+	_ = s.conn.SetWriteDeadline(time.Now().Add(s.timeout))
+	return s.ch.WriteFrame(s.wb)
 }
 
-// read receives one message from the encrypted channel.
-func (s *SecureSession) read(wantTypes ...string) (*message, error) {
-	if s.ch == nil {
-		return nil, errors.New("netauth: no encrypted channel was negotiated")
+// read receives one frame of type want from the channel into m; a server
+// error frame comes back as a *ProtocolError.
+func (s *SecureSession) read(m *wire.Msg, want byte) error {
+	if s.rd == nil {
+		return errors.New("netauth: secure session is closed")
 	}
-	_ = s.conn.SetReadDeadline(time.Now().Add(s.c.Timeout))
-	payload, err := s.ch.ReadFrame()
-	if err != nil {
-		return nil, err
-	}
-	var m *message
-	if s.bin {
-		var w wire.Msg
-		if err := wire.Decode(payload, &w); err != nil {
-			return nil, err
-		}
-		if m, err = wireToMessage(&w); err != nil {
-			return nil, err
-		}
-	} else {
-		if m, err = decodeFrame(payload); err != nil {
-			return nil, err
-		}
-	}
-	return checkMessage(m, wantTypes...)
-}
-
-// clientPlainFrames is the client's plain-phase frame I/O (handshake
-// messages before the channel upgrade).
-type clientPlainFrames struct {
-	conn    net.Conn
-	timeout time.Duration
-	r       *bufio.Reader
-}
-
-func (p *clientPlainFrames) write(m message) error {
-	b, err := encodeFrame(m)
-	if err != nil {
+	_ = s.conn.SetReadDeadline(time.Now().Add(s.timeout))
+	if _, err := s.rd.Next(m); err != nil {
 		return err
 	}
-	_ = p.conn.SetWriteDeadline(time.Now().Add(p.timeout))
-	_, err = p.conn.Write(b)
-	return err
-}
-
-func (p *clientPlainFrames) read(wantTypes ...string) (*message, error) {
-	_ = p.conn.SetReadDeadline(time.Now().Add(p.timeout))
-	m, _, err := readMessageAny(p.r, wantTypes...)
-	return m, err
+	if m.Type == wire.TError {
+		return protocolError(m)
+	}
+	if m.Type != want {
+		return fmt.Errorf("netauth: unexpected frame type 0x%02x, want 0x%02x", m.Type, want)
+	}
+	return nil
 }

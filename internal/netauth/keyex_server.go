@@ -4,19 +4,24 @@
 // over its error-free predicted responses; the device only has to read the
 // chip once per challenge and run the cheap code-offset Reproduce.
 //
-// Wire flow, all CRC-framed JSON like protocol v1:
+// Wire flow, as the first frames of a connection:
 //
-//	device → server   {"type":"keyex_init","chip_id":"...","caps":["chacha20poly1305"]}
-//	server → device   {"type":"keyex_offer","session":"...","challenges":[...],
-//	                   "helper":"0101...","bch_m":8,"bch_t":12,"cipher":"chacha20poly1305"}
-//	device → server   {"type":"keyex_confirm","session":"...","mac":"<hex>"}
-//	server → device   {"type":"keyex_accept","session":"...","mac":"<hex>"}
+//	device → server   keyex_init     chip ID, capability bits
+//	server → device   keyex_offer    session id, BCH (m, t), cipher,
+//	                                 packed challenge bits, packed helper bits
+//	device → server   keyex_confirm  session id, device confirmation MAC
+//	server → device   keyex_accept   session id, server confirmation MAC
 //
 // after which, if a cipher was negotiated, both sides switch the same
-// connection to length-prefixed AEAD frames (keyex.Channel) and keep
-// speaking CRC-framed JSON inside them: inner "hello" runs a full
-// authentication exchange, "payload"/"payload_ack" move integrity-checked
-// application data, "bye" ends the session cleanly.
+// connection to length-prefixed AEAD boxes (keyex.Channel) and run the
+// ordinary frame event loop inside them: a hello runs a full
+// authentication exchange, payload/payload_ack move integrity-checked
+// application data, bye ends the session cleanly.
+//
+// The transcript binds the canonical string form of the offer
+// (keyex.Offer: hex session id, "0101…" challenges and helper, cipher
+// name), not the packed bits that carry it, so the derived key does not
+// depend on the wire encoding.
 //
 // Security posture mirrors authentication exactly where it matters:
 //
@@ -35,18 +40,18 @@
 package netauth
 
 import (
+	"bufio"
+	"bytes"
 	"context"
 	crand "crypto/rand"
-	"crypto/sha256"
-	"encoding/base64"
 	"encoding/hex"
-	"errors"
+	"io"
 	"time"
 
 	"xorpuf/internal/keyex"
-	"xorpuf/internal/registry"
 	"xorpuf/internal/telemetry"
 	"xorpuf/internal/telemetry/dtrace"
+	"xorpuf/internal/wire"
 )
 
 // SetKeyExchange enables the reverse fuzzy-extractor key exchange with the
@@ -64,54 +69,75 @@ func (s *Server) SetKeyExchange(cfg keyex.Config) error {
 	return nil
 }
 
-// keyexSession serves one key exchange on an admitted connection.  pc is
-// the plain frame view of the connection; the channel upgrade reuses its
-// buffered reader so no early bytes are stranded.  parent is the session's
-// dtrace context (invalid when untraced); key derivation runs under a
-// "keyex.derive" child span whose context carries into the quorum-gated
-// IssueKey journaling.
-func (s *Server) keyexSession(pc *plainConn, entry *registry.Entry, init *message, trace *telemetry.SessionTrace, parent dtrace.Context) {
-	fc := frameConn(pc)
+// keyexSession serves one key exchange opened by init, the connection's
+// first frame.  Key derivation runs under a "keyex.derive" span whose
+// context carries into the quorum-gated IssueKey journaling.
+func (s *Server) keyexSession(l *link, init *wire.Msg) {
+	start := time.Now()
+	s.tel.sessionStart()
+	trace := telemetry.SessionTrace{Start: start, ChipID: init.ChipID, Verdict: "error"}
+	var span *dtrace.Span
+	if tc, ok := dtrace.ParseContext(init.Trace); ok {
+		span = s.spans.StartSpanAt(tc, "netauth.keyex", start)
+		trace.TraceID = tc.Trace.String()
+	}
+	defer func() {
+		trace.TotalSeconds = time.Since(start).Seconds()
+		s.tel.sessionEnd(start, trace.TraceID)
+		s.recordTrace(trace)
+		s.endSessionSpan(span, &trace)
+	}()
+	fail := func(code string, retryable bool, format string, args ...interface{}) {
+		trace.DenialCode = code
+		l.fail(init.Stream, code, retryable, format, args...)
+	}
+
+	// Admission runs first: a locked-out or quarantined chip gets no helper
+	// data either.
+	entry, ref := s.admitChip(init.ChipID)
+	if ref != nil {
+		trace.DenialCode = ref.code
+		l.refuse(init.Stream, ref)
+		return
+	}
 	s.mu.Lock()
 	enabled := s.keyexOn
 	cfg := s.keyexCfg
 	lockoutK := s.lockoutK
 	s.mu.Unlock()
 	if !enabled {
-		s.fail(fc, trace, CodeKeyexUnavailable, false, "key exchange is not enabled on this server")
+		fail(CodeKeyexUnavailable, false, "key exchange is not enabled on this server")
 		return
 	}
-	session := newSessionID()
+	var sessRaw [wire.SessionLen]byte
+	randomSessionIDs(sessRaw[:])
+	session := hex.EncodeToString(sessRaw[:])
 	s.tel.keyexStart()
 	trace.Session = session
 
 	// Cipher negotiation: one suite today.  A client that offers nothing we
 	// speak still gets key confirmation (mutual proof of key possession)
 	// but no channel upgrade.
-	cipher := ""
-	for _, c := range init.Caps {
-		if c == keyex.CipherChaCha20Poly1305 {
-			cipher = c
-			break
-		}
+	var caps []string
+	cipher, cipherByte := "", byte(wire.CipherNone)
+	if init.Caps&wire.CapChaCha20Poly1305 != 0 {
+		caps = []string{keyex.CipherChaCha20Poly1305}
+		cipher, cipherByte = keyex.CipherChaCha20Poly1305, wire.CipherChaCha20
 	}
 
 	// Burn fresh challenges for key derivation.  IssueKey journals them
 	// before they are released, so the never-reuse guarantee covers
 	// abandoned handshakes and crashes too.
 	deriveStart := time.Now()
-	deriveSpan := s.spans.StartSpanAt(parent, "keyex.derive", deriveStart)
+	deriveSpan := s.spans.StartSpanAt(span.Context(), "keyex.derive", deriveStart)
 	cs, predicted, err := entry.IssueKeyCtx(dtrace.Inject(context.Background(), deriveSpan.Context()), cfg.N(), 0)
 	s.tel.observeSelect(deriveStart)
 	trace.Step("select", time.Since(deriveStart))
 	if err != nil {
-		deriveSpan.SetStatus("error:" + errCode(err))
+		code, retryable := issueRefusal(err)
+		deriveSpan.SetStatus("error:" + code)
 		deriveSpan.End()
-		if errors.Is(err, registry.ErrMigrating) {
-			s.fail(fc, trace, CodeMigrating, true, "chip mid-migration: %v", err)
-			return
-		}
-		s.fail(fc, trace, CodeSelectionFailed, false, "challenge selection failed: %v", err)
+		fail(code, retryable, "challenge selection failed: %v", err)
 		return
 	}
 	trace.Challenges = len(cs)
@@ -126,13 +152,13 @@ func (s *Server) keyexSession(pc *plainConn, entry *registry.Entry, init *messag
 	if err != nil {
 		deriveSpan.SetStatus("error:" + CodeSelectionFailed)
 		deriveSpan.End()
-		s.fail(fc, trace, CodeSelectionFailed, false, "helper data generation failed: %v", err)
+		fail(CodeSelectionFailed, false, "helper data generation failed: %v", err)
 		return
 	}
 	offer := keyex.Offer{
 		Session:    session,
 		ChipID:     init.ChipID,
-		Caps:       init.Caps,
+		Caps:       caps,
 		Challenges: make([]string, len(cs)),
 		Helper:     keyex.FormatBits(helper),
 		M:          cfg.M,
@@ -150,27 +176,30 @@ func (s *Server) keyexSession(pc *plainConn, entry *registry.Entry, init *messag
 	deriveSpan.SetStatus("ok")
 	deriveSpan.End()
 
+	width := len(cs[0])
 	rttStart := time.Now()
-	if err := fc.write(message{
-		Type: "keyex_offer", Session: session,
-		Challenges: offer.Challenges, Helper: offer.Helper,
-		BchM: cfg.M, BchT: cfg.T, Cipher: cipher,
+	if err := l.write(&wire.Msg{
+		Type: wire.TKeyexOffer, Stream: init.Stream, Session: sessRaw[:],
+		M: cfg.M, T: cfg.T, Cipher: cipherByte,
+		Width: width, Count: len(cs),
+		Packed: packChallengeBits(nil, cs, width),
+		Helper: wire.PackBits(nil, helper),
 	}); err != nil {
 		return
 	}
-	confirm, err := fc.read("keyex_confirm")
+	var m wire.Msg
+	err = l.next(&m)
 	s.tel.observeRTT(rttStart)
 	trace.Step("device_rtt", time.Since(rttStart))
-	if err != nil {
-		s.fail(fc, trace, CodeBadMessage, true, "bad keyex_confirm: %v", err)
+	if err != nil || m.Type != wire.TKeyexConfirm {
+		fail(CodeBadMessage, true, "bad keyex_confirm")
 		return
 	}
-	if confirm.Session != session {
-		s.fail(fc, trace, CodeBadMessage, true, "session mismatch")
+	if !bytes.Equal(m.Session, sessRaw[:]) {
+		fail(CodeBadMessage, true, "session mismatch")
 		return
 	}
-	mac, err := hex.DecodeString(confirm.MAC)
-	if err != nil || !keyex.VerifyConfirm(keys, keyex.RoleDevice, transcript, mac) {
+	if !keyex.VerifyConfirm(keys, keyex.RoleDevice, transcript, m.MAC) {
 		// Failed key confirmation is treated like a denied authentication:
 		// it counts toward lockout and the denial is terminal.  The server
 		// MAC is never sent, so the peer learns nothing to verify key
@@ -179,14 +208,14 @@ func (s *Server) keyexSession(pc *plainConn, entry *registry.Entry, init *messag
 			s.tel.lockout()
 		}
 		s.tel.keyexReject()
-		s.fail(fc, trace, CodeKeyMismatch, false, "key confirmation failed")
+		fail(CodeKeyMismatch, false, "key confirmation failed")
 		trace.Verdict = "denied"
 		return
 	}
 	entry.Verdict(true, lockoutK)
 	srvMAC := keyex.ConfirmMAC(keys, keyex.RoleServer, transcript)
-	if err := fc.write(message{
-		Type: "keyex_accept", Session: session, MAC: hex.EncodeToString(srvMAC[:]),
+	if err := l.write(&wire.Msg{
+		Type: wire.TKeyexAccept, Stream: init.Stream, Session: sessRaw[:], MAC: srvMAC[:],
 	}); err != nil {
 		return
 	}
@@ -196,57 +225,48 @@ func (s *Server) keyexSession(pc *plainConn, entry *registry.Entry, init *messag
 	if cipher == "" {
 		return // confirm-only exchange: mutual proof, no channel
 	}
-	ch := keyex.NewChannel(readWriter{pc.r, pc.conn}, keys, transcript, false)
+	ch := keyex.NewChannel(readWriter{l.br, l.conn}, keys, transcript, false)
 	defer ch.Close()
-	s.secureLoop(&secureConn{s: s, conn: pc.conn, ch: ch}, entry, init.ChipID, trace, parent)
+	sealed := &channelStream{ch: ch}
+	inner := s.newLink(l.conn, bufio.NewReader(sealed), sealed, s.tel.secureFrame)
+	defer inner.release()
+	s.serveFrames(inner, init.ChipID, span.Context())
 }
 
-// secureLoop serves the established encrypted session until the peer says
-// bye, the channel fails authentication, or a deadline expires.  Every
-// inner frame is the same CRC-framed JSON as protocol v1, boxed by the
-// channel's AEAD.  parent is the enclosing key-exchange session's dtrace
-// context: inner authentications nest their select/device_rtt spans under
-// the same tree.
-func (s *Server) secureLoop(sc *secureConn, entry *registry.Entry, chipID string, trace *telemetry.SessionTrace, parent dtrace.Context) {
-	for {
-		m, err := sc.read("hello", "payload", "bye")
+// readWriter stitches the handshake's buffered reader to the raw
+// connection, so bytes a pipelining peer sent ahead of the channel upgrade
+// are not stranded in the bufio buffer when keyex.Channel takes over the
+// socket.
+type readWriter struct {
+	io.Reader
+	io.Writer
+}
+
+// channelStream turns an AEAD channel into a byte stream, so frames flow
+// through it exactly as over a plain connection: reads drain decrypted
+// boxes in order, and each write — one flush of queued frames — is sealed
+// as one box.
+type channelStream struct {
+	ch  *keyex.Channel
+	buf []byte
+}
+
+func (c *channelStream) Read(p []byte) (int, error) {
+	for len(c.buf) == 0 {
+		b, err := c.ch.ReadFrame()
 		if err != nil {
-			return // EOF, timeout, or a forged/replayed frame: session over
+			return 0, err
 		}
-		switch m.Type {
-		case "bye":
-			_ = sc.write(message{Type: "bye"})
-			return
-		case "hello":
-			// Authentication inside the channel.  The channel is bound to
-			// the chip that established it — a hello for any other chip is
-			// a protocol violation, not a fresh admission decision — but
-			// lockout, throttle, and quarantine are re-checked so a chip
-			// cannot shelter from abuse control inside an open channel.
-			if m.ChipID != chipID {
-				s.fail(sc, trace, CodeBadMessage, false, "channel is bound to chip %q", chipID)
-				return
-			}
-			if _, ok := s.admit(sc, trace, nil, chipID); !ok {
-				return
-			}
-			s.authExchange(sc, entry, trace, parent)
-		case "payload":
-			data, err := base64.StdEncoding.DecodeString(m.Payload)
-			if err != nil {
-				s.fail(sc, trace, CodeBadMessage, true, "bad payload encoding: %v", err)
-				return
-			}
-			sum := sha256.Sum256(data)
-			digest := hex.EncodeToString(sum[:])
-			if m.Digest != "" && m.Digest != digest {
-				s.fail(sc, trace, CodeBadMessage, true, "payload digest mismatch")
-				return
-			}
-			s.tel.payload(len(data))
-			if err := sc.write(message{Type: "payload_ack", Session: m.Session, Digest: digest}); err != nil {
-				return
-			}
-		}
+		c.buf = b
 	}
+	n := copy(p, c.buf)
+	c.buf = c.buf[n:]
+	return n, nil
+}
+
+func (c *channelStream) Write(p []byte) (int, error) {
+	if err := c.ch.WriteFrame(p); err != nil {
+		return 0, err
+	}
+	return len(p), nil
 }

@@ -12,9 +12,11 @@ import (
 	"testing"
 	"time"
 
+	"xorpuf/internal/challenge"
 	"xorpuf/internal/keyex"
 	"xorpuf/internal/rng"
 	"xorpuf/internal/silicon"
+	"xorpuf/internal/wire"
 )
 
 // startKeyexServer is startServer with the key exchange enabled.
@@ -27,8 +29,8 @@ func startKeyexServer(t *testing.T, numChallenges int, cfg keyex.Config) (addr s
 	return addr, srv, chip
 }
 
-func keyexClient(addr string, chip *silicon.Chip, cond silicon.Condition) *Client {
-	return &Client{
+func keyexClient(addr string, chip *silicon.Chip, cond silicon.Condition) *V2Client {
+	return &V2Client{
 		Addr: addr, ChipID: "chip-A", Device: chip, Cond: cond,
 		Timeout: 10 * time.Second,
 	}
@@ -107,31 +109,12 @@ func TestKeyExchangeAtStressedCorner(t *testing.T) {
 func TestKeyexWrongKeyRejected(t *testing.T) {
 	addr, srv, _ := startKeyexServer(t, 30, keyex.Config{M: 7, T: 8})
 
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	r := bufio.NewReader(conn)
-	send := func(m message) {
-		b, err := encodeFrame(m)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := conn.Write(b); err != nil {
-			t.Fatal(err)
-		}
-	}
+	rc := dialRaw(t, addr)
+	rc.send(&wire.Msg{Type: wire.TKeyexInit, ChipID: "chip-A", Caps: wire.CapChaCha20Poly1305})
+	offer := rc.expect(wire.TKeyexOffer)
+	rc.send(&wire.Msg{Type: wire.TKeyexConfirm, Session: offer.Session, MAC: make([]byte, wire.MACLen)})
 
-	send(message{Type: "keyex_init", ChipID: "chip-A", Caps: []string{keyex.CipherChaCha20Poly1305}})
-	offer, _, err := readMessage(r, "keyex_offer")
-	if err != nil {
-		t.Fatalf("offer: %v", err)
-	}
-	send(message{Type: "keyex_confirm", Session: offer.Session,
-		MAC: hex.EncodeToString(make([]byte, 32))})
-
-	_, _, err = readMessage(r, "keyex_accept")
+	_, err := rc.recv()
 	var pe *ProtocolError
 	if !errors.As(err, &pe) {
 		t.Fatalf("err = %v, want ProtocolError", err)
@@ -151,17 +134,9 @@ func TestKeyexLockoutAfterRepeatedMismatches(t *testing.T) {
 	srv.SetLockout(2)
 
 	badHandshake := func() *ProtocolError {
-		conn, err := net.Dial("tcp", addr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer conn.Close()
-		r := bufio.NewReader(conn)
-		b, _ := encodeFrame(message{Type: "keyex_init", ChipID: "chip-A"})
-		if _, err := conn.Write(b); err != nil {
-			t.Fatal(err)
-		}
-		offer, _, err := readMessage(r, "keyex_offer")
+		rc := dialRaw(t, addr)
+		rc.send(&wire.Msg{Type: wire.TKeyexInit, ChipID: "chip-A"})
+		offer, err := rc.recv()
 		var pe *ProtocolError
 		if errors.As(err, &pe) {
 			return pe
@@ -169,12 +144,8 @@ func TestKeyexLockoutAfterRepeatedMismatches(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, _ = encodeFrame(message{Type: "keyex_confirm", Session: offer.Session,
-			MAC: hex.EncodeToString(make([]byte, 32))})
-		if _, err := conn.Write(b); err != nil {
-			t.Fatal(err)
-		}
-		_, _, err = readMessage(r, "keyex_accept")
+		rc.send(&wire.Msg{Type: wire.TKeyexConfirm, Session: offer.Session, MAC: make([]byte, wire.MACLen)})
+		_, err = rc.recv()
 		if !errors.As(err, &pe) {
 			t.Fatalf("err = %v, want ProtocolError", err)
 		}
@@ -207,23 +178,10 @@ func TestKeyexWireOutputNotSeedDeterministic(t *testing.T) {
 	cfg := keyex.Config{M: 7, T: 8}
 	grab := func() (session, helper string) {
 		addr, _, _ := startKeyexServer(t, 30, cfg)
-		conn, err := net.Dial("tcp", addr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer conn.Close()
-		b, err := encodeFrame(message{Type: "keyex_init", ChipID: "chip-A"})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := conn.Write(b); err != nil {
-			t.Fatal(err)
-		}
-		offer, _, err := readMessage(bufio.NewReader(conn), "keyex_offer")
-		if err != nil {
-			t.Fatal(err)
-		}
-		return offer.Session, offer.Helper
+		rc := dialRaw(t, addr)
+		rc.send(&wire.Msg{Type: wire.TKeyexInit, ChipID: "chip-A"})
+		offer := rc.expect(wire.TKeyexOffer)
+		return string(offer.Session), string(offer.Helper)
 	}
 	s1, h1 := grab()
 	s2, h2 := grab()
@@ -260,16 +218,16 @@ func TestKeyexDowngradeStripped(t *testing.T) {
 		}
 		defer up.Close()
 		r := bufio.NewReader(cl)
-		m, _, err := readMessage(r, "keyex_init")
+		raw, err := wire.ReadRawFrame(r)
 		if err != nil {
 			return
 		}
-		m.Caps = nil // the downgrade: re-frame the init with no capabilities
-		b, err := encodeFrame(*m)
-		if err != nil {
+		var m wire.Msg
+		if err := wire.Decode(raw, &m); err != nil {
 			return
 		}
-		if _, err := up.Write(b); err != nil {
+		m.Caps = 0 // the downgrade: re-frame the init with no capabilities
+		if _, err := up.Write(wire.AppendFrame(nil, &m)); err != nil {
 			return
 		}
 		// Everything after the tampered init flows through untouched.
@@ -303,45 +261,24 @@ func TestKeyexConfirmOnlyRawClient(t *testing.T) {
 	cfg := keyex.Config{M: 7, T: 8}
 	addr, _, chip := startKeyexServer(t, 30, cfg)
 
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
+	rc := dialRaw(t, addr)
+	rc.send(&wire.Msg{Type: wire.TKeyexInit, ChipID: "chip-A"}) // no caps
+	offer := rc.expect(wire.TKeyexOffer)
+	if offer.Cipher != wire.CipherNone {
+		t.Fatalf("offered cipher %d to a capability-less client", offer.Cipher)
 	}
-	defer conn.Close()
-	r := bufio.NewReader(conn)
-	send := func(m message) {
-		b, err := encodeFrame(m)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := conn.Write(b); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	send(message{Type: "keyex_init", ChipID: "chip-A"}) // no caps
-	offer, _, err := readMessage(r, "keyex_offer")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if offer.Cipher != "" {
-		t.Fatalf("offered cipher %q to a capability-less client", offer.Cipher)
-	}
-	if offer.BchM != cfg.M || offer.BchT != cfg.T {
-		t.Fatalf("offered code (%d,%d), want (%d,%d)", offer.BchM, offer.BchT, cfg.M, cfg.T)
+	if offer.M != cfg.M || offer.T != cfg.T {
+		t.Fatalf("offered code (%d,%d), want (%d,%d)", offer.M, offer.T, cfg.M, cfg.T)
 	}
 
 	n := cfg.N()
-	helper, err := keyex.ParseBits(offer.Helper, n)
-	if err != nil {
-		t.Fatal(err)
-	}
+	helper := wire.UnpackBits(nil, offer.Helper, n)
+	bits := wire.UnpackBits(nil, offer.Packed, n*offer.Width)
+	chals := make([]string, n)
 	w := make([]uint8, n)
-	for i, bits := range offer.Challenges {
-		cc, err := parseChallenge(bits)
-		if err != nil {
-			t.Fatal(err)
-		}
+	for i := range w {
+		cc := challenge.Challenge(bits[i*offer.Width : (i+1)*offer.Width])
+		chals[i] = cc.String()
 		w[i] = chip.ReadXOR(cc, silicon.Nominal)
 	}
 	master, _, err := keyex.Reproduce(cfg, w, helper)
@@ -349,19 +286,15 @@ func TestKeyexConfirmOnlyRawClient(t *testing.T) {
 		t.Fatalf("Reproduce: %v", err)
 	}
 	transcript := keyex.Transcript(keyex.Offer{
-		Session: offer.Session, ChipID: "chip-A", Challenges: offer.Challenges,
-		Helper: offer.Helper, M: cfg.M, T: cfg.T, Cipher: "",
+		Session: hex.EncodeToString(offer.Session), ChipID: "chip-A", Challenges: chals,
+		Helper: keyex.FormatBits(helper), M: cfg.M, T: cfg.T, Cipher: "",
 	})
 	keys := keyex.DeriveSession(master, transcript)
 	mac := keyex.ConfirmMAC(keys, keyex.RoleDevice, transcript)
-	send(message{Type: "keyex_confirm", Session: offer.Session, MAC: hex.EncodeToString(mac[:])})
+	rc.send(&wire.Msg{Type: wire.TKeyexConfirm, Session: offer.Session, MAC: mac[:]})
 
-	accept, _, err := readMessage(r, "keyex_accept")
-	if err != nil {
-		t.Fatalf("accept: %v", err)
-	}
-	srvMAC, err := hex.DecodeString(accept.MAC)
-	if err != nil || !keyex.VerifyConfirm(keys, keyex.RoleServer, transcript, srvMAC) {
+	accept := rc.expect(wire.TKeyexAccept)
+	if !keyex.VerifyConfirm(keys, keyex.RoleServer, transcript, accept.MAC) {
 		t.Fatal("server confirmation MAC failed to verify")
 	}
 }
@@ -385,21 +318,12 @@ func TestKeyexChallengesNeverOverlapAuth(t *testing.T) {
 		t.Fatalf("auth inside channel: res=%+v err=%v", res, err)
 	}
 
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	r := bufio.NewReader(conn)
-	b, _ := encodeFrame(message{Type: "keyex_init", ChipID: "chip-A"})
-	if _, err := conn.Write(b); err != nil {
-		t.Fatal(err)
-	}
-	offer, _, err := readMessage(r, "keyex_offer")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, c := range offer.Challenges {
+	rc := dialRaw(t, addr)
+	rc.send(&wire.Msg{Type: wire.TKeyexInit, ChipID: "chip-A"})
+	offer := rc.expect(wire.TKeyexOffer)
+	bits := wire.UnpackBits(nil, offer.Packed, offer.Count*offer.Width)
+	for i := 0; i < offer.Count; i++ {
+		c := challenge.Challenge(bits[i*offer.Width : (i+1)*offer.Width]).String()
 		if seen[c] {
 			t.Fatalf("challenge %s issued twice", c[:16])
 		}

@@ -5,14 +5,15 @@
 //
 // Server metric catalog:
 //
-//	netauth_sessions_started_total    sessions accepted into handle()
+//	netauth_sessions_started_total    sessions opened (one per hello stream
+//	                                  or key exchange, refused ones included)
 //	netauth_sessions_completed_total  sessions that reached a verdict
 //	netauth_approved_total            zero-HD approvals
 //	netauth_denied_total              mismatch denials
 //	netauth_lockouts_total            lockout transitions (K-th denial)
 //	netauth_deny_<code>_total         structured wire errors, per Code*
 //	netauth_active_sessions           gauge of in-flight sessions
-//	netauth_frame_bytes               frame sizes, both directions
+//	netauth_frame_bytes               wire frame sizes, both directions
 //	netauth_device_rtt_seconds        challenges-out → responses-in
 //	netauth_select_seconds            challenge selection latency
 //	netauth_session_seconds           whole-session latency
@@ -22,13 +23,10 @@
 //	netauth_keyex_derive_seconds      select + BCH encode + key schedule
 //	netauth_secure_frame_bytes        encrypted-channel inner frame sizes
 //	netauth_payload_bytes             application payload sizes
-//	netauth_sessions_v1_total         sessions carried over JSON protocol v1
-//	netauth_sessions_v2_total         sessions carried over binary protocol v2
-//	netauth_frame_bytes_v2            v2 frame sizes, both directions
-//	netauth_v2_batches_total          multiplexed v2 hello batches
-//	netauth_batch_size                sessions per v2 hello batch
+//	netauth_v2_batches_total          multiplexed hello batches
+//	netauth_batch_size                sessions per hello batch
 //	netauth_v2_pipelined_session_seconds  per-session latency on the
-//	                                  pipelined (batch > 1) v2 path
+//	                                  pipelined (batch > 1) path
 //
 // netauth_session_seconds and netauth_v2_pipelined_session_seconds carry a
 // distributed-trace exemplar: the most recent traced observation's trace ID
@@ -73,21 +71,13 @@ type serverMetrics struct {
 	keyexDerive      *telemetry.Histogram
 	secureFrameBytes *telemetry.Histogram
 	payloadBytes     *telemetry.Histogram
-
-	// Per-protocol-version session accounting and the v2 frame-size
-	// distribution (v1 frames land in frameBytes; v2 frames in
-	// frameBytesV2 — comparing the two histograms is the wire-shrink
-	// evidence).
-	sessionsV1   *telemetry.Counter
-	sessionsV2   *telemetry.Counter
-	frameBytesV2 *telemetry.Histogram
-	batchesV2    *telemetry.Counter
-	batchSize    *telemetry.Histogram
-	pipelined    *telemetry.Histogram
+	batches          *telemetry.Counter
+	batchSize        *telemetry.Histogram
+	pipelined        *telemetry.Histogram
 }
 
-// batchSizeBuckets covers the v2 batch field's useful range (the protocol
-// caps a batch at wire.MaxBatch = 256) in powers of two.
+// batchSizeBuckets covers the hello batch field's useful range (the
+// protocol caps a batch at wire.MaxBatch = 256) in powers of two.
 var batchSizeBuckets = []float64{1, 2, 4, 8, 16, 32, 64, 128, 256}
 
 // knownCodes pre-registers a denial counter per structured error code, so
@@ -121,10 +111,7 @@ func newServerMetrics(reg *telemetry.Registry) *serverMetrics {
 		keyexDerive:       reg.Histogram("netauth_keyex_derive_seconds", telemetry.LatencyBuckets),
 		secureFrameBytes:  reg.Histogram("netauth_secure_frame_bytes", telemetry.SizeBuckets),
 		payloadBytes:      reg.Histogram("netauth_payload_bytes", telemetry.SizeBuckets),
-		sessionsV1:        reg.Counter("netauth_sessions_v1_total"),
-		sessionsV2:        reg.Counter("netauth_sessions_v2_total"),
-		frameBytesV2:      reg.Histogram("netauth_frame_bytes_v2", telemetry.SizeBuckets),
-		batchesV2:         reg.Counter("netauth_v2_batches_total"),
+		batches:           reg.Counter("netauth_v2_batches_total"),
 		batchSize:         reg.Histogram("netauth_batch_size", batchSizeBuckets),
 		pipelined:         reg.Histogram("netauth_v2_pipelined_session_seconds", telemetry.LatencyBuckets),
 	}
@@ -190,32 +177,12 @@ func (m *serverMetrics) frame(n int) {
 	m.frameBytes.Observe(float64(n))
 }
 
-// sessionVersion counts one session under its protocol version.
-func (m *serverMetrics) sessionVersion(v int) {
+// batch counts one multiplexed hello batch of k sessions.
+func (m *serverMetrics) batch(k int) {
 	if m == nil {
 		return
 	}
-	if v == 2 {
-		m.sessionsV2.Inc()
-	} else {
-		m.sessionsV1.Inc()
-	}
-}
-
-// frameV2 feeds the v2 frame-size histogram, both directions.
-func (m *serverMetrics) frameV2(n int) {
-	if m == nil {
-		return
-	}
-	m.frameBytesV2.Observe(float64(n))
-}
-
-// batchV2 counts one multiplexed hello batch of k sessions.
-func (m *serverMetrics) batchV2(k int) {
-	if m == nil {
-		return
-	}
-	m.batchesV2.Inc()
+	m.batches.Inc()
 	m.batchSize.Observe(float64(k))
 }
 

@@ -1,51 +1,48 @@
 // Package netauth runs the paper's Fig 7 authentication protocol over a
 // network: a verification server that holds the enrolled model database and
-// issues freshly selected challenges, and a device client that answers them
-// with one-shot XOR readouts.
+// issues freshly selected challenges, and a device client (V2Client) that
+// answers them with one-shot XOR readouts.
 //
-// Wire protocol: newline-delimited JSON over TCP, one authentication per
-// connection.  Lines are capped at 1 MiB; longer frames terminate the
-// session.
+// Wire protocol: the binary frames of package wire over TCP.  Every frame
+// carries a CRC32 and a length cap; a frame that fails either check — or a
+// connection whose first byte is not wire.Magic, such as a JSON line from a
+// retired protocol v1 peer — is answered with a retryable bad_message and
+// closed, before admission, so it burns no challenges.  One connection
+// multiplexes many sessions:
 //
-//	device → server   {"type":"hello","chip_id":"...","crc":...}
-//	server → device   {"type":"challenges","session":"...","challenges":["0101...",...],"crc":...}
-//	device → server   {"type":"responses","session":"...","responses":[0,1,...],"crc":...}
-//	server → device   {"type":"verdict","approved":true,"mismatches":0,"crc":...}
+//	device → server   hello       stream s, chip ID, batch k, capability bits
+//	server → device   challenges  per stream s..s+k-1: session id, packed challenge bits
+//	device → server   responses   per stream: session id, packed response bits
+//	server → device   verdict     per stream: approved flag, mismatch count
 //
-// Every frame carries a CRC32 (IEEE) of its own JSON encoding with the crc
-// field zeroed, and decoding rejects unknown fields.  JSON alone is not a
-// sufficient integrity check: Go's decoder replaces invalid UTF-8 with
-// U+FFFD and drops unrecognised keys, so a single corrupted byte inside
-// the "approved" key yields a parseable frame whose Approved field
-// silently defaults to false — a false denial that burns challenge budget
-// and counts toward lockout.  With the checksum, surviving corruption
-// becomes a retryable bad_message instead of a wrong verdict.  Frames
-// without a crc field (legacy peers) are still accepted.
+// The server admits the chip once per hello, issues all k sessions'
+// challenges through one registry call — one WAL append, one quorum wait —
+// and approves a stream only at zero Hamming distance.  A keyex_init first
+// frame runs the reverse fuzzy-extractor key exchange instead
+// (keyex_server.go), after which the same frames flow inside an AEAD
+// channel.
 //
-// Any failure terminates the connection with
-//
-//	{"type":"error","message":"...","code":"...","retryable":true|false}
-//
-// where code is one of the Code* constants.  Retryable errors (bad_message,
-// throttled, busy) describe conditions a well-behaved device may retry
-// after backing off — a corrupted frame or a momentarily loaded server.
-// Terminal errors (unknown_chip, locked_out, selection_failed) will not
-// succeed on retry and the client must give up.  The distinction is a
-// security control as much as a reliability one: every authentication burns
-// never-reused challenges from the chip's finite budget (core.Selector),
-// and unlimited free retries are exactly what chosen-challenge and
-// active-learning modeling attacks want.  The server therefore supports
-// per-chip throttling (minimum interval between attempts) and lockout: K
-// consecutive denied verdicts quarantine the chip — subsequent attempts get
-// locked_out without burning challenges — until an operator calls Unlock.
+// Any failure is an error frame carrying one of the Code* values and a
+// retryable flag.  Retryable errors (bad_message, throttled, busy, migrating,
+// moved) describe conditions a well-behaved device may retry after backing
+// off — a corrupted frame or a momentarily loaded server.  Terminal errors
+// (unknown_chip, locked_out, selection_failed, quarantined, key_mismatch)
+// will not succeed on retry and the client must give up.  The distinction is
+// a security control as much as a reliability one: every authentication
+// burns never-reused challenges from the chip's finite budget
+// (core.Selector), and unlimited free retries are exactly what
+// chosen-challenge and active-learning modeling attacks want.  The server
+// therefore supports per-chip throttling (minimum interval between attempts)
+// and lockout: K consecutive denied verdicts quarantine the chip —
+// subsequent attempts get locked_out without burning challenges — until an
+// operator calls Unlock.
 //
 // Reliability hardening on the server side: per-message (not
-// per-connection) I/O deadlines, a cap on concurrent sessions, and a
-// graceful drain on Close with a hard deadline after which straggling
-// connections are force-closed.  The client side (Client) retries
-// transient failures with jittered exponential backoff under a bounded
-// attempt budget and honours context cancellation through dial, read, and
-// write.
+// per-connection) I/O deadlines, a cap on concurrent connections, and a
+// bounded drain on Close.  The
+// client side (V2Client) retries transient failures with jittered
+// exponential backoff under a bounded attempt budget and honours context
+// cancellation through dial, read, and write.
 //
 // The server never reveals which bits mismatched beyond the count, and
 // every authentication uses fresh challenges, so transcripts leak only
@@ -55,45 +52,32 @@ package netauth
 
 import (
 	"bufio"
-	"bytes"
-	"context"
 	crand "crypto/rand"
-	"encoding/hex"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"net"
 	"sync"
 	"time"
 
-	"xorpuf/internal/challenge"
 	"xorpuf/internal/core"
 	"xorpuf/internal/health"
 	"xorpuf/internal/keyex"
 	"xorpuf/internal/registry"
 	"xorpuf/internal/telemetry"
 	"xorpuf/internal/telemetry/dtrace"
-	"xorpuf/internal/wire"
 )
 
-// newSessionID returns a 64-bit crypto-random session identifier.  Session
-// IDs go out on the wire, so they must not be drawn from the deterministic
-// simulation PRNG: SplitMix64's output function is an invertible bijection,
-// and a single emitted output would hand an eavesdropper the stream state
-// and every subsequent draw.
-func newSessionID() string {
-	var b [8]byte
-	if _, err := crand.Read(b[:]); err != nil {
+// randomSessionIDs fills b with crypto-random session identifiers
+// (wire.SessionLen bytes each).  Session IDs go out on the wire, so they
+// must not be drawn from the deterministic simulation PRNG: SplitMix64's
+// output function is an invertible bijection, and a single emitted output
+// would hand an eavesdropper the stream state and every subsequent draw.
+func randomSessionIDs(b []byte) {
+	if _, err := crand.Read(b); err != nil {
 		// The kernel CSPRNG is unavailable: no secure session is possible.
 		panic("netauth: system random source unavailable: " + err.Error())
 	}
-	return hex.EncodeToString(b[:])
 }
-
-// maxLineBytes caps one wire frame.  ReadBytes without a cap would let a
-// client that never sends '\n' grow the server's buffer without bound.
-const maxLineBytes = 1 << 20
 
 // Error codes carried in the wire envelope's "code" field.
 const (
@@ -140,91 +124,6 @@ const (
 	CodeMoved = "moved"
 )
 
-// message is the single wire envelope; unused fields stay empty.  Approved
-// and Mismatches deliberately lack omitempty: a denied verdict must be
-// explicit on the wire ("approved":false,"mismatches":0), not an absent
-// field the peer has to default.
-type message struct {
-	Type       string   `json:"type"`
-	ChipID     string   `json:"chip_id,omitempty"`
-	Session    string   `json:"session,omitempty"`
-	Challenges []string `json:"challenges,omitempty"`
-	Responses  []uint8  `json:"responses,omitempty"`
-	Approved   bool     `json:"approved"`
-	Mismatches int      `json:"mismatches"`
-	Message    string   `json:"message,omitempty"`
-	Code       string   `json:"code,omitempty"`
-	Retryable  bool     `json:"retryable,omitempty"`
-	// Trace is an optional distributed-trace context ("32hex-16hex", see
-	// internal/telemetry/dtrace) on hello and keyex_init frames.  It is
-	// opaque at the wire layer; the server parses it with the total
-	// ParseContext, so a malformed or hostile value costs the trace, never
-	// the session.
-	Trace string `json:"trace,omitempty"`
-	// Redirect accompanies a "moved" error: the address now owning the
-	// chip's range.  Gateways follow it; direct clients re-dial it.
-	Redirect string `json:"redirect,omitempty"`
-	// Key-exchange fields (keyex_init/offer/confirm/accept) and encrypted-
-	// session payload fields.  All omitempty: plain v1 frames are unchanged
-	// on the wire, and v1 servers reject keyex frames with a structured
-	// bad_message (DisallowUnknownFields), which clients treat as terminal
-	// capability absence.
-	Caps    []string `json:"caps,omitempty"`    // client capability list
-	Helper  string   `json:"helper,omitempty"`  // fuzzy-extractor helper bits
-	BchM    int      `json:"bch_m,omitempty"`   // BCH field degree
-	BchT    int      `json:"bch_t,omitempty"`   // BCH correction capability
-	Cipher  string   `json:"cipher,omitempty"`  // negotiated channel cipher
-	MAC     string   `json:"mac,omitempty"`     // hex key-confirmation MAC
-	Payload string   `json:"payload,omitempty"` // base64 application payload
-	Digest  string   `json:"sha256,omitempty"`  // hex payload digest
-	// CRC is an IEEE CRC32 over the frame's JSON encoding with this
-	// field zeroed.  Without it, a single flipped byte inside a JSON
-	// string can survive parsing — Go replaces invalid UTF-8 with
-	// U+FFFD — and silently turn an approval into a denial (or a hello
-	// into an unknown chip).  Frames without a CRC are accepted for
-	// compatibility; frames with one must match bit-exactly.
-	CRC uint32 `json:"crc,omitempty"`
-}
-
-// encodeFrame marshals m with its integrity checksum and trailing newline.
-func encodeFrame(m message) ([]byte, error) {
-	m.CRC = 0
-	body, err := json.Marshal(m)
-	if err != nil {
-		return nil, err
-	}
-	m.CRC = crc32.ChecksumIEEE(body)
-	framed, err := json.Marshal(m)
-	if err != nil {
-		return nil, err
-	}
-	return append(framed, '\n'), nil
-}
-
-// decodeFrame strictly parses one frame and verifies its checksum.
-// Unknown fields are rejected — a corrupted key would otherwise be
-// silently dropped and its value defaulted.
-func decodeFrame(line []byte) (*message, error) {
-	dec := json.NewDecoder(bytes.NewReader(line))
-	dec.DisallowUnknownFields()
-	var m message
-	if err := dec.Decode(&m); err != nil {
-		return nil, err
-	}
-	if m.CRC != 0 {
-		want := m.CRC
-		m.CRC = 0
-		body, err := json.Marshal(m)
-		if err != nil {
-			return nil, err
-		}
-		if got := crc32.ChecksumIEEE(body); got != want {
-			return nil, fmt.Errorf("frame integrity check failed (crc %08x, want %08x)", got, want)
-		}
-	}
-	return &m, nil
-}
-
 // ProtocolError is a structured error the server reported over the wire.
 type ProtocolError struct {
 	Code      string
@@ -261,23 +160,16 @@ type Server struct {
 	now        func() time.Time
 
 	// keyexOn/keyexCfg enable the reverse fuzzy-extractor key exchange
-	// (SetKeyExchange); off by default, so a plain v1 server refuses
-	// keyex_init with a structured keyex_unavailable.
+	// (SetKeyExchange); off by default, so the server refuses keyex_init
+	// with a structured keyex_unavailable.
 	keyexOn  bool
 	keyexCfg keyex.Config
 
-	// v2Off disables the binary protocol v2 listener path (SetV2),
-	// emulating an older v1-only server: binary first frames then fall
-	// through to the JSON line reader, which answers them with a
-	// retryable bad_message — exactly the downgrade signal v2 clients
-	// negotiate on.
-	v2Off bool
-	// v2conns tracks live v2 connections.  Unlike a v1 connection (one
-	// session, naturally short-lived), a v2 connection multiplexes many
-	// sessions and idles between batches, so Close force-closes these
-	// immediately instead of waiting out the drain window; v2 clients
-	// own the retry.
-	v2conns map[net.Conn]struct{}
+	// loops tracks connections inside the frame event loop.  A connection
+	// multiplexes many sessions and idles between batches, so Close
+	// force-closes these immediately instead of waiting out the drain
+	// window; clients own the retry.
+	loops map[net.Conn]struct{}
 
 	reg     *registry.Registry
 	ownReg  bool // Close also closes reg when the server created it
@@ -355,6 +247,7 @@ func NewServerWithRegistry(numChallenges int, seed uint64, reg *registry.Registr
 		now:           time.Now,
 		reg:           reg,
 		active:        make(map[net.Conn]struct{}),
+		loops:         make(map[net.Conn]struct{}),
 		tel:           newServerMetrics(telemetry.Default),
 		tracer:        telemetry.NewTracer(defaultTraceCapacity),
 		spans:         dtrace.Default,
@@ -416,18 +309,6 @@ func (s *Server) ForceLockout(chipID string) bool {
 
 // Registry exposes the backing model database (for operator tooling).
 func (s *Server) Registry() *registry.Registry { return s.reg }
-
-// SetV2 enables or disables the binary wire protocol v2 (enabled by
-// default).  Disabling it makes the server behave exactly like a v1-only
-// build: a binary negotiation frame is line-read as JSON, fails to
-// parse, and earns a retryable bad_message — which is what v2 clients
-// treat as "downgrade to v1".  Tests use this to stand up a v1-only
-// server; operators can use it to pin a fleet to JSON during a rollout.
-func (s *Server) SetV2(on bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.v2Off = !on
-}
 
 // SetTimeout changes the per-message I/O deadline (default 10 s).  Unlike a
 // per-connection deadline, a slow client cannot bank unused time from one
@@ -600,10 +481,9 @@ func (s *Server) Serve(ln net.Listener) error {
 			go func() {
 				defer s.serving.Done()
 				defer conn.Close()
-				s.writeMsg(conn, message{ //nolint:errcheck
-					Type: "error", Code: CodeBusy, Retryable: true,
-					Message: "server at concurrent-session capacity",
-				})
+				l := s.newLink(conn, nil, conn, s.tel.frame)
+				defer l.release()
+				l.fail(0, CodeBusy, true, "server at concurrent-session capacity")
 			}()
 			continue
 		}
@@ -631,11 +511,11 @@ func (s *Server) Close() {
 	if ln != nil {
 		ln.Close()
 	}
-	// v2 connections are long-lived and multiplexed — one may sit idle
+	// Connections are long-lived and multiplexed — one may sit idle
 	// between batches for longer than any drain window.  Close them now;
 	// their in-flight sessions fail fast and the clients retry elsewhere.
 	s.mu.Lock()
-	for conn := range s.v2conns {
+	for conn := range s.loops {
 		conn.Close()
 	}
 	s.mu.Unlock()
@@ -659,114 +539,39 @@ func (s *Server) Close() {
 	}
 }
 
-// writeMsg sends one frame under the per-message write deadline.
-func (s *Server) writeMsg(conn net.Conn, m message) error {
-	s.mu.Lock()
-	d := s.msgTimeout
-	s.mu.Unlock()
-	b, err := encodeFrame(m)
-	if err != nil {
-		return err
-	}
-	s.tel.frame(len(b))
-	_ = conn.SetWriteDeadline(time.Now().Add(d))
-	_, err = conn.Write(b)
-	return err
-}
-
-// readMsg receives one frame under the per-message read deadline.
-func (s *Server) readMsg(conn net.Conn, r *bufio.Reader, wantType string) (*message, error) {
-	s.mu.Lock()
-	d := s.msgTimeout
-	s.mu.Unlock()
-	_ = conn.SetReadDeadline(time.Now().Add(d))
-	m, n, err := readMessage(r, wantType)
-	if n > 0 {
-		s.tel.frame(n)
-	}
-	return m, err
-}
-
+// handle serves one admitted connection: the frame event loop, until the
+// peer leaves, a frame is malformed, or a refusal ends the connection.
 func (s *Server) handle(conn net.Conn) {
 	defer conn.Close()
-	// One deadline-guarded peek routes the connection to the right
-	// protocol decoder: every v2 frame begins with wire.Magic (0xF2),
-	// which no JSON frame — those all start with '{' — can.
-	br := bufio.NewReader(conn)
 	s.mu.Lock()
-	d := s.msgTimeout
-	v2 := !s.v2Off
+	if s.closed {
+		s.mu.Unlock()
+		return
+	}
+	s.loops[conn] = struct{}{}
 	s.mu.Unlock()
-	if v2 {
-		_ = conn.SetReadDeadline(time.Now().Add(d))
-		if b, err := br.Peek(1); err == nil && b[0] == wire.Magic {
-			s.handleV2(conn, br)
-			return
-		}
-	}
-	s.handleV1(conn, br)
-}
-
-func (s *Server) handleV1(conn net.Conn, br *bufio.Reader) {
-	start := time.Now()
-	s.tel.sessionStart()
-	s.tel.sessionVersion(1)
-	trace := telemetry.SessionTrace{Start: start, Verdict: "error"}
-	var span *dtrace.Span
 	defer func() {
-		trace.TotalSeconds = time.Since(start).Seconds()
-		s.tel.sessionEnd(start, trace.TraceID)
-		s.recordTrace(trace)
-		s.endSessionSpan(span, &trace, "v1")
+		s.mu.Lock()
+		delete(s.loops, conn)
+		s.mu.Unlock()
 	}()
-	fc := &plainConn{s: s, conn: conn, r: br}
-
-	// The first frame picks the session kind: "hello" runs the plain Fig 7
-	// authentication, "keyex_init" the reverse fuzzy-extractor key exchange.
-	// Both pass the same admission control first — a locked-out or
-	// quarantined chip gets no helper data either.
-	first, err := fc.read("hello", "keyex_init")
-	if err != nil {
-		s.fail(fc, &trace, CodeBadMessage, true, "bad hello: %v", err)
-		return
-	}
-	trace.ChipID = first.ChipID
-	trace.Step("hello", time.Since(start))
-	// A parseable trace context makes this a traced session: every span
-	// below nests under the caller's (gateway's or device's) span.  Anything
-	// else — absent, malformed, oversized — leaves span nil and the session
-	// proceeds untraced.
-	if tc, ok := dtrace.ParseContext(first.Trace); ok {
-		name := "netauth.session"
-		if first.Type == "keyex_init" {
-			name = "netauth.keyex"
-		}
-		span = s.spans.StartSpanAt(tc, name, start)
-		trace.TraceID = tc.Trace.String()
-	}
-
-	entry, ok := s.admit(fc, &trace, span, first.ChipID)
-	if !ok {
-		return
-	}
-	if first.Type == "keyex_init" {
-		s.keyexSession(fc, entry, first, &trace, span.Context())
-		return
-	}
-	s.authExchange(fc, entry, &trace, span.Context())
+	l := s.newLink(conn, bufio.NewReader(conn), conn, s.tel.frame)
+	defer l.release()
+	s.serveFrames(l, "", dtrace.Context{})
 }
 
 // endSessionSpan closes out a session's dtrace span from its finished
-// SessionTrace — one status vocabulary for every protocol version:
-// "ok" for approvals and established keys, "denied" for mismatch verdicts,
-// "refused:<code>" for structured refusals.  Nil-safe (untraced session).
-func (s *Server) endSessionSpan(span *dtrace.Span, trace *telemetry.SessionTrace, proto string) {
+// SessionTrace — one status vocabulary for every session kind: "ok" for
+// approvals and established keys, "denied" for mismatch verdicts and
+// failed key confirmations, "refused:<code>" for structured refusals.
+// Nil-safe (untraced session).
+func (s *Server) endSessionSpan(span *dtrace.Span, trace *telemetry.SessionTrace) {
 	if span == nil {
 		return
 	}
 	span.SetAttr("chip", trace.ChipID)
 	span.SetAttr("session", trace.Session)
-	span.SetAttr("proto", proto)
+	span.SetAttr("proto", "v2")
 	switch trace.Verdict {
 	case "approved", "key_established":
 		span.SetStatus("ok")
@@ -779,7 +584,7 @@ func (s *Server) endSessionSpan(span *dtrace.Span, trace *telemetry.SessionTrace
 }
 
 // recordTrace hands a finished session trace to the tracer ring and the
-// attack-pattern observer — the single sink for every protocol version.
+// attack-pattern observer — the single sink for every session kind.
 func (s *Server) recordTrace(trace telemetry.SessionTrace) {
 	s.tracer.Record(trace)
 	if s.traceObs != nil {
@@ -787,20 +592,8 @@ func (s *Server) recordTrace(trace telemetry.SessionTrace) {
 	}
 }
 
-// fail sends a structured wire error and records the denial.
-func (s *Server) fail(fc frameConn, trace *telemetry.SessionTrace, code string, retryable bool, format string, args ...interface{}) {
-	s.tel.deny(code)
-	trace.Verdict, trace.DenialCode = "error", code
-	_ = fc.write(message{
-		Type: "error", Code: code, Retryable: retryable,
-		Message: fmt.Sprintf(format, args...),
-	})
-}
-
-// refusal is a structured admission or issuance denial, computed once and
-// encoded by whichever protocol version carries the session.  Keeping the
-// decision separate from the encoding is what makes the v1/v2 conformance
-// guarantee structural: both versions serialize the same refusal value.
+// refusal is a structured admission denial: the decision, kept apart from
+// the error frame that carries it.
 type refusal struct {
 	code      string
 	retryable bool
@@ -812,8 +605,8 @@ type refusal struct {
 // throttle, drift quarantine — and returns either the chip's registry
 // entry or the refusal to send.  The per-chip state lives in the registry
 // entry, so sessions for different chips contend only on their own entry
-// (and shard), not a global lock.  Shared verbatim by the v1 and v2
-// session paths.
+// (and shard), not a global lock.  Used for every hello — plain or inside
+// a key-exchange channel — and every keyex_init.
 func (s *Server) admitChip(chipID string) (*registry.Entry, *refusal) {
 	s.mu.Lock()
 	lockoutK := s.lockoutK
@@ -856,126 +649,10 @@ func (s *Server) admitChip(chipID string) (*registry.Entry, *refusal) {
 	return entry, nil
 }
 
-// admit is admitChip with v1 wire encoding: on refusal the structured JSON
-// denial has already been sent.  span (nil when untraced) picks up the
-// redirect address so a "moved" hop is visible in the session's trace tree.
-func (s *Server) admit(fc frameConn, trace *telemetry.SessionTrace, span *dtrace.Span, chipID string) (*registry.Entry, bool) {
-	entry, ref := s.admitChip(chipID)
-	if ref == nil {
-		return entry, true
-	}
-	s.tel.deny(ref.code)
-	trace.Verdict, trace.DenialCode = "error", ref.code
-	span.SetAttr("redirect", ref.redirect)
-	_ = fc.write(message{
-		Type: "error", Code: ref.code, Retryable: ref.retryable,
-		Redirect: ref.redirect, Message: ref.msg,
-	})
-	return nil, false
-}
-
-// authExchange runs one challenge/response/verdict exchange over fc — the
-// plain TCP connection for v1 sessions, or the encrypted channel when an
-// authentication rides inside an established key-exchange session.  parent
-// is the session's dtrace context (invalid when untraced): issuance runs
-// under a "select" child span whose context rides the request context into
-// the registry, where a strict-quorum wait records its own child — the
-// cross-process link in the trace tree.
-func (s *Server) authExchange(fc frameConn, entry *registry.Entry, trace *telemetry.SessionTrace, parent dtrace.Context) {
-	// Select fresh, never-reused challenges and predict responses (paper
-	// Fig 7 left box, including the "Record challenge" step — Issue journals
-	// the drawn words before handing them out, so the never-reuse guarantee
-	// survives a crash mid-session).
-	s.mu.Lock()
-	lockoutK := s.lockoutK
-	s.mu.Unlock()
-	session := newSessionID()
-	trace.Session = session
-	selectStart := time.Now()
-	selSpan := s.spans.StartSpanAt(parent, "select", selectStart)
-	cs, predicted, err := entry.IssueCtx(dtrace.Inject(context.Background(), selSpan.Context()), s.numChallenges, 0)
-	s.tel.observeSelect(selectStart)
-	trace.Step("select", time.Since(selectStart))
-	if err != nil {
-		selSpan.SetStatus("error:" + errCode(err))
-	} else {
-		selSpan.SetStatus("ok")
-	}
-	selSpan.End()
-	if err != nil {
-		// A fence can rise between admission and issuance; that refusal is
-		// the bounded handoff window, not a dead chip.
-		if errors.Is(err, registry.ErrMigrating) {
-			s.fail(fc, trace, CodeMigrating, true, "chip mid-migration: %v", err)
-			return
-		}
-		s.fail(fc, trace, CodeSelectionFailed, false, "challenge selection failed: %v", err)
-		return
-	}
-	trace.Challenges = len(cs)
-	out := message{Type: "challenges", Session: session, Challenges: make([]string, len(cs))}
-	for i, c := range cs {
-		out.Challenges[i] = c.String()
-	}
-	rttStart := time.Now()
-	if err := fc.write(out); err != nil {
-		return
-	}
-
-	resp, err := fc.read("responses")
-	s.tel.observeRTT(rttStart)
-	trace.Step("device_rtt", time.Since(rttStart))
-	if rtt := s.spans.StartSpanAt(parent, "device_rtt", rttStart); rtt != nil {
-		if err != nil {
-			rtt.SetStatus("error:" + CodeBadMessage)
-		} else {
-			rtt.SetStatus("ok")
-		}
-		rtt.End()
-	}
-	if err != nil {
-		s.fail(fc, trace, CodeBadMessage, true, "bad responses: %v", err)
-		return
-	}
-	if resp.Session != session {
-		s.fail(fc, trace, CodeBadMessage, true, "session mismatch")
-		return
-	}
-	if len(resp.Responses) != len(predicted) {
-		s.fail(fc, trace, CodeBadMessage, true, "expected %d responses, got %d", len(predicted), len(resp.Responses))
-		return
-	}
-	mismatches := 0
-	for i, bit := range resp.Responses {
-		if bit > 1 {
-			s.fail(fc, trace, CodeBadMessage, true, "response %d is not a bit", i)
-			return
-		}
-		if bit != predicted[i] {
-			mismatches++
-		}
-	}
-	approved := mismatches == 0 // the paper's zero-HD criterion
-	ev, transitioned, onHealth := s.applyVerdict(entry, lockoutK, approved, mismatches, len(predicted))
-	trace.Mismatches = mismatches
-	if approved {
-		trace.Verdict = "approved"
-	} else {
-		trace.Verdict = "denied"
-	}
-	verdictStart := time.Now()
-	_ = fc.write(message{Type: "verdict", Approved: approved, Mismatches: mismatches})
-	trace.Step("verdict", time.Since(verdictStart))
-	if transitioned && onHealth != nil {
-		onHealth(ev)
-	}
-}
-
 // applyVerdict runs every side effect of one authentication verdict —
 // the lockout streak, the drift detectors, decision counters, and verdict
-// telemetry — identically for every protocol version.  The caller writes
-// the verdict frame in its own encoding and then fires the returned
-// health handler if a transition occurred.
+// telemetry.  The caller queues the verdict frame and then fires the
+// returned health handler if a transition occurred.
 func (s *Server) applyVerdict(entry *registry.Entry, lockoutK int, approved bool, mismatches, nchal int) (health.Event, bool, func(health.Event)) {
 	nowLocked := entry.Verdict(approved, lockoutK)
 	if !approved && nowLocked {
@@ -996,98 +673,13 @@ func (s *Server) applyVerdict(entry *registry.Entry, lockoutK int, approved bool
 	return ev, transitioned, onHealth
 }
 
-// errCode maps an issuance error to its structured refusal code — the same
-// classification every protocol path applies before encoding the refusal.
-func errCode(err error) string {
+// issueRefusal classifies an issuance error: a fence raised between
+// admission and issuance is the bounded handoff window (retryable
+// migrating), anything else a chip that cannot be served (terminal
+// selection_failed).
+func issueRefusal(err error) (code string, retryable bool) {
 	if errors.Is(err, registry.ErrMigrating) {
-		return CodeMigrating
+		return CodeMigrating, true
 	}
-	return CodeSelectionFailed
-}
-
-// errLineTooLong reports a frame over the 1 MiB cap.
-var errLineTooLong = fmt.Errorf("netauth: line exceeds %d bytes", maxLineBytes)
-
-// readLine reads one '\n'-terminated frame, refusing to buffer more than
-// maxLineBytes — an unbounded ReadBytes would let a hostile peer OOM us.
-func readLine(r *bufio.Reader) ([]byte, error) {
-	var line []byte
-	for {
-		frag, err := r.ReadSlice('\n')
-		if len(line)+len(frag) > maxLineBytes {
-			return nil, errLineTooLong
-		}
-		line = append(line, frag...)
-		if err == nil {
-			return line, nil
-		}
-		if err != bufio.ErrBufferFull {
-			return nil, err
-		}
-	}
-}
-
-// readMessage decodes one integrity-checked line and checks its type.  It
-// also reports the raw frame length (0 when the read itself failed) so
-// callers can feed frame-size telemetry.
-func readMessage(r *bufio.Reader, wantType string) (*message, int, error) {
-	return readMessageAny(r, wantType)
-}
-
-// readMessageAny is readMessage accepting any of several types — the
-// server's first-frame dispatch between "hello" and "keyex_init".
-func readMessageAny(r *bufio.Reader, wantTypes ...string) (*message, int, error) {
-	line, err := readLine(r)
-	if err != nil {
-		return nil, 0, err
-	}
-	m, err := decodeFrame(line)
-	if err != nil {
-		return nil, len(line), err
-	}
-	m, err = checkMessage(m, wantTypes...)
-	return m, len(line), err
-}
-
-// checkMessage turns wire "error" frames into ProtocolError and enforces
-// the expected message type(s).
-func checkMessage(m *message, wantTypes ...string) (*message, error) {
-	if m.Type == "error" {
-		code := m.Code
-		if code == "" {
-			// Pre-taxonomy peers send bare messages; assume retryable
-			// unless proven otherwise.
-			code = CodeBadMessage
-			m.Retryable = true
-		}
-		return nil, &ProtocolError{Code: code, Message: m.Message, Retryable: m.Retryable, Redirect: m.Redirect}
-	}
-	for _, want := range wantTypes {
-		if m.Type == want {
-			return m, nil
-		}
-	}
-	if len(wantTypes) == 1 {
-		return nil, fmt.Errorf("unexpected message type %q, want %q", m.Type, wantTypes[0])
-	}
-	return nil, fmt.Errorf("unexpected message type %q, want one of %q", m.Type, wantTypes)
-}
-
-// parseChallenge decodes a "0101..." bit string.
-func parseChallenge(s string) (challenge.Challenge, error) {
-	if len(s) == 0 {
-		return nil, errors.New("netauth: empty challenge")
-	}
-	c := make(challenge.Challenge, len(s))
-	for i := 0; i < len(s); i++ {
-		switch s[i] {
-		case '0':
-			c[i] = 0
-		case '1':
-			c[i] = 1
-		default:
-			return nil, fmt.Errorf("netauth: invalid challenge character %q", s[i])
-		}
-	}
-	return c, nil
+	return CodeSelectionFailed, false
 }

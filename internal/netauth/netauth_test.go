@@ -1,17 +1,18 @@
 package netauth
 
 import (
-	"bufio"
-	"encoding/json"
+	"errors"
 	"net"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"xorpuf/internal/challenge"
 	"xorpuf/internal/core"
 	"xorpuf/internal/rng"
 	"xorpuf/internal/silicon"
+	"xorpuf/internal/wire"
 )
 
 // startServer enrolls a chip, registers it, and serves on a loopback
@@ -96,8 +97,22 @@ func TestUnknownChipRejected(t *testing.T) {
 	}
 }
 
+// lockedDevice serializes reads of one simulated chip: a silicon.Chip
+// draws its read noise from one unsynchronized rng stream.
+type lockedDevice struct {
+	mu  sync.Mutex
+	dev core.Device
+}
+
+func (d *lockedDevice) ReadXOR(c challenge.Challenge, cond silicon.Condition) uint8 {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.dev.ReadXOR(c, cond)
+}
+
 func TestConcurrentAuthentications(t *testing.T) {
-	addr, srv, chip := startServer(t, 30)
+	addr, srv, silicon0 := startServer(t, 30)
+	chip := &lockedDevice{dev: silicon0}
 	const clients = 8
 	var wg sync.WaitGroup
 	errs := make([]error, clients)
@@ -124,43 +139,46 @@ func TestConcurrentAuthentications(t *testing.T) {
 	}
 }
 
+// rawHello opens one session by hand and returns the connection and the
+// server's challenges frame.
+func rawHello(t *testing.T, addr string) (*rawConn, *wire.Msg) {
+	t.Helper()
+	rc := dialRaw(t, addr)
+	rc.send(&wire.Msg{Type: wire.THello, Stream: 1, ChipID: "chip-A", Batch: 1})
+	return rc, rc.expect(wire.TChallenges)
+}
+
+// expectRefusal reads the next frame and asserts it is an error with the
+// given code and retryability.
+func expectRefusal(t *testing.T, rc *rawConn, code string, retryable bool) *ProtocolError {
+	t.Helper()
+	_, err := rc.recv()
+	var pe *ProtocolError
+	if !errors.As(err, &pe) {
+		t.Fatalf("err = %v, want ProtocolError", err)
+	}
+	if pe.Code != code || pe.Retryable != retryable {
+		t.Fatalf("got [%s, retryable=%v] %q, want [%s, retryable=%v]",
+			pe.Code, pe.Retryable, pe.Message, code, retryable)
+	}
+	return pe
+}
+
 func TestFreshChallengesPerSession(t *testing.T) {
 	addr, _, chip := startServer(t, 20)
 	// Capture challenges from two raw sessions and verify disjointness.
 	grab := func() map[string]bool {
-		conn, err := net.Dial("tcp", addr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer conn.Close()
-		enc := json.NewEncoder(conn)
-		r := bufio.NewReader(conn)
-		if err := enc.Encode(message{Type: "hello", ChipID: "chip-A"}); err != nil {
-			t.Fatal(err)
-		}
-		m, _, err := readMessage(r, "challenges")
-		if err != nil {
-			t.Fatal(err)
-		}
+		rc, ch := rawHello(t, addr)
 		out := map[string]bool{}
-		for _, c := range m.Challenges {
-			out[c] = true
+		bits := wire.UnpackBits(nil, ch.Packed, ch.Width*ch.Count)
+		for i := 0; i < ch.Count; i++ {
+			out[challenge.Challenge(bits[i*ch.Width:(i+1)*ch.Width]).String()] = true
 		}
 		// Answer honestly so the server completes cleanly.
-		resp := message{Type: "responses", Session: m.Session, Responses: make([]uint8, len(m.Challenges))}
-		for i, bits := range m.Challenges {
-			c, err := parseChallenge(bits)
-			if err != nil {
-				t.Fatal(err)
-			}
-			resp.Responses[i] = chip.ReadXOR(c, silicon.Nominal)
-		}
-		if err := enc.Encode(resp); err != nil {
-			t.Fatal(err)
-		}
-		if _, _, err := readMessage(r, "verdict"); err != nil {
-			t.Fatal(err)
-		}
+		packed := readChallenges(nil, make(challenge.Challenge, ch.Width), chip, silicon.Nominal, ch)
+		rc.send(&wire.Msg{Type: wire.TResponses, Stream: ch.Stream, Session: ch.Session,
+			Count: ch.Count, Packed: packed})
+		rc.expect(wire.TVerdict)
 		return out
 	}
 	a := grab()
@@ -172,79 +190,63 @@ func TestFreshChallengesPerSession(t *testing.T) {
 	}
 }
 
+// TestMalformedHello: a hello whose CRC does not match is refused with a
+// retryable bad_message before admission, so it burns nothing.
 func TestMalformedHello(t *testing.T) {
-	addr, _, _ := startServer(t, 10)
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
+	addr, srv, _ := startServer(t, 10)
+	frame := wire.AppendFrame(nil, &wire.Msg{Type: wire.THello, ChipID: "chip-A", Batch: 1})
+	frame[len(frame)-1] ^= 0x01
+	rc := dialRaw(t, addr)
+	rc.sendBytes(frame)
+	expectRefusal(t, rc, CodeBadMessage, true)
+	if issued := srv.ChipStatus("chip-A").Issued; issued != 0 {
+		t.Errorf("malformed hello burned %d challenges", issued)
+	}
+}
+
+// TestV1HelloRefusedWithoutBurn: a JSON hello from a retired protocol v1
+// device is not a frame.  The server answers a structured, retryable
+// bad_message at the first byte and no chip burns a challenge.
+func TestV1HelloRefusedWithoutBurn(t *testing.T) {
+	addr, srv, _ := startServer(t, 10)
+	if err := srv.Register("chip-B", benchChipModel(7, 4, 64)); err != nil {
 		t.Fatal(err)
 	}
-	defer conn.Close()
-	if _, err := conn.Write([]byte("this is not json\n")); err != nil {
-		t.Fatal(err)
+	for _, hello := range []string{
+		`{"type":"hello","chip_id":"chip-A"}` + "\n",
+		`{"type":"keyex_init","chip_id":"chip-B","caps":["chacha20poly1305"]}` + "\n",
+	} {
+		rc := dialRaw(t, addr)
+		rc.sendBytes([]byte(hello))
+		pe := expectRefusal(t, rc, CodeBadMessage, true)
+		if !strings.Contains(pe.Message, "bad frame") {
+			t.Errorf("refusal %q does not name the bad frame", pe.Message)
+		}
 	}
-	r := bufio.NewReader(conn)
-	line, err := r.ReadBytes('\n')
-	if err != nil {
-		t.Fatal(err)
-	}
-	var m message
-	if err := json.Unmarshal(line, &m); err != nil {
-		t.Fatal(err)
-	}
-	if m.Type != "error" {
-		t.Errorf("expected error message, got %+v", m)
+	for _, id := range []string{"chip-A", "chip-B"} {
+		if st := srv.ChipStatus(id); st.Issued != 0 || st.ConsecutiveDenials != 0 {
+			t.Errorf("%s after v1 hellos: %+v, want nothing burned or counted", id, st)
+		}
 	}
 }
 
 func TestSessionMismatchRejected(t *testing.T) {
 	addr, _, _ := startServer(t, 5)
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	enc := json.NewEncoder(conn)
-	r := bufio.NewReader(conn)
-	if err := enc.Encode(message{Type: "hello", ChipID: "chip-A"}); err != nil {
-		t.Fatal(err)
-	}
-	m, _, err := readMessage(r, "challenges")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp := message{Type: "responses", Session: "forged", Responses: make([]uint8, len(m.Challenges))}
-	if err := enc.Encode(resp); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := readMessage(r, "verdict"); err == nil ||
-		!strings.Contains(err.Error(), "session mismatch") {
-		t.Errorf("err = %v, want session mismatch", err)
+	rc, ch := rawHello(t, addr)
+	rc.send(&wire.Msg{Type: wire.TResponses, Stream: ch.Stream,
+		Session: []byte("forged!!"), Count: ch.Count, Packed: make([]byte, wire.PackedLen(ch.Count))})
+	if pe := expectRefusal(t, rc, CodeBadMessage, true); !strings.Contains(pe.Message, "session mismatch") {
+		t.Errorf("refusal %q, want session mismatch", pe.Message)
 	}
 }
 
 func TestWrongResponseCountRejected(t *testing.T) {
 	addr, _, _ := startServer(t, 5)
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	enc := json.NewEncoder(conn)
-	r := bufio.NewReader(conn)
-	if err := enc.Encode(message{Type: "hello", ChipID: "chip-A"}); err != nil {
-		t.Fatal(err)
-	}
-	m, _, err := readMessage(r, "challenges")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp := message{Type: "responses", Session: m.Session, Responses: []uint8{0}}
-	if err := enc.Encode(resp); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := readMessage(r, "verdict"); err == nil ||
-		!strings.Contains(err.Error(), "expected") {
-		t.Errorf("err = %v, want response-count error", err)
+	rc, ch := rawHello(t, addr)
+	rc.send(&wire.Msg{Type: wire.TResponses, Stream: ch.Stream,
+		Session: ch.Session, Count: 1, Packed: []byte{0}})
+	if pe := expectRefusal(t, rc, CodeBadMessage, true); !strings.Contains(pe.Message, "expected") {
+		t.Errorf("refusal %q, want response-count error", pe.Message)
 	}
 }
 
@@ -262,25 +264,6 @@ func TestRegisterValidation(t *testing.T) {
 	}
 	if err := srv.Register("x", model); err == nil {
 		t.Error("duplicate registration should fail")
-	}
-}
-
-func TestParseChallenge(t *testing.T) {
-	c, err := parseChallenge("0110")
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []uint8{0, 1, 1, 0}
-	for i := range want {
-		if c[i] != want[i] {
-			t.Fatalf("parseChallenge = %v", c)
-		}
-	}
-	if _, err := parseChallenge(""); err == nil {
-		t.Error("empty challenge should fail")
-	}
-	if _, err := parseChallenge("01x1"); err == nil {
-		t.Error("invalid character should fail")
 	}
 }
 

@@ -1,20 +1,18 @@
 package netauth
 
 import (
-	"bufio"
-	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
+	"io"
 	"net"
 	"runtime"
-	"strings"
 	"testing"
 	"time"
 
 	"xorpuf/internal/core"
 	"xorpuf/internal/rng"
 	"xorpuf/internal/silicon"
+	"xorpuf/internal/wire"
 )
 
 // waitGoroutines polls until the goroutine count drops back to at most
@@ -31,128 +29,29 @@ func waitGoroutines(t *testing.T, want int) {
 	t.Errorf("goroutines leaked: %d running, want ≤ %d", runtime.NumGoroutine(), want)
 }
 
-func TestReadLineCapsOversizedFrames(t *testing.T) {
-	huge := append(bytes.Repeat([]byte{'x'}, maxLineBytes+4096), '\n')
-	_, err := readLine(bufio.NewReader(bytes.NewReader(huge)))
-	if !errors.Is(err, errLineTooLong) {
-		t.Fatalf("err = %v, want errLineTooLong", err)
-	}
-	// A line exactly at the cap (including '\n') still parses.
-	ok := append(bytes.Repeat([]byte{'y'}, maxLineBytes-1), '\n')
-	line, err := readLine(bufio.NewReader(bytes.NewReader(ok)))
-	if err != nil || len(line) != maxLineBytes {
-		t.Fatalf("cap-sized line: len=%d err=%v", len(line), err)
-	}
-}
-
+// TestOversizedHelloTerminatedCleanly: a frame header announcing more
+// than the payload cap is refused at the header, before the server would
+// buffer a single payload byte.
 func TestOversizedHelloTerminatedCleanly(t *testing.T) {
-	addr, _, _ := startServer(t, 5)
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	// Stream junk without a newline; the server must cut us off at the
-	// frame cap instead of buffering without bound.
-	junk := bytes.Repeat([]byte{'z'}, 64<<10)
-	wrote := 0
-	conn.SetDeadline(time.Now().Add(10 * time.Second)) //nolint:errcheck
-	for wrote < maxLineBytes+(128<<10) {
-		n, err := conn.Write(junk)
-		wrote += n
-		if err != nil {
-			return // server tore the session down — the defended outcome
-		}
-	}
-	// If every write was accepted, the server must still answer with an
-	// error (or a reset) rather than keep reading forever.
-	line, err := bufio.NewReader(conn).ReadBytes('\n')
-	if err != nil {
-		return
-	}
-	var m message
-	if json.Unmarshal(line, &m) == nil && m.Type != "error" {
-		t.Errorf("oversized hello got non-error reply %+v", m)
+	addr, srv, _ := startServer(t, 5)
+	rc := dialRaw(t, addr)
+	rc.sendBytes([]byte{wire.Magic, wire.THello, 0, 0xFF, 0xFF, 0xFF, 0x7F})
+	expectRefusal(t, rc, CodeBadMessage, true)
+	if issued := srv.ChipStatus("chip-A").Issued; issued != 0 {
+		t.Errorf("oversized hello burned %d challenges", issued)
 	}
 }
 
-// rawSession dials and performs the hello exchange, returning the decoder
-// state for protocol-violation probes.
-func rawSession(t *testing.T, addr string) (net.Conn, *json.Encoder, *bufio.Reader, *message) {
-	t.Helper()
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { conn.Close() })
-	enc := json.NewEncoder(conn)
-	r := bufio.NewReader(conn)
-	if err := enc.Encode(message{Type: "hello", ChipID: "chip-A"}); err != nil {
-		t.Fatal(err)
-	}
-	ch, _, err := readMessage(r, "challenges")
-	if err != nil {
-		t.Fatal(err)
-	}
-	return conn, enc, r, ch
-}
-
-// expectProtocolError reads the next frame and asserts it is an error with
-// the given code and retryability.
-func expectProtocolError(t *testing.T, r *bufio.Reader, code string, retryable bool) *ProtocolError {
-	t.Helper()
-	_, _, err := readMessage(r, "verdict")
-	var pe *ProtocolError
-	if !errors.As(err, &pe) {
-		t.Fatalf("err = %v, want ProtocolError", err)
-	}
-	if pe.Code != code || pe.Retryable != retryable {
-		t.Fatalf("got [%s, retryable=%v] %q, want [%s, retryable=%v]",
-			pe.Code, pe.Retryable, pe.Message, code, retryable)
-	}
-	return pe
-}
-
-func TestTruncatedJSONRejected(t *testing.T) {
-	addr, _, _ := startServer(t, 5)
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	if _, err := conn.Write([]byte(`{"type":"hello","chip_id":"chip-A"` + "\n")); err != nil {
-		t.Fatal(err)
-	}
-	r := bufio.NewReader(conn)
-	pe := expectProtocolError(t, r, CodeBadMessage, true)
-	if !strings.Contains(pe.Message, "bad hello") {
-		t.Errorf("message %q does not mention bad hello", pe.Message)
-	}
-}
-
-func TestNonBitResponsesRejected(t *testing.T) {
-	addr, _, _ := startServer(t, 5)
-	_, enc, r, ch := rawSession(t, addr)
-	resp := message{Type: "responses", Session: ch.Session, Responses: make([]uint8, len(ch.Challenges))}
-	resp.Responses[2] = 7
-	if err := enc.Encode(resp); err != nil {
-		t.Fatal(err)
-	}
-	pe := expectProtocolError(t, r, CodeBadMessage, true)
-	if !strings.Contains(pe.Message, "not a bit") {
-		t.Errorf("message %q does not mention non-bit response", pe.Message)
-	}
-}
-
+// TestDuplicateHelloRejected: a hello that reopens a stream still in
+// flight is a protocol violation, refused before it can burn challenges.
 func TestDuplicateHelloRejected(t *testing.T) {
-	addr, _, _ := startServer(t, 5)
-	_, enc, r, _ := rawSession(t, addr)
-	if err := enc.Encode(message{Type: "hello", ChipID: "chip-A"}); err != nil {
-		t.Fatal(err)
-	}
-	pe := expectProtocolError(t, r, CodeBadMessage, true)
-	if !strings.Contains(pe.Message, `unexpected message type "hello"`) {
-		t.Errorf("message %q does not flag the duplicate hello", pe.Message)
+	addr, srv, _ := startServer(t, 5)
+	rc, ch := rawHello(t, addr)
+	burned := srv.ChipStatus("chip-A").Issued
+	rc.send(&wire.Msg{Type: wire.THello, Stream: ch.Stream, ChipID: "chip-A", Batch: 1})
+	expectRefusal(t, rc, CodeBadMessage, true)
+	if got := srv.ChipStatus("chip-A").Issued; got != burned {
+		t.Errorf("duplicate hello burned challenges: %d → %d", burned, got)
 	}
 }
 
@@ -164,47 +63,38 @@ func TestSilentClientTimesOutWithoutLeak(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Say nothing.  The per-message deadline must fire, the handler must
-	// answer with an error frame and exit.
+	// Say nothing.  The per-message deadline must fire and the handler
+	// must close the connection and exit.
 	conn.SetReadDeadline(time.Now().Add(5 * time.Second)) //nolint:errcheck
-	line, err := bufio.NewReader(conn).ReadBytes('\n')
-	if err != nil {
-		t.Fatalf("expected an error frame after the deadline, got %v", err)
-	}
-	var m message
-	if err := json.Unmarshal(line, &m); err != nil || m.Type != "error" {
-		t.Fatalf("got %q, want an error frame", line)
+	if n, err := conn.Read(make([]byte, 64)); err != io.EOF {
+		t.Fatalf("silent client: read %d bytes, err %v; want the server to close (EOF)", n, err)
 	}
 	conn.Close()
 	waitGoroutines(t, baseline)
 }
 
+// TestVerdictDenialExplicitOnWire: a denial is spelled out on the wire —
+// the verdict frame's flags byte is present with the approved bit clear,
+// next to the mismatch count — never inferred from a missing field.
 func TestVerdictDenialExplicitOnWire(t *testing.T) {
 	addr, _, _ := startServer(t, 5)
-	_, enc, r, ch := rawSession(t, addr)
-	// Answer everything wrong is not guaranteed, but all-zeros and
-	// all-ones cannot both be right; send all zeros and flip if approved.
-	resp := message{Type: "responses", Session: ch.Session, Responses: make([]uint8, len(ch.Challenges))}
-	if err := enc.Encode(resp); err != nil {
-		t.Fatal(err)
-	}
-	line, err := readLine(r)
+	rc, ch := rawHello(t, addr)
+	// All-zero and all-one answers cannot both be right; whichever is sent,
+	// the verdict must carry the explicit flag and count.
+	rc.send(&wire.Msg{Type: wire.TResponses, Stream: ch.Stream, Session: ch.Session,
+		Count: ch.Count, Packed: make([]byte, wire.PackedLen(ch.Count))})
+	raw, err := wire.ReadRawFrame(rc.br)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var m message
-	if err := json.Unmarshal(line, &m); err != nil {
-		t.Fatal(err)
+	var m wire.Msg
+	if err := wire.Decode(raw, &m); err != nil || m.Type != wire.TVerdict {
+		t.Fatalf("got %+v (%v), want a verdict frame", m, err)
 	}
-	if m.Type != "verdict" {
-		t.Fatalf("got %s frame, want verdict", m.Type)
-	}
-	// The denial fields must be spelled out on the wire, not omitted.
-	if !bytes.Contains(line, []byte(`"approved":`)) || !bytes.Contains(line, []byte(`"mismatches":`)) {
-		t.Errorf("verdict frame omits explicit fields: %s", line)
-	}
-	if !m.Approved && !bytes.Contains(line, []byte(`"approved":false`)) {
-		t.Errorf("denied verdict not explicit: %s", line)
+	// magic, type, 1-byte stream, 4-byte length, then the flags byte.
+	flags := raw[7]
+	if m.Approved != (flags&1 == 1) || (!m.Approved && m.Mismatches == 0) {
+		t.Errorf("verdict flags %#x approved=%v mismatches=%d: denial not explicit", flags, m.Approved, m.Mismatches)
 	}
 }
 
@@ -212,7 +102,7 @@ func TestRetryClientRecoversFromTransientDialFailures(t *testing.T) {
 	addr, _, chip := startServer(t, 30)
 	dials := 0
 	var d net.Dialer
-	c := &Client{
+	c := &V2Client{
 		Addr: addr, ChipID: "chip-A", Device: chip, Cond: silicon.Nominal,
 		Timeout: 5 * time.Second,
 		Policy:  RetryPolicy{MaxAttempts: 4, BaseDelay: time.Millisecond, MaxDelay: 5 * time.Millisecond},
@@ -225,6 +115,7 @@ func TestRetryClientRecoversFromTransientDialFailures(t *testing.T) {
 			return d.DialContext(ctx, network, a)
 		},
 	}
+	defer c.Close()
 	res, err := c.Authenticate(context.Background())
 	if err != nil {
 		t.Fatal(err)
@@ -236,12 +127,13 @@ func TestRetryClientRecoversFromTransientDialFailures(t *testing.T) {
 
 func TestTerminalErrorShortCircuitsRetries(t *testing.T) {
 	addr, _, chip := startServer(t, 10)
-	c := &Client{
+	c := &V2Client{
 		Addr: addr, ChipID: "no-such-chip", Device: chip, Cond: silicon.Nominal,
 		Timeout: 5 * time.Second,
 		Policy:  RetryPolicy{MaxAttempts: 5, BaseDelay: time.Millisecond},
 		Jitter:  rng.New(2),
 	}
+	defer c.Close()
 	res, err := c.Authenticate(context.Background())
 	var pe *ProtocolError
 	if !errors.As(err, &pe) || pe.Code != CodeUnknownChip {
@@ -308,29 +200,72 @@ func TestThrottleEnforcesMinimumInterval(t *testing.T) {
 	}
 }
 
+// TestMaxConnsRefusesWithBusy: at the connection cap the server refuses
+// with a retryable busy error frame, and the same client's retry succeeds
+// once a slot frees up.
 func TestMaxConnsRefusesWithBusy(t *testing.T) {
 	addr, srv, chip := startServer(t, 10)
 	srv.SetMaxConns(1)
 	srv.SetTimeout(2 * time.Second)
 
 	// Occupy the only slot with a half-open session.
-	hog, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer hog.Close()
-	if err := json.NewEncoder(hog).Encode(message{Type: "hello", ChipID: "chip-A"}); err != nil {
-		t.Fatal(err)
-	}
-	// Wait until the hog's session reaches the server handler.
-	if _, _, err := readMessage(bufio.NewReader(hog), "challenges"); err != nil {
-		t.Fatal(err)
-	}
+	hog, _ := rawHello(t, addr)
 
-	_, err = Authenticate(addr, "chip-A", chip, silicon.Nominal, 2*time.Second)
+	c := &V2Client{Addr: addr, ChipID: "chip-A", Device: chip, Cond: silicon.Nominal,
+		Timeout: 2 * time.Second, Policy: RetryPolicy{MaxAttempts: 1}}
+	defer c.Close()
+	_, err := c.Authenticate(context.Background())
 	var pe *ProtocolError
 	if !errors.As(err, &pe) || pe.Code != CodeBusy || !pe.Retryable {
 		t.Fatalf("err = %v, want retryable busy", err)
+	}
+	hog.conn.Close()
+
+	c.Policy = RetryPolicy{MaxAttempts: 5, BaseDelay: 20 * time.Millisecond,
+		MaxDelay: 200 * time.Millisecond, Multiplier: 2, Jitter: 0.3}
+	if res, err := c.Authenticate(context.Background()); err != nil || !res.Approved {
+		t.Fatalf("retry after the slot freed: %+v, %v", res, err)
+	}
+}
+
+// TestBusyRefusalIsNotADowngrade: a capacity refusal is an ordinary binary
+// error frame, sent even to a connection that has said nothing yet — never
+// a legacy JSON line or a frame the client fails to decode.  The client
+// surfaces it as a retryable busy error, no challenge is burned for the
+// refused attempts, and the same client's retry succeeds once the slot
+// frees.
+func TestBusyRefusalIsNotADowngrade(t *testing.T) {
+	addr, srv, chip := startServer(t, 30)
+	srv.SetMaxConns(1)
+	srv.SetTimeout(2 * time.Second)
+
+	// Occupy the only slot; the challenges frame proves it was admitted.
+	hog, _ := rawHello(t, addr)
+	issued := srv.ChipStatus("chip-A").Issued
+
+	expectRefusal(t, dialRaw(t, addr), CodeBusy, true)
+
+	c := &V2Client{Addr: addr, ChipID: "chip-A", Device: chip, Cond: silicon.Nominal,
+		Timeout: 2 * time.Second, Policy: RetryPolicy{MaxAttempts: 1}}
+	defer c.Close()
+	_, err := c.Authenticate(context.Background())
+	var pe *ProtocolError
+	if !errors.As(err, &pe) || pe.Code != CodeBusy || !pe.Retryable {
+		t.Fatalf("err = %v, want retryable busy", err)
+	}
+	if got := srv.ChipStatus("chip-A").Issued; got != issued {
+		t.Fatalf("busy refusals burned %d challenges", got-issued)
+	}
+	hog.conn.Close()
+
+	c.Policy = RetryPolicy{MaxAttempts: 5, BaseDelay: 20 * time.Millisecond,
+		MaxDelay: 200 * time.Millisecond, Multiplier: 2, Jitter: 0.3}
+	res, err := c.Authenticate(context.Background())
+	if err != nil || !res.Approved {
+		t.Fatalf("post-busy retry: %+v, %v", res, err)
+	}
+	if got := srv.ChipStatus("chip-A").Issued; got != issued+30 {
+		t.Errorf("issued %d after the retry, want %d (one session of 30)", got, issued+30)
 	}
 }
 
@@ -376,18 +311,8 @@ func TestCloseForceClosesStragglers(t *testing.T) {
 	addr, srv, _ := startServer(t, 10)
 	srv.SetTimeout(time.Minute) // a straggler could hold a slot for ages
 	srv.SetDrainTimeout(200 * time.Millisecond)
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
 	// Reach the handler, then go silent so the session is in flight.
-	if err := json.NewEncoder(conn).Encode(message{Type: "hello", ChipID: "chip-A"}); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := readMessage(bufio.NewReader(conn), "challenges"); err != nil {
-		t.Fatal(err)
-	}
+	rawHello(t, addr)
 	start := time.Now()
 	srv.Close()
 	if d := time.Since(start); d > 3*time.Second {
@@ -412,7 +337,7 @@ func TestClientContextCancellation(t *testing.T) {
 		}
 	}()
 	chip := silicon.NewChip(rng.New(1), silicon.DefaultParams(), 4)
-	c := &Client{
+	c := &V2Client{
 		Addr: ln.Addr().String(), ChipID: "chip-A", Device: chip, Cond: silicon.Nominal,
 		Timeout: time.Minute, // cancellation, not the deadline, must end this
 		Policy:  RetryPolicy{MaxAttempts: 3, BaseDelay: time.Millisecond},
@@ -433,48 +358,31 @@ func TestClientContextCancellation(t *testing.T) {
 	}
 }
 
-// Frame integrity: the faultnet chaos runs exposed that a corrupted byte
-// inside a JSON key can survive json decoding (invalid UTF-8 becomes
-// U+FFFD, unknown keys are dropped), turning line noise into a false
-// "approved":false verdict.  Every frame therefore carries a CRC32 and
-// decoding rejects unknown fields.
+// Frame integrity: a single flipped byte must never turn into a wrong
+// verdict.  Every frame carries a CRC32, so a tampered verdict fails to
+// decode on the device and a tampered hello is refused by the server as a
+// retryable bad_message that burns nothing.
 func TestFrameIntegrity(t *testing.T) {
-	frame, err := encodeFrame(message{Type: "verdict", Approved: true, Mismatches: 3})
-	if err != nil {
-		t.Fatal(err)
+	frame := wire.AppendFrame(nil, &wire.Msg{Type: wire.TVerdict, Approved: true, Mismatches: 3})
+	var m wire.Msg
+	if err := wire.Decode(frame, &m); err != nil || !m.Approved || m.Mismatches != 3 {
+		t.Fatalf("untampered verdict: %+v, %v", m, err)
+	}
+	for i := range frame {
+		tampered := append([]byte(nil), frame...)
+		tampered[i] ^= 0x04
+		if err := wire.Decode(tampered, &m); err == nil {
+			t.Fatalf("verdict with byte %d flipped decoded as %+v", i, m)
+		}
 	}
 
-	// Untampered frames round-trip.
-	m, err := decodeFrame(bytes.TrimSuffix(frame, []byte{'\n'}))
-	if err != nil {
-		t.Fatalf("decodeFrame(untampered) = %v", err)
-	}
-	if !m.Approved || m.Mismatches != 3 {
-		t.Fatalf("round-trip lost fields: %+v", m)
-	}
-
-	// Tamper a digit of "mismatches" so the JSON still parses with only
-	// known fields — exactly the corruption json alone cannot catch.
-	tampered := bytes.Replace(frame, []byte(`"mismatches":3`), []byte(`"mismatches":7`), 1)
-	if bytes.Equal(tampered, frame) {
-		t.Fatal("tamper target not found in frame")
-	}
-	if _, err := decodeFrame(bytes.TrimSuffix(tampered, []byte{'\n'})); err == nil {
-		t.Fatal("decodeFrame accepted a tampered frame")
-	} else if !strings.Contains(err.Error(), "integrity") {
-		t.Fatalf("err = %v, want frame integrity failure", err)
-	}
-
-	// A key corrupted into an unknown field is rejected outright instead
-	// of silently dropped (the original false-DENIED failure mode).
-	mangled := bytes.Replace(frame, []byte(`"approved"`), []byte(`"app�oved"`), 1)
-	if _, err := decodeFrame(bytes.TrimSuffix(mangled, []byte{'\n'})); err == nil {
-		t.Fatal("decodeFrame accepted a frame with an unknown key")
-	}
-
-	// Legacy peers that omit crc are still accepted.
-	legacy := []byte(`{"type":"verdict","approved":true,"mismatches":0}`)
-	if m, err := decodeFrame(legacy); err != nil || !m.Approved {
-		t.Fatalf("decodeFrame(legacy, no crc) = %+v, %v", m, err)
+	addr, srv, _ := startServer(t, 10)
+	hello := wire.AppendFrame(nil, &wire.Msg{Type: wire.THello, ChipID: "chip-A", Batch: 1})
+	hello[len(hello)-8] ^= 0x04 // inside the chip ID
+	rc := dialRaw(t, addr)
+	rc.sendBytes(hello)
+	expectRefusal(t, rc, CodeBadMessage, true)
+	if st := srv.ChipStatus("chip-A"); st.Issued != 0 || st.ConsecutiveDenials != 0 {
+		t.Errorf("corrupted hello changed chip state: %+v", st)
 	}
 }

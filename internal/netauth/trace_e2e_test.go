@@ -104,17 +104,18 @@ func spanNamed(spans []dtrace.Span, name string) *dtrace.Span {
 	return nil
 }
 
-// TestTraceV1SessionSpans: a traced v1 session records the full server-side
-// subtree — netauth.session under the device's context, select and
-// device_rtt under the session — plus the SessionTrace cross-link and the
-// session-latency histogram exemplar.
-func TestTraceV1SessionSpans(t *testing.T) {
+// TestTraceSessionSpans: a traced single session records the full
+// server-side subtree — select and netauth.session under the device's
+// context, device_rtt under the session — plus the SessionTrace cross-link
+// and the session-latency histogram exemplar.
+func TestTraceSessionSpans(t *testing.T) {
 	addr, srv, chip := startServer(t, 30)
 	tc := mintTrace()
-	c := &Client{
+	c := &V2Client{
 		Addr: addr, ChipID: "chip-A", Device: chip, Cond: silicon.Nominal,
 		Timeout: 5 * time.Second, Trace: tc.String(),
 	}
+	defer c.Close()
 	res, err := c.Authenticate(context.Background())
 	if err != nil || !res.Approved {
 		t.Fatalf("traced session: %+v, %v", res, err)
@@ -128,16 +129,18 @@ func TestTraceV1SessionSpans(t *testing.T) {
 	if sess.Parent != tc.Span {
 		t.Errorf("session parent = %s, want the device span %s", sess.Parent, tc.Span)
 	}
-	if sess.Status != "ok" || sess.Attrs["chip"] != "chip-A" || sess.Attrs["proto"] != "v1" {
+	if sess.Status != "ok" || sess.Attrs["chip"] != "chip-A" || sess.Attrs["proto"] != "v2" {
 		t.Errorf("session span status=%q attrs=%v", sess.Status, sess.Attrs)
 	}
-	for _, name := range []string{"select", "device_rtt"} {
+	// One select span covers the hello's whole batch, so it is the
+	// session's sibling; the device round trip is the session's own child.
+	for name, parent := range map[string]dtrace.SpanID{"select": tc.Span, "device_rtt": sess.ID} {
 		child := spanNamed(spans, name)
 		if child == nil {
 			t.Fatalf("no %s span in %+v", name, spans)
 		}
-		if child.Parent != sess.ID {
-			t.Errorf("%s parent = %s, want session span %s", name, child.Parent, sess.ID)
+		if child.Parent != parent {
+			t.Errorf("%s parent = %s, want %s", name, child.Parent, parent)
 		}
 	}
 
@@ -238,11 +241,11 @@ func TestTraceKeyexSpans(t *testing.T) {
 	}
 }
 
-// TestTraceHostileV1Values: malformed and oversized trace contexts in the
-// v1 hello are dropped — the session authenticates exactly as if untraced,
-// and the server records nothing for them.  The wire-level v2 twin lives in
+// TestTraceHostileValues: malformed and oversized trace contexts in the
+// hello are dropped — the session authenticates exactly as if untraced,
+// and the server records nothing for them.  The codec-level twin lives in
 // internal/wire/trace_ext_test.go.
-func TestTraceHostileV1Values(t *testing.T) {
+func TestTraceHostileValues(t *testing.T) {
 	addr, srv, chip := startServer(t, 20)
 	big := make([]byte, 4096)
 	for i := range big {
@@ -262,10 +265,11 @@ func TestTraceHostileV1Values(t *testing.T) {
 	}
 	for _, tcase := range cases {
 		t.Run(tcase.name, func(t *testing.T) {
-			c := &Client{
+			c := &V2Client{
 				Addr: addr, ChipID: "chip-A", Device: chip, Cond: silicon.Nominal,
 				Timeout: 5 * time.Second, Trace: tcase.trace,
 			}
+			defer c.Close()
 			res, err := c.Authenticate(context.Background())
 			if err != nil || !res.Approved {
 				t.Fatalf("hostile trace %q broke the session: %+v, %v", tcase.trace, res, err)
@@ -290,7 +294,7 @@ func TestGatewayTraceAdoptsDeviceContext(t *testing.T) {
 	}, GatewayConfig{})
 
 	tc := mintTrace()
-	c := &Client{
+	c := &V2Client{
 		Addr: gwAddr, ChipID: "chip-A", Device: chip, Cond: silicon.Nominal,
 		Timeout: 10 * time.Second, Trace: tc.String(),
 	}
@@ -298,6 +302,7 @@ func TestGatewayTraceAdoptsDeviceContext(t *testing.T) {
 	if err != nil || !res.Approved {
 		t.Fatalf("traced session via gateway: %+v, %v", res, err)
 	}
+	c.Close() // the gateway.session span ends with the spliced connection
 
 	// gateway.session + gateway.hop + netauth.session + select + device_rtt.
 	spans := waitSpans(t, tc.Trace, 5)
@@ -381,10 +386,11 @@ func TestGatewayTraceRedirectHop(t *testing.T) {
 	}, GatewayConfig{})
 
 	tc := mintTrace()
-	c := &Client{
+	c := &V2Client{
 		Addr: gwAddr, ChipID: "chip-A", Device: chip, Cond: silicon.Nominal,
 		Timeout: 10 * time.Second, Trace: tc.String(),
 	}
+	defer c.Close()
 	res, err := c.Authenticate(context.Background())
 	if err != nil || !res.Approved {
 		t.Fatalf("redirected session: %+v, %v", res, err)

@@ -2,12 +2,10 @@ package netauth
 
 import (
 	"context"
-	"net"
 	"testing"
 
 	"xorpuf/internal/challenge"
 	"xorpuf/internal/core"
-	"xorpuf/internal/registry"
 	"xorpuf/internal/silicon"
 )
 
@@ -28,66 +26,13 @@ func (d *fastModelDevice) ReadXOR(c challenge.Challenge, _ silicon.Condition) ui
 	return bit
 }
 
-// startBenchServerV2 mirrors startBenchServer but hands back a V2Client
-// bound to the same loopback server — the persistent-connection,
-// pipelined counterpart of the v1 benchmark client.
-func startBenchServerV2(tb testing.TB, n int, instrumented bool) *V2Client {
-	tb.Helper()
-	model := benchChipModel(7, 4, 64)
-	reg, err := registry.Open("", registry.Options{Seed: 7})
-	if err != nil {
-		tb.Fatal(err)
-	}
-	tb.Cleanup(func() { reg.Close() })
-	const chipID = "bench-chip"
-	if err := reg.Register(chipID, model, 0); err != nil {
-		tb.Fatal(err)
-	}
-	srv := NewServerWithRegistry(n, 7, reg)
-	if !instrumented {
-		srv.SetTelemetry(nil)
-		srv.SetTracer(nil)
-	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		tb.Fatal(err)
-	}
-	go func() { _ = srv.Serve(ln) }()
-	tb.Cleanup(func() { srv.Close() })
-	c := &V2Client{
-		Addr:   ln.Addr().String(),
-		ChipID: chipID,
-		Device: modelAnswerDevice{m: model},
-		Cond:   silicon.Nominal,
-		Policy: RetryPolicy{MaxAttempts: 1},
-	}
-	tb.Cleanup(c.Close)
-	return c
-}
-
-// BenchmarkAuthSessionV2E2E measures one authentication session per
-// iteration over a warm persistent v2 connection — the direct analogue
-// of BenchmarkAuthSessionE2E minus the per-session dial.
-func BenchmarkAuthSessionV2E2E(b *testing.B) {
-	c := startBenchServerV2(b, 16, true)
-	ctx := context.Background()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := c.Authenticate(ctx)
-		if err != nil || !res.Approved {
-			b.Fatalf("session %d: %+v, %v", i, res, err)
-		}
-	}
-}
-
 // BenchmarkAuthSessionV2Pipelined is the throughput arm: GOMAXPROCS
 // worker goroutines, each multiplexing batches of 16 sessions over its
 // own persistent connection.  One op = 16 sessions; the sessions/sec
 // metric is what BENCH_PR9.json gates on.
 func BenchmarkAuthSessionV2Pipelined(b *testing.B) {
 	const batch = 16
-	proto := startBenchServerV2(b, 16, true)
+	proto := startBenchServer(b, 16, true)
 	ctx := context.Background()
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -115,14 +60,14 @@ func BenchmarkAuthSessionV2Pipelined(b *testing.B) {
 }
 
 // TestV2SessionAllocBudget pins the end-to-end (client + in-process
-// server) allocation cost of one v2 session on a warm connection.  The
-// v1 protocol spends 220 allocs/session (BENCH_PR8); the pooled binary
-// codec must come in at or under a quarter of that.
+// server) allocation cost of one session on a warm connection.  The
+// retired JSON protocol spent 220 allocs/session; the pooled binary codec
+// must come in at or under a quarter of that.
 func TestV2SessionAllocBudget(t *testing.T) {
 	const budget = 55
-	c := startBenchServerV2(t, 16, true)
+	c := startBenchServer(t, 16, true)
 	ctx := context.Background()
-	// Warm up: dial, negotiate, fill the buffer pools on both ends.
+	// Warm up: dial, fill the buffer pools on both ends.
 	for i := 0; i < 5; i++ {
 		if res, err := c.Authenticate(ctx); err != nil || !res.Approved {
 			t.Fatalf("warmup %d: %+v, %v", i, res, err)
@@ -134,7 +79,7 @@ func TestV2SessionAllocBudget(t *testing.T) {
 			t.Fatalf("%+v, %v", res, err)
 		}
 	})
-	t.Logf("v2 session: %.1f allocs (budget %d, v1 baseline 220)", allocs, budget)
+	t.Logf("v2 session: %.1f allocs (budget %d)", allocs, budget)
 	if allocs > budget {
 		t.Errorf("v2 session allocates %.1f/op end-to-end, budget %d", allocs, budget)
 	}

@@ -107,10 +107,9 @@ func TestV2PipeliningSoakKillRestart(t *testing.T) {
 				defer wg.Done()
 				c := &V2Client{
 					Addr: addr, ChipID: "chip-A",
-					Device:    loggedDevice{log: log, d: modelAnswerDevice{m: model}},
-					Cond:      silicon.Nominal,
-					Timeout:   2 * time.Second,
-					RequireV2: true,
+					Device:  loggedDevice{log: log, d: modelAnswerDevice{m: model}},
+					Cond:    silicon.Nominal,
+					Timeout: 2 * time.Second,
 					Policy: RetryPolicy{MaxAttempts: 3, BaseDelay: 5 * time.Millisecond,
 						MaxDelay: 50 * time.Millisecond, Multiplier: 2, Jitter: 0.3},
 					Jitter: rng.New(seedBase + uint64(w)),

@@ -2,18 +2,19 @@ package fleet_test
 
 import (
 	"bufio"
-	"encoding/json"
 	"fmt"
 	"net"
 	"sync"
 	"testing"
 	"time"
 
+	"xorpuf/internal/challenge"
 	"xorpuf/internal/core"
 	"xorpuf/internal/netauth"
 	"xorpuf/internal/registry"
 	"xorpuf/internal/registry/fleet"
 	"xorpuf/internal/silicon"
+	"xorpuf/internal/wire"
 )
 
 // fastEnroll keeps per-chip enrollment cheap enough to do by the thousand in
@@ -183,17 +184,6 @@ func TestRunRejectsBadConfig(t *testing.T) {
 	}
 }
 
-// wireFrame mirrors netauth's JSON envelope for raw-wire inspection;
-// CRC-less frames are accepted by the server (legacy-peer path).
-type wireFrame struct {
-	Type       string   `json:"type"`
-	ChipID     string   `json:"chip_id,omitempty"`
-	Session    string   `json:"session,omitempty"`
-	Challenges []string `json:"challenges,omitempty"`
-	Message    string   `json:"message,omitempty"`
-	Code       string   `json:"code,omitempty"`
-}
-
 // grabChallenges opens a raw session, records the challenge set the server
 // issues for chipID, and abandons the session (the challenges stay burned —
 // Issue journals before sending).
@@ -204,24 +194,25 @@ func grabChallenges(t *testing.T, addr, chipID string) map[string]bool {
 		t.Fatalf("dial: %v", err)
 	}
 	defer conn.Close()
-	hello, _ := json.Marshal(wireFrame{Type: "hello", ChipID: chipID})
-	if _, err := conn.Write(append(hello, '\n')); err != nil {
+	hello := wire.AppendFrame(nil, &wire.Msg{Type: wire.THello, ChipID: chipID, Batch: 1})
+	if _, err := conn.Write(hello); err != nil {
 		t.Fatalf("write hello: %v", err)
 	}
-	line, err := bufio.NewReader(conn).ReadBytes('\n')
+	raw, err := wire.ReadRawFrame(bufio.NewReader(conn))
 	if err != nil {
 		t.Fatalf("read challenges: %v", err)
 	}
-	var frame wireFrame
-	if err := json.Unmarshal(line, &frame); err != nil {
+	var frame wire.Msg
+	if err := wire.Decode(raw, &frame); err != nil {
 		t.Fatalf("parse frame: %v", err)
 	}
-	if frame.Type != "challenges" {
-		t.Fatalf("got %q frame (code %q: %s), want challenges", frame.Type, frame.Code, frame.Message)
+	if frame.Type != wire.TChallenges {
+		t.Fatalf("got frame type 0x%02x (%s), want challenges", frame.Type, frame.ErrMsg)
 	}
-	set := make(map[string]bool, len(frame.Challenges))
-	for _, c := range frame.Challenges {
-		set[c] = true
+	bits := wire.UnpackBits(nil, frame.Packed, frame.Width*frame.Count)
+	set := make(map[string]bool, frame.Count)
+	for i := 0; i < frame.Count; i++ {
+		set[challenge.Challenge(bits[i*frame.Width:(i+1)*frame.Width]).String()] = true
 	}
 	return set
 }

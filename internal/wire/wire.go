@@ -1,23 +1,22 @@
-// Package wire implements the compact binary framing used by netauth
-// protocol v2.
+// Package wire implements the compact binary framing of the netauth
+// protocol (wire protocol v2).
 //
 // Every frame has the same shape:
 //
 //	magic (1 byte, 0xF2) | type (1 byte) | stream (uvarint) |
 //	payload length (uint32 LE) | payload | crc32 (uint32 LE)
 //
-// The CRC covers every byte of the frame before it (magic through
-// payload), using the same IEEE polynomial as the v1 JSON frames. The
-// magic byte 0xF2 can never begin a v1 frame — those always start with
-// '{' (0x7B) — so a server or gateway can route a connection to the
-// right decoder by peeking a single byte.
+// The CRC (IEEE polynomial) covers every byte of the frame before it,
+// magic through payload. A byte other than the magic where a frame should
+// begin is a frame error like any other, so anything that is not a v2
+// frame — including a JSON line from a retired protocol v1 peer — is
+// refused at the first byte.
 //
 // Payload fields are varint-coded where variable (string and bit-vector
 // lengths, counts, stream ids) and fixed-width where the size is part of
 // the protocol (8-byte session ids, 32-byte MACs and digests).
 // Challenge, response, and helper bits travel packed eight per byte,
-// LSB-first, which is the dominant saving over v1's one-character-per-bit
-// JSON strings.
+// LSB-first.
 //
 // Decoding never retains references outside the input frame: byte-slice
 // fields of Msg alias the frame buffer, so a caller that reuses buffers
@@ -34,18 +33,9 @@ import (
 	"io"
 )
 
-// Magic is the first byte of every v2 frame. It is deliberately outside
-// the ASCII range so no v1 JSON frame (which begins with '{') or stray
-// text line can be mistaken for a v2 frame.
+// Magic is the first byte of every frame. It is deliberately outside the
+// ASCII range so no JSON or other text line can be mistaken for a frame.
 const Magic = 0xF2
-
-// Guard is written by clients immediately after the first frame on a
-// fresh connection. A v1-only server that line-reads the negotiation
-// frame finds a terminated "line", fails to parse it as JSON, and
-// answers with its ordinary retryable bad_message error — which the v2
-// client recognises as "speak v1 here". v2 servers consume and ignore
-// the guard.
-const Guard = '\n'
 
 // Frame types.
 const (
@@ -74,8 +64,7 @@ const (
 	CipherChaCha20 = 0x01 // chacha20poly1305
 )
 
-// Size limits, enforced on decode. MaxPayload matches the v1 line cap so
-// neither protocol version admits larger frames than the other.
+// Size limits, enforced on decode.
 const (
 	MaxPayload = 1 << 20
 	MaxBatch   = 256   // hello batch size
@@ -92,12 +81,12 @@ const (
 )
 
 var (
-	// ErrNotV2 reports that the first byte was not the v2 magic; the
-	// stream belongs to another protocol.
-	ErrNotV2 = errors.New("wire: not a v2 frame")
 	// ErrFrame is wrapped by every malformed-frame error so callers can
 	// map any decode failure to a single retryable bad_message refusal.
 	ErrFrame = errors.New("wire: bad frame")
+	// ErrNotV2 reports that a frame did not begin with Magic. It wraps
+	// ErrFrame: bytes of any other protocol are just a malformed frame.
+	ErrNotV2 = fmt.Errorf("%w: first byte is not the v2 magic", ErrFrame)
 )
 
 func frameErr(format string, args ...any) error {
@@ -557,15 +546,6 @@ func readFrame(br *bufio.Reader, buf *[]byte) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	// Skip a negotiation guard byte wherever it lands.  Clients send one
-	// after the first frame of a fresh connection; consuming it lazily,
-	// as the prefix of the NEXT read, means a reader never has to block
-	// waiting to learn whether a guard is coming.
-	for b0 == Guard {
-		if b0, err = br.ReadByte(); err != nil {
-			return 0, err
-		}
-	}
 	if b0 != Magic {
 		_ = br.UnreadByte()
 		return 0, ErrNotV2
@@ -619,17 +599,6 @@ func readFrame(br *bufio.Reader, buf *[]byte) (int, error) {
 	if _, err := io.ReadFull(br, b[head:]); err != nil {
 		*buf = b[:head]
 		return head, frameErr("truncated payload: %v", err)
-	}
-	// Consume any guard bytes already buffered behind the frame, without
-	// blocking.  Event loops flush queued output before a read that could
-	// block, keying on Buffered() == 0 — a lingering guard byte must not
-	// make a drained connection look like it still has frames pending.
-	for br.Buffered() > 0 {
-		pb, _ := br.Peek(1)
-		if len(pb) == 0 || pb[0] != Guard {
-			break
-		}
-		_, _ = br.ReadByte()
 	}
 	*buf = b
 	return need, nil

@@ -3,6 +3,7 @@ package wire
 import (
 	"bufio"
 	"bytes"
+	"errors"
 	"math/rand"
 	"testing"
 )
@@ -246,28 +247,24 @@ func TestReaderZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestGuardSkipping: the frame reader must treat negotiation guard bytes
-// as inter-frame padding wherever they land — before the first frame,
-// between frames, or repeated — without ever blocking to look for one.
-func TestGuardSkipping(t *testing.T) {
-	m := Msg{Type: TBye}
-	frame := AppendFrame(nil, &m)
-	var stream []byte
-	stream = append(stream, Guard)
-	stream = append(stream, frame...)
-	stream = append(stream, Guard, Guard)
-	stream = append(stream, frame...)
-	stream = append(stream, frame...) // and one with no guard at all
-	br := bufio.NewReader(bytes.NewReader(stream))
-	r := NewReader(br)
-	defer r.Release()
-	var got Msg
-	for i := 0; i < 3; i++ {
-		if _, err := r.Next(&got); err != nil || got.Type != TBye {
-			t.Fatalf("frame %d: %v %+v", i, err, got)
+// TestNonMagicByteIsFrameError: a byte other than Magic where a frame
+// should begin — a stray newline, the '{' of a JSON line — is a frame
+// error, whether it opens the stream or follows a complete frame.
+func TestNonMagicByteIsFrameError(t *testing.T) {
+	frame := AppendFrame(nil, &Msg{Type: TBye})
+	for _, stream := range [][]byte{
+		append([]byte("{\"type\":\"hello\"}\n"), frame...),
+		append(append(append([]byte(nil), frame...), '\n'), frame...),
+	} {
+		r := NewReader(bufio.NewReader(bytes.NewReader(stream)))
+		var got Msg
+		var err error
+		for i := 0; i < 3 && err == nil; i++ {
+			_, err = r.Next(&got)
 		}
-	}
-	if _, err := r.Next(&got); err == nil {
-		t.Fatal("expected EOF after last frame")
+		r.Release()
+		if !errors.Is(err, ErrNotV2) || !errors.Is(err, ErrFrame) {
+			t.Fatalf("stream %q: err = %v, want ErrNotV2 wrapping ErrFrame", stream, err)
+		}
 	}
 }

@@ -22,7 +22,6 @@ package xorpuf_test
 import (
 	"bufio"
 	"context"
-	"encoding/json"
 	"fmt"
 	"net"
 	"strings"
@@ -37,6 +36,7 @@ import (
 	"xorpuf/internal/registry"
 	"xorpuf/internal/rng"
 	"xorpuf/internal/silicon"
+	"xorpuf/internal/wire"
 )
 
 const (
@@ -70,46 +70,24 @@ func (d keyexRecorder) record(word string) {
 	d.mu.Unlock()
 }
 
-// e2eFrame is the subset of the wire protocol the raw adversary client
-// needs.  Frames without a CRC are accepted by the server (compatibility),
-// so the adversary sends bare JSON lines.
-type e2eFrame struct {
-	Type       string   `json:"type"`
-	ChipID     string   `json:"chip_id,omitempty"`
-	Session    string   `json:"session,omitempty"`
-	Challenges []string `json:"challenges,omitempty"`
-	Helper     string   `json:"helper,omitempty"`
-	BchM       int      `json:"bch_m,omitempty"`
-	BchT       int      `json:"bch_t,omitempty"`
-	Cipher     string   `json:"cipher,omitempty"`
-	MAC        string   `json:"mac,omitempty"`
-	Code       string   `json:"code,omitempty"`
-	Message    string   `json:"message,omitempty"`
-	Retryable  bool     `json:"retryable,omitempty"`
-}
-
-func e2eSend(t *testing.T, conn net.Conn, m e2eFrame) {
+func e2eSend(t *testing.T, conn net.Conn, m *wire.Msg) {
 	t.Helper()
-	body, err := json.Marshal(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := conn.Write(append(body, '\n')); err != nil {
+	if _, err := conn.Write(wire.AppendFrame(nil, m)); err != nil {
 		t.Fatalf("raw client write: %v", err)
 	}
 }
 
-func e2eRecv(t *testing.T, r *bufio.Reader) e2eFrame {
+func e2eRecv(t *testing.T, r *bufio.Reader) *wire.Msg {
 	t.Helper()
-	line, err := r.ReadString('\n')
+	raw, err := wire.ReadRawFrame(r)
 	if err != nil {
 		t.Fatalf("raw client read: %v", err)
 	}
-	var m e2eFrame
-	if err := json.Unmarshal([]byte(line), &m); err != nil {
-		t.Fatalf("raw client decode %q: %v", strings.TrimSpace(line), err)
+	var m wire.Msg
+	if err := wire.Decode(raw, &m); err != nil {
+		t.Fatalf("raw client decode: %v", err)
 	}
-	return m
+	return &m
 }
 
 func TestKeyExchangeEndToEnd(t *testing.T) {
@@ -152,8 +130,8 @@ func TestKeyExchangeEndToEnd(t *testing.T) {
 	var seenMu sync.Mutex
 	seen := make(map[string]int)
 	device := keyexRecorder{inner: chip, mu: &seenMu, seen: seen}
-	client := func(addr string) *netauth.Client {
-		return &netauth.Client{
+	client := func(addr string) *netauth.V2Client {
+		return &netauth.V2Client{
 			Addr: addr, ChipID: "chip-0", Device: device,
 			Cond: e2eStressed, Timeout: 10 * time.Second,
 		}
@@ -202,28 +180,25 @@ func TestKeyExchangeEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := bufio.NewReader(conn)
-	e2eSend(t, conn, e2eFrame{Type: "keyex_init", ChipID: "chip-0",
-		Challenges: nil, Cipher: ""})
+	e2eSend(t, conn, &wire.Msg{Type: wire.TKeyexInit, ChipID: "chip-0"})
 	offer := e2eRecv(t, r)
-	if offer.Type != "keyex_offer" {
+	if offer.Type != wire.TKeyexOffer {
 		t.Fatalf("adversary got %+v, want keyex_offer", offer)
 	}
-	if len(offer.Challenges) != kcfg.N() || offer.Helper == "" {
-		t.Fatalf("offer shape: %d challenges, helper %d bits", len(offer.Challenges), len(offer.Helper))
+	if offer.Count != kcfg.N() || len(offer.Helper) == 0 {
+		t.Fatalf("offer shape: %d challenges, helper %d bytes", offer.Count, len(offer.Helper))
 	}
 	// These words were burned before the offer left the server; fold them
 	// into the audit even though no device ever read them.
-	for _, w := range offer.Challenges {
-		device.record(w)
+	bits := wire.UnpackBits(nil, offer.Packed, offer.Count*offer.Width)
+	for i := 0; i < offer.Count; i++ {
+		device.record(challenge.Challenge(bits[i*offer.Width : (i+1)*offer.Width]).String())
 	}
-	e2eSend(t, conn, e2eFrame{Type: "keyex_confirm", Session: offer.Session,
-		MAC: strings.Repeat("0", 64)})
+	e2eSend(t, conn, &wire.Msg{Type: wire.TKeyexConfirm, Session: offer.Session,
+		MAC: make([]byte, wire.MACLen)})
 	denial := e2eRecv(t, r)
-	if denial.Type != "error" || denial.Code != "key_mismatch" || denial.Retryable {
+	if denial.Type != wire.TError || denial.Retryable || !strings.Contains(denial.ErrMsg, "key confirmation failed") {
 		t.Fatalf("adversary verdict %+v, want terminal key_mismatch error", denial)
-	}
-	if denial.MAC != "" {
-		t.Fatal("server leaked its confirmation MAC to a failed peer")
 	}
 	conn.Close()
 	if got := srv1.ChipStatus("chip-0").ConsecutiveDenials; got != 1 {
@@ -263,9 +238,9 @@ func TestKeyExchangeEndToEnd(t *testing.T) {
 		t.Errorf("post-restart Close: %v", err)
 	}
 
-	// --- …and the audit holds: across both incarnations, both protocols,
-	// and the adversary's abandoned handshake, no challenge was issued
-	// twice.
+	// --- …and the audit holds: across both incarnations, authentication
+	// and key derivation, and the adversary's abandoned handshake, no
+	// challenge was issued twice.
 	seenMu.Lock()
 	defer seenMu.Unlock()
 	total := 0
@@ -338,7 +313,7 @@ func TestEncryptedSessionSoak(t *testing.T) {
 			for j := 0; j < soakKeySessions; j++ {
 				chipIdx := (w + j*soakKeyWorkers) % soakKeyChips
 				cond := corners[(w*soakKeySessions+j)%len(corners)]
-				c := &netauth.Client{
+				c := &netauth.V2Client{
 					Addr: addr, ChipID: fmt.Sprintf("chip-%d", chipIdx),
 					Device: chips[chipIdx], Cond: cond, Timeout: 10 * time.Second,
 				}

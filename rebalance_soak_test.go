@@ -202,7 +202,7 @@ func TestRebalanceSoakZeroDowntimeMigration(t *testing.T) {
 				i := (w + j*4) % rebChips
 				id := rebChipID(i)
 				if j%4 == 3 {
-					c := &netauth.Client{Addr: gwAddr, ChipID: id, Device: devices[i],
+					c := &netauth.V2Client{Addr: gwAddr, ChipID: id, Device: devices[i],
 						Cond: silicon.Nominal, Timeout: 5 * time.Second}
 					ss, err := c.Establish(context.Background())
 					if err == nil {

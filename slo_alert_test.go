@@ -135,8 +135,8 @@ func TestSLOAndAttackAlertsFireAndResolve(t *testing.T) {
 		events = append(events, evs...)
 		return evs
 	}
-	client := func(chipID string, slow bool) *netauth.Client {
-		c := &netauth.Client{
+	client := func(chipID string, slow bool) *netauth.V2Client {
+		c := &netauth.V2Client{
 			Addr: addr, ChipID: chipID, Device: sloTestDevice{m: models[chipID]},
 			Cond: silicon.Nominal, Timeout: 10 * time.Second,
 			Policy: netauth.RetryPolicy{MaxAttempts: 1},
@@ -146,9 +146,10 @@ func TestSLOAndAttackAlertsFireAndResolve(t *testing.T) {
 			// records genuinely slow sessions, no clock tricks.
 			c.DialContext = faultnet.NewDialer(faultnet.Config{Seed: 3, MaxLatency: 150 * time.Millisecond}).DialContext
 		}
+		t.Cleanup(c.Close)
 		return c
 	}
-	authenticate := func(c *netauth.Client) {
+	authenticate := func(c *netauth.V2Client) {
 		t.Helper()
 		res, err := c.Authenticate(context.Background())
 		if err != nil || !res.Approved {
