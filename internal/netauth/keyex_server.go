@@ -100,6 +100,15 @@ func (s *Server) keyexSession(l *link, init *wire.Msg) {
 		l.refuse(init.Stream, ref)
 		return
 	}
+	if !l.acquire(1) {
+		fail(CodeBusy, true, "server shutting down")
+		return
+	}
+	// The exchange is one unit of in-flight work until its verdict is
+	// out; an established channel then counts only its own open streams,
+	// so an idle one is closed at once by Close like any idle connection.
+	held := int32(1)
+	defer func() { l.inflight.Add(-held) }()
 	s.mu.Lock()
 	enabled := s.keyexOn
 	cfg := s.keyexCfg
@@ -221,6 +230,8 @@ func (s *Server) keyexSession(l *link, init *wire.Msg) {
 	}
 	s.tel.keyexEstablishedOK()
 	trace.Verdict = "key_established"
+	l.inflight.Add(-held)
+	held = 0
 
 	if cipher == "" {
 		return // confirm-only exchange: mutual proof, no channel
@@ -229,6 +240,7 @@ func (s *Server) keyexSession(l *link, init *wire.Msg) {
 	defer ch.Close()
 	sealed := &channelStream{ch: ch}
 	inner := s.newLink(l.conn, bufio.NewReader(sealed), sealed, s.tel.secureFrame)
+	inner.inflight = l.inflight
 	defer inner.release()
 	s.serveFrames(inner, init.ChipID, span.Context())
 }

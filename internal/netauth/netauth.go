@@ -39,10 +39,11 @@
 //
 // Reliability hardening on the server side: per-message (not
 // per-connection) I/O deadlines, a cap on concurrent connections, and a
-// bounded drain on Close.  The
-// client side (V2Client) retries transient failures with jittered
-// exponential backoff under a bounded attempt budget and honours context
-// cancellation through dial, read, and write.
+// bounded drain on Close: idle connections close at once, sessions whose
+// challenges are out still get their verdicts.  The client side (V2Client)
+// retries transient failures with jittered exponential backoff under a
+// bounded attempt budget and honours context cancellation through dial,
+// read, and write.
 //
 // The server never reveals which bits mismatched beyond the count, and
 // every authentication uses fresh challenges, so transcripts leak only
@@ -57,6 +58,7 @@ import (
 	"fmt"
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"xorpuf/internal/core"
@@ -165,18 +167,16 @@ type Server struct {
 	keyexOn  bool
 	keyexCfg keyex.Config
 
-	// loops tracks connections inside the frame event loop.  A connection
-	// multiplexes many sessions and idles between batches, so Close
-	// force-closes these immediately instead of waiting out the drain
-	// window; clients own the retry.
-	loops map[net.Conn]struct{}
-
-	reg     *registry.Registry
-	ownReg  bool // Close also closes reg when the server created it
-	ln      net.Listener
-	closed  bool
-	active  map[net.Conn]struct{}
-	inUse   int
+	reg    *registry.Registry
+	ownReg bool // Close also closes reg when the server created it
+	ln     net.Listener
+	// conns holds every admitted connection with its count of in-flight
+	// work — streams whose challenges are out, or a key exchange — set to
+	// -1 once Close has claimed it idle.  closed is read lock-free by
+	// every event loop, so a draining connection leaves as soon as its
+	// last verdict is out.
+	conns   map[net.Conn]*atomic.Int32
+	closed  atomic.Bool
 	serving sync.WaitGroup
 
 	// healthHandler observes drift-detector transitions (SetHealthHandler).
@@ -246,8 +246,7 @@ func NewServerWithRegistry(numChallenges int, seed uint64, reg *registry.Registr
 		drain:         5 * time.Second,
 		now:           time.Now,
 		reg:           reg,
-		active:        make(map[net.Conn]struct{}),
-		loops:         make(map[net.Conn]struct{}),
+		conns:         make(map[net.Conn]*atomic.Int32),
 		tel:           newServerMetrics(telemetry.Default),
 		tracer:        telemetry.NewTracer(defaultTraceCapacity),
 		spans:         dtrace.Default,
@@ -346,8 +345,9 @@ func (s *Server) SetThrottle(d time.Duration) {
 	s.throttle = d
 }
 
-// SetDrainTimeout bounds how long Close waits for in-flight sessions
-// before force-closing their connections (default 5 s).
+// SetDrainTimeout bounds how long Close waits for sessions whose
+// challenges are out before force-closing their connections (default
+// 5 s).
 func (s *Server) SetDrainTimeout(d time.Duration) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -451,7 +451,7 @@ func (s *Server) Stats() (approved, denied int) {
 // goroutine.
 func (s *Server) Serve(ln net.Listener) error {
 	s.mu.Lock()
-	if s.closed {
+	if s.closed.Load() {
 		s.mu.Unlock()
 		return errors.New("netauth: server closed")
 	}
@@ -460,21 +460,23 @@ func (s *Server) Serve(ln net.Listener) error {
 	for {
 		conn, err := ln.Accept()
 		if err != nil {
-			s.mu.Lock()
-			closed := s.closed
-			s.mu.Unlock()
-			if closed {
+			if s.closed.Load() {
 				return nil
 			}
 			return err
 		}
+		inflight := new(atomic.Int32)
 		s.mu.Lock()
-		busy := s.maxConns > 0 && s.inUse >= s.maxConns
-		if !busy {
-			s.inUse++
-			s.active[conn] = struct{}{}
+		closed := s.closed.Load()
+		busy := s.maxConns > 0 && len(s.conns) >= s.maxConns
+		if !closed && !busy {
+			s.conns[conn] = inflight
 		}
 		s.mu.Unlock()
+		if closed {
+			conn.Close() // accepted as Close ran: it would never be drained
+			continue
+		}
 		s.serving.Add(1)
 		if busy {
 			s.tel.deny(CodeBusy)
@@ -491,34 +493,33 @@ func (s *Server) Serve(ln net.Listener) error {
 			defer s.serving.Done()
 			defer func() {
 				s.mu.Lock()
-				s.inUse--
-				delete(s.active, conn)
+				delete(s.conns, conn)
 				s.mu.Unlock()
 			}()
-			s.handle(conn)
+			s.handle(conn, inflight)
 		}()
 	}
 }
 
-// Close stops accepting, waits up to the drain timeout for in-flight
-// authentications, then force-closes whatever is left.
+// Close stops accepting and closes idle connections at once — persistent
+// ones sit between batches for longer than any drain window, and their
+// clients own the retry.  A connection with work in flight finishes it
+// (new hellos are refused busy) and leaves after its last verdict; what is
+// still open when the drain timeout expires is force-closed.
 func (s *Server) Close() {
 	s.mu.Lock()
-	s.closed = true
+	s.closed.Store(true)
 	ln := s.ln
 	drain := s.drain
+	for conn, inflight := range s.conns {
+		if inflight.CompareAndSwap(0, -1) {
+			conn.Close()
+		}
+	}
 	s.mu.Unlock()
 	if ln != nil {
 		ln.Close()
 	}
-	// Connections are long-lived and multiplexed — one may sit idle
-	// between batches for longer than any drain window.  Close them now;
-	// their in-flight sessions fail fast and the clients retry elsewhere.
-	s.mu.Lock()
-	for conn := range s.loops {
-		conn.Close()
-	}
-	s.mu.Unlock()
 	done := make(chan struct{})
 	go func() {
 		s.serving.Wait()
@@ -528,7 +529,7 @@ func (s *Server) Close() {
 	case <-done:
 	case <-time.After(drain):
 		s.mu.Lock()
-		for conn := range s.active {
+		for conn := range s.conns {
 			conn.Close()
 		}
 		s.mu.Unlock()
@@ -540,22 +541,12 @@ func (s *Server) Close() {
 }
 
 // handle serves one admitted connection: the frame event loop, until the
-// peer leaves, a frame is malformed, or a refusal ends the connection.
-func (s *Server) handle(conn net.Conn) {
+// peer leaves, a frame is malformed, a refusal ends the connection, or a
+// draining server has settled the connection's streams.
+func (s *Server) handle(conn net.Conn, inflight *atomic.Int32) {
 	defer conn.Close()
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return
-	}
-	s.loops[conn] = struct{}{}
-	s.mu.Unlock()
-	defer func() {
-		s.mu.Lock()
-		delete(s.loops, conn)
-		s.mu.Unlock()
-	}()
 	l := s.newLink(conn, bufio.NewReader(conn), conn, s.tel.frame)
+	l.inflight = inflight
 	defer l.release()
 	s.serveFrames(l, "", dtrace.Context{})
 }

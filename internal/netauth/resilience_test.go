@@ -9,7 +9,9 @@ import (
 	"testing"
 	"time"
 
+	"xorpuf/internal/challenge"
 	"xorpuf/internal/core"
+	"xorpuf/internal/keyex"
 	"xorpuf/internal/rng"
 	"xorpuf/internal/silicon"
 	"xorpuf/internal/wire"
@@ -317,6 +319,110 @@ func TestCloseForceClosesStragglers(t *testing.T) {
 	srv.Close()
 	if d := time.Since(start); d > 3*time.Second {
 		t.Errorf("Close took %v despite 200ms drain deadline", d)
+	}
+}
+
+// closeInBackground starts srv.Close and returns once Close has begun —
+// the listener refuses connections — with a channel closed when it returns.
+func closeInBackground(t *testing.T, srv *Server, addr string) <-chan struct{} {
+	t.Helper()
+	done := make(chan struct{})
+	go func() {
+		srv.Close()
+		close(done)
+	}()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		c, err := net.Dial("tcp", addr)
+		if err != nil {
+			return done
+		}
+		c.Close()
+		if time.Now().After(deadline) {
+			t.Fatal("listener still accepting after Close began")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// TestCloseDrainsSessionInFlight: a session whose challenges are out when
+// Close starts still gets its verdict, a new hello on the same connection
+// is refused busy instead, and Close returns once the verdict is out —
+// not at the drain deadline.
+func TestCloseDrainsSessionInFlight(t *testing.T) {
+	addr, srv, chip := startServer(t, 10)
+	srv.SetDrainTimeout(time.Minute)
+	rc, ch := rawHello(t, addr)
+	start := time.Now()
+	closed := closeInBackground(t, srv, addr)
+
+	rc.send(&wire.Msg{Type: wire.THello, Stream: 2, ChipID: "chip-A", Batch: 1})
+	expectRefusal(t, rc, CodeBusy, true)
+	packed := readChallenges(nil, make(challenge.Challenge, ch.Width), chip, silicon.Nominal, ch)
+	rc.send(&wire.Msg{Type: wire.TResponses, Stream: ch.Stream, Session: ch.Session,
+		Count: ch.Count, Packed: packed})
+	if v := rc.expect(wire.TVerdict); !v.Approved {
+		t.Fatalf("drained session denied with %d mismatches", v.Mismatches)
+	}
+	select {
+	case <-closed:
+	case <-time.After(10 * time.Second):
+		t.Fatal("Close still waiting after the last verdict")
+	}
+	if d := time.Since(start); d > 10*time.Second {
+		t.Errorf("Close took %v", d)
+	}
+	if approved, _ := srv.Stats(); approved != 1 {
+		t.Errorf("approved %d sessions, want 1", approved)
+	}
+}
+
+// TestCloseSkipsIdleConnections: a persistent connection between batches
+// has nothing to drain, so it is closed at once and does not hold Close
+// for the drain window.
+func TestCloseSkipsIdleConnections(t *testing.T) {
+	// Each case leaves one persistent connection idle after a finished
+	// session: a plain one, and an established key-exchange channel.
+	cases := []struct {
+		name string
+		idle func(t *testing.T, addr string, chip *silicon.Chip) (stillOpen func() bool)
+	}{
+		{"plain", func(t *testing.T, addr string, chip *silicon.Chip) func() bool {
+			rc, ch := rawHello(t, addr)
+			packed := readChallenges(nil, make(challenge.Challenge, ch.Width), chip, silicon.Nominal, ch)
+			rc.send(&wire.Msg{Type: wire.TResponses, Stream: ch.Stream, Session: ch.Session,
+				Count: ch.Count, Packed: packed})
+			rc.expect(wire.TVerdict)
+			return func() bool { _, err := rc.recv(); return err == nil }
+		}},
+		{"secure session", func(t *testing.T, addr string, chip *silicon.Chip) func() bool {
+			ss, err := keyexClient(addr, chip, silicon.Nominal).Establish(context.Background())
+			if err != nil {
+				t.Fatalf("Establish: %v", err)
+			}
+			t.Cleanup(func() { ss.Close() })
+			if res, err := ss.Authenticate(); err != nil || !res.Approved {
+				t.Fatalf("secure Authenticate = %+v, %v", res, err)
+			}
+			return func() bool { _, err := ss.Authenticate(); return err == nil }
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			addr, srv, chip := startKeyexServer(t, 10, keyex.Config{M: 7, T: 8})
+			srv.SetTimeout(time.Minute) // idling must not end the connection by itself
+			srv.SetDrainTimeout(time.Minute)
+			stillOpen := tc.idle(t, addr, chip)
+
+			start := time.Now()
+			srv.Close()
+			if d := time.Since(start); d > 5*time.Second {
+				t.Fatalf("Close took %v with only an idle connection open", d)
+			}
+			if stillOpen() {
+				t.Fatal("idle connection still open after Close")
+			}
+		})
 	}
 }
 

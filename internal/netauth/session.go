@@ -20,6 +20,7 @@ import (
 	"io"
 	"net"
 	"strconv"
+	"sync/atomic"
 	"time"
 
 	"xorpuf/internal/challenge"
@@ -102,6 +103,9 @@ type link struct {
 	out   io.Writer // the connection, or the channel's sealing writer
 	wb    *[]byte   // queued output frames
 	sizes func(int) // frame-size telemetry
+	// inflight is the connection's in-flight work count (Server.conns),
+	// shared with the key-exchange channel that rides the connection.
+	inflight *atomic.Int32
 }
 
 func (s *Server) newLink(conn net.Conn, br *bufio.Reader, out io.Writer, sizes func(int)) *link {
@@ -162,6 +166,20 @@ func (l *link) write(m *wire.Msg) error {
 	return l.flush()
 }
 
+// acquire counts n units of in-flight work on the connection, unless the
+// server is draining or Close has already claimed the connection idle.
+func (l *link) acquire(n int) bool {
+	for {
+		cur := l.inflight.Load()
+		if cur < 0 || l.s.closed.Load() {
+			return false
+		}
+		if l.inflight.CompareAndSwap(cur, cur+int32(n)) {
+			return true
+		}
+	}
+}
+
 // fail sends a structured error frame and counts the denial.
 func (l *link) fail(stream uint64, code string, retryable bool, format string, args ...interface{}) {
 	l.s.tel.deny(code)
@@ -216,9 +234,16 @@ func (s *Server) serveFrames(l *link, chipID string, parent dtrace.Context) {
 			st.trace.Verdict, st.trace.DenialCode = "error", CodeBadMessage
 			s.endStream(st)
 		}
+		l.inflight.Add(-int32(len(streams)))
 	}()
 
 	for {
+		// A draining server keeps the connection only while streams are
+		// in flight: once the last verdict is queued, send it and leave.
+		if len(streams) == 0 && s.closed.Load() {
+			_ = l.flush()
+			return
+		}
 		// Flush queued output before a read that could block.  While more
 		// input is already buffered the flush waits — that is what batches
 		// a pipelined exchange's frames into single writes.
@@ -342,6 +367,12 @@ func (s *Server) hello(l *link, m *wire.Msg, streams *[]stream, parent dtrace.Co
 		l.refuse(m.Stream, ref)
 		return false
 	}
+	if !l.acquire(batch) {
+		// Draining: refuse the new streams, keep serving the old ones.
+		s.refusedTrace(chipID, CodeBusy, start, tc)
+		l.fail(m.Stream, CodeBusy, true, "server shutting down")
+		return true
+	}
 	s.tel.batch(batch)
 
 	// Batched issuance: one Issue call journals (and quorum-commits, when
@@ -354,6 +385,7 @@ func (s *Server) hello(l *link, m *wire.Msg, streams *[]stream, parent dtrace.Co
 	cs, predicted, err := entry.IssueCtx(dtrace.Inject(context.Background(), selSpan.Context()), s.numChallenges*batch, 0)
 	s.tel.observeSelect(selectStart)
 	if err != nil {
+		l.inflight.Add(-int32(batch))
 		code, retryable := issueRefusal(err)
 		selSpan.SetStatus("error:" + code)
 		selSpan.End()
@@ -427,8 +459,7 @@ func (s *Server) responses(l *link, m *wire.Msg, streams *[]stream) bool {
 	fail := func(format string, args ...interface{}) bool {
 		st.trace.Verdict, st.trace.DenialCode = "error", CodeBadMessage
 		l.fail(m.Stream, CodeBadMessage, true, format, args...)
-		s.endStream(st)
-		dropStream(streams, idx)
+		l.settle(streams, idx)
 		return false
 	}
 	if !bytes.Equal(m.Session, st.session[:]) {
@@ -468,8 +499,7 @@ func (s *Server) responses(l *link, m *wire.Msg, streams *[]stream) bool {
 	if transitioned && onHealth != nil {
 		onHealth(ev)
 	}
-	s.endStream(st)
-	dropStream(streams, idx)
+	l.settle(streams, idx)
 	return true
 }
 
@@ -498,8 +528,11 @@ func (s *Server) endStream(st *stream) {
 	st.span = nil
 }
 
-// dropStream removes index idx, reusing the slice's capacity.
-func dropStream(streams *[]stream, idx int) {
+// settle closes out stream idx and removes it from streams (reusing the
+// slice's capacity) and from the connection's in-flight count.
+func (l *link) settle(streams *[]stream, idx int) {
+	l.s.endStream(&(*streams)[idx])
+	l.inflight.Add(-1)
 	ss := *streams
 	last := len(ss) - 1
 	if idx != last {

@@ -29,35 +29,18 @@
 package registry
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"os"
 
 	"xorpuf/internal/health"
 )
-
-func le32(b []byte) uint32 { return binary.LittleEndian.Uint32(b) }
-func le64(b []byte) uint64 { return binary.LittleEndian.Uint64(b) }
 
 // newTrackerFrom builds a drift tracker pre-loaded with persisted state.
 func newTrackerFrom(r *Registry, st health.TrackerState) *health.Tracker {
 	t := health.NewTracker(r.opts.Health)
 	t.Restore(st)
 	return t
-}
-
-// readWALBytes loads and magic-checks a WAL file for offline iteration.
-func readWALBytes(path string) ([]byte, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	if len(data) < 4 || [4]byte(data[:4]) != walMagic {
-		return nil, fmt.Errorf("%w: bad WAL magic", ErrCorrupt)
-	}
-	return data, nil
 }
 
 // ErrMigrating is returned by issuance for a chip whose range is fenced for
@@ -363,22 +346,15 @@ func (r *Registry) RangeSnapshot(lo, hi string) (data []byte, cutSeq uint64, cou
 	for _, e := range matched {
 		body = appendEntryState(body, e)
 	}
-	buf := make([]byte, 0, 4+len(body)+4)
-	buf = append(buf, rangeSnapMagic[:]...)
-	buf = append(buf, body...)
-	buf = appendU32(buf, crc32.ChecksumIEEE(body))
-	return buf, cutSeq, len(matched), nil
+	return sealBlob(rangeSnapMagic, body), cutSeq, len(matched), nil
 }
 
 // decodeRangeSnapshot validates an XPR1 blob and materializes its entries
 // without installing them.
 func (r *Registry) decodeRangeSnapshot(data []byte) ([]*Entry, uint64, error) {
-	if len(data) < 4+8+4+4 || [4]byte(data[:4]) != rangeSnapMagic {
-		return nil, 0, fmt.Errorf("%w: bad range-snapshot magic", ErrCorrupt)
-	}
-	body, trailer := data[4:len(data)-4], data[len(data)-4:]
-	if crc32.ChecksumIEEE(body) != le32(trailer) {
-		return nil, 0, fmt.Errorf("%w: range-snapshot checksum mismatch", ErrCorrupt)
+	_, body, err := openBlob(data, "range-snapshot", rangeSnapMagic)
+	if err != nil {
+		return nil, 0, err
 	}
 	rd := &reader{b: body}
 	cutSeq := rd.u64()
@@ -916,27 +892,10 @@ func RecordIssuedWords(typ byte, payload []byte) (id string, words []uint64, fre
 // applies) or when fn returns an error.  Offline tooling — the never-reuse
 // audit — reads journals this way without opening a registry.
 func IterateWAL(path string, fn func(seq uint64, typ byte, payload []byte) error) error {
-	data, err := readWALBytes(path)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		return err
 	}
-	for off := 4; off < len(data); {
-		rest := data[off:]
-		if len(rest) < recHeaderLen+recTrailerLen {
-			break
-		}
-		plen := int(le32(rest[9:13]))
-		if plen > maxRecordPayload || len(rest) < recHeaderLen+plen+recTrailerLen {
-			break
-		}
-		frame := rest[:recHeaderLen+plen]
-		if crc32.ChecksumIEEE(frame) != le32(rest[recHeaderLen+plen:recHeaderLen+plen+4]) {
-			break
-		}
-		if err := fn(le64(frame[:8]), frame[8], frame[recHeaderLen:]); err != nil {
-			return err
-		}
-		off += recHeaderLen + plen + recTrailerLen
-	}
-	return nil
+	_, err = walkWAL(data, fn)
+	return err
 }

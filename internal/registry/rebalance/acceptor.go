@@ -10,6 +10,7 @@ import (
 
 	"xorpuf/internal/registry"
 	"xorpuf/internal/registry/repl"
+	"xorpuf/internal/wire"
 )
 
 // AcceptorConfig parameterizes the target side of migrations.
@@ -104,11 +105,20 @@ func (a *Acceptor) acceptLoop() {
 func (a *Acceptor) serve(conn net.Conn) {
 	defer conn.Close()
 	if err := a.session(conn); err != nil && !errors.Is(err, io.EOF) {
+		// Payload decode errors come from repl's shared layouts as
+		// LinkErrors and bad frames from the wire codec; both are protocol
+		// faults of the source, not apply failures here.
 		var me *MigError
-		if errors.As(err, &me) {
-			_ = repl.WriteFrame(conn, mError, errorPayload(me.Code, me.Msg))
-		} else if !isNetClose(err) {
-			_ = repl.WriteFrame(conn, mError, errorPayload(CodeApply, err.Error()))
+		var le *repl.LinkError
+		switch {
+		case errors.As(err, &me):
+			_ = wire.WriteOpaque(conn, mError, repl.ErrorPayload(me.Code, me.Msg))
+		case errors.As(err, &le):
+			_ = wire.WriteOpaque(conn, mError, repl.ErrorPayload(CodeProto, le.Msg))
+		case errors.Is(err, wire.ErrFrame):
+			_ = wire.WriteOpaque(conn, mError, repl.ErrorPayload(CodeProto, err.Error()))
+		case !isNetClose(err):
+			_ = wire.WriteOpaque(conn, mError, repl.ErrorPayload(CodeApply, err.Error()))
 		}
 		a.logf("rebalance acceptor: session from %s: %v", conn.RemoteAddr(), err)
 	}
@@ -121,8 +131,9 @@ func isNetClose(err error) bool {
 
 func (a *Acceptor) session(conn net.Conn) error {
 	br := bufio.NewReaderSize(conn, 1<<16)
+	var buf []byte
 	_ = conn.SetDeadline(time.Now().Add(a.cfg.SessionTimeout))
-	typ, payload, err := repl.ReadFrame(br)
+	typ, payload, err := wire.ReadOpaque(br, &buf)
 	if err != nil {
 		return err
 	}
@@ -147,15 +158,15 @@ func (a *Acceptor) session(conn net.Conn) error {
 		if err := a.reg.WaitCommitted(a.reg.Seq()); err != nil {
 			return migErrf(CodeQuorum, "cutover not yet quorum-committed: %v", err)
 		}
-		return repl.WriteFrame(conn, mHelloAck, helloAckPayload(helloCutover, epoch))
+		return wire.WriteOpaque(conn, mHelloAck, helloAckPayload(helloCutover, epoch))
 	}
-	if err := repl.WriteFrame(conn, mHelloAck, helloAckPayload(helloFresh, a.reg.OwnershipEpoch())); err != nil {
+	if err := wire.WriteOpaque(conn, mHelloAck, helloAckPayload(helloFresh, a.reg.OwnershipEpoch())); err != nil {
 		return err
 	}
 
 	// Snapshot phase.
 	_ = conn.SetDeadline(time.Now().Add(a.cfg.SessionTimeout))
-	typ, payload, err = repl.ReadFrame(br)
+	typ, payload, err = wire.ReadOpaque(br, &buf)
 	if err != nil {
 		return err
 	}
@@ -171,28 +182,9 @@ func (a *Acceptor) session(conn net.Conn) error {
 	if err != nil {
 		return err
 	}
-	data := make([]byte, 0, dataLen)
-	for uint64(len(data)) < dataLen {
-		_ = conn.SetDeadline(time.Now().Add(a.cfg.SessionTimeout))
-		typ, payload, err = repl.ReadFrame(br)
-		if err != nil {
-			return err
-		}
-		if typ != mSnapChunk {
-			return migErrf(CodeProto, "expected snap chunk, got frame type %d", typ)
-		}
-		if uint64(len(data)+len(payload)) > dataLen {
-			return migErrf(CodeProto, "snapshot overran advertised length")
-		}
-		data = append(data, payload...)
-	}
-	_ = conn.SetDeadline(time.Now().Add(a.cfg.SessionTimeout))
-	typ, _, err = repl.ReadFrame(br)
+	data, err := repl.ReceiveSnapshot(conn, br, &buf, mSnapChunk, mSnapEnd, dataLen, a.cfg.SessionTimeout)
 	if err != nil {
 		return err
-	}
-	if typ != mSnapEnd {
-		return migErrf(CodeProto, "expected snap end, got frame type %d", typ)
 	}
 	installed, err := a.reg.InstallMigrating(migID, lo, hi, data)
 	if err != nil {
@@ -200,7 +192,7 @@ func (a *Acceptor) session(conn net.Conn) error {
 	}
 	a.logf("rebalance acceptor: migration %s installed %d arriving chips [%q,%q)", migID, installed, lo, hi)
 	// Ack the install so the source moves to streaming.
-	if err := repl.WriteFrame(conn, mDeltaAck, u64Payload(cutSeq)); err != nil {
+	if err := wire.WriteOpaque(conn, mDeltaAck, repl.U64Payload(cutSeq)); err != nil {
 		return err
 	}
 
@@ -208,24 +200,24 @@ func (a *Acceptor) session(conn net.Conn) error {
 	// source treats an ack as "this burn is durable at the target".
 	for {
 		_ = conn.SetDeadline(time.Now().Add(a.cfg.SessionTimeout))
-		typ, payload, err = repl.ReadFrame(br)
+		typ, payload, err = wire.ReadOpaque(br, &buf)
 		if err != nil {
 			return err
 		}
 		switch typ {
 		case mDelta:
-			srcSeq, rectype, rec, err := decodeDelta(payload)
+			srcSeq, rectype, rec, err := repl.DecodeRecord(payload)
 			if err != nil {
 				return err
 			}
 			if _, err := a.reg.ApplyMigrated(migID, rectype, rec); err != nil {
 				return migErrf(CodeApply, "delta seq %d: %v", srcSeq, err)
 			}
-			if err := repl.WriteFrame(conn, mDeltaAck, u64Payload(srcSeq)); err != nil {
+			if err := wire.WriteOpaque(conn, mDeltaAck, repl.U64Payload(srcSeq)); err != nil {
 				return err
 			}
 		case mCutover:
-			if _, err := decodeU64(payload, "cutover"); err != nil {
+			if _, err := repl.DecodeU64(payload, "cutover"); err != nil {
 				return err
 			}
 			// Epoch rule: strictly above both the source's proposal and our
@@ -242,7 +234,7 @@ func (a *Acceptor) session(conn net.Conn) error {
 				return migErrf(CodeQuorum, "cutover quorum: %v", err)
 			}
 			a.logf("rebalance acceptor: migration %s cut over at epoch %d", migID, epoch)
-			return repl.WriteFrame(conn, mCutoverAck, u64Payload(epoch))
+			return wire.WriteOpaque(conn, mCutoverAck, repl.U64Payload(epoch))
 		case mAbort:
 			a.logf("rebalance acceptor: migration %s aborted by source: %s", migID, payload)
 			return a.reg.AbortMigrationIn(migID)

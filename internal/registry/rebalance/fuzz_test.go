@@ -3,25 +3,19 @@ package rebalance
 import (
 	"bufio"
 	"bytes"
+	"encoding/binary"
+	"hash/crc32"
 	"testing"
 
 	"xorpuf/internal/registry"
 	"xorpuf/internal/registry/repl"
+	"xorpuf/internal/wire"
 )
 
-// frameBytes encodes one wire frame via the shared repl codec.
-func frameBytes(f *testing.F, typ byte, payload []byte) []byte {
-	var buf bytes.Buffer
-	if err := repl.WriteFrame(&buf, typ, payload); err != nil {
-		f.Fatal(err)
-	}
-	return buf.Bytes()
-}
-
-// seedMigrationFrames builds a corpus from a real migration's wire traffic:
-// an XPR1 range snapshot and live delta records captured from a live source
-// registry, so the decoders see realistic payloads alongside the degenerate
-// hand-rolled ones.
+// seedMigrationFrames builds a corpus of internal/wire frames from a real
+// migration's traffic: an XPR1 range snapshot and live delta records
+// captured from a live source registry, so the decoders see realistic
+// payloads alongside the degenerate hand-rolled ones.
 func seedMigrationFrames(f *testing.F) {
 	src, err := registry.Open("", registry.Options{Seed: 5})
 	if err != nil {
@@ -31,7 +25,7 @@ func seedMigrationFrames(f *testing.F) {
 	var deltas [][]byte
 	src.SetAppendObserver(func(seq uint64, typ byte, payload []byte) {
 		if registry.RecordChipID(typ, payload) != "" {
-			deltas = append(deltas, frameBytes(f, mDelta, deltaPayload(seq, typ, payload)))
+			deltas = append(deltas, wire.AppendOpaque(nil, mDelta, repl.RecordPayload(seq, typ, payload)))
 		}
 	})
 	if err := src.Register("chip-0", syntheticModel(2, 16), 64); err != nil {
@@ -47,39 +41,44 @@ func seedMigrationFrames(f *testing.F) {
 		f.Fatal(err)
 	}
 
-	f.Add(frameBytes(f, mHello, helloPayload(1, "mig-f", "chip-0", "chip-1")))
-	f.Add(frameBytes(f, mHelloAck, helloAckPayload(helloFresh, 0)))
-	f.Add(frameBytes(f, mHelloAck, helloAckPayload(helloCutover, 3)))
-	f.Add(frameBytes(f, mSnapBegin, snapBeginPayload(cutSeq, uint64(len(snap)), uint32(count))))
-	f.Add(frameBytes(f, mSnapChunk, snap))
-	f.Add(frameBytes(f, mSnapEnd, nil))
-	f.Add(frameBytes(f, mDeltaAck, u64Payload(7)))
-	f.Add(frameBytes(f, mCutover, u64Payload(cutSeq)))
-	f.Add(frameBytes(f, mCutoverAck, u64Payload(2)))
-	f.Add(frameBytes(f, mAbort, []byte("operator abort")))
-	f.Add(frameBytes(f, mError, errorPayload(CodeApply, "wal append failed")))
+	f.Add(wire.AppendOpaque(nil, mHello, helloPayload(1, "mig-f", "chip-0", "chip-1")))
+	f.Add(wire.AppendOpaque(nil, mHelloAck, helloAckPayload(helloFresh, 0)))
+	f.Add(wire.AppendOpaque(nil, mHelloAck, helloAckPayload(helloCutover, 3)))
+	f.Add(wire.AppendOpaque(nil, mSnapBegin, snapBeginPayload(cutSeq, uint64(len(snap)), uint32(count))))
+	f.Add(wire.AppendOpaque(nil, mSnapChunk, snap))
+	f.Add(wire.AppendOpaque(nil, mSnapEnd, nil))
+	f.Add(wire.AppendOpaque(nil, mDeltaAck, repl.U64Payload(7)))
+	f.Add(wire.AppendOpaque(nil, mCutover, repl.U64Payload(cutSeq)))
+	f.Add(wire.AppendOpaque(nil, mCutoverAck, repl.U64Payload(2)))
+	f.Add(wire.AppendOpaque(nil, mAbort, []byte("operator abort")))
+	f.Add(wire.AppendOpaque(nil, mError, repl.ErrorPayload(CodeApply, "wal append failed")))
 	for _, d := range deltas {
 		f.Add(d)
 	}
 	// One whole session on the wire: hello, snapshot, deltas, cutover.
-	stream := frameBytes(f, mHello, helloPayload(1, "mig-f", "chip-0", "chip-1"))
-	stream = append(stream, frameBytes(f, mSnapBegin, snapBeginPayload(cutSeq, uint64(len(snap)), uint32(count)))...)
-	stream = append(stream, frameBytes(f, mSnapChunk, snap)...)
-	stream = append(stream, frameBytes(f, mSnapEnd, nil)...)
+	stream := wire.AppendOpaque(nil, mHello, helloPayload(1, "mig-f", "chip-0", "chip-1"))
+	stream = append(stream, wire.AppendOpaque(nil, mSnapBegin, snapBeginPayload(cutSeq, uint64(len(snap)), uint32(count)))...)
+	stream = append(stream, wire.AppendOpaque(nil, mSnapChunk, snap)...)
+	stream = append(stream, wire.AppendOpaque(nil, mSnapEnd, nil)...)
 	for _, d := range deltas {
 		stream = append(stream, d...)
 	}
-	stream = append(stream, frameBytes(f, mCutover, u64Payload(cutSeq))...)
+	stream = append(stream, wire.AppendOpaque(nil, mCutover, repl.U64Payload(cutSeq))...)
 	f.Add(stream)
 	// Degenerate inputs.
 	f.Add([]byte{})
 	f.Add(bytes.Repeat([]byte{0xff}, 64))
-	f.Add([]byte{mDelta, 0xff, 0xff, 0xff, 0x7f})
+	// A header declaring a ~2 GiB delta: refused by the payload cap.
+	f.Add([]byte{wire.Magic, mDelta, 0, 0xff, 0xff, 0xff, 0x7f})
+	// A CRC-valid delta frame whose 10-byte stream id overflows uint64.
+	bad := append([]byte{wire.Magic, mDelta}, bytes.Repeat([]byte{0xff}, 9)...)
+	bad = append(bad, 0x02, 0, 0, 0, 0)
+	f.Add(binary.LittleEndian.AppendUint32(bad, crc32.ChecksumIEEE(bad)))
 }
 
-// FuzzRebalanceStream drives the acceptor-side decoding path — frame reader,
-// per-type payload decoders, XPR1 snapshot install, and migrated-delta apply
-// — with adversarial byte streams.  The contract mirrors the acceptor's
+// FuzzRebalanceStream drives the acceptor-side decoding path — the wire
+// frame reader, per-type payload decoders, XPR1 snapshot install, and
+// migrated-delta apply — with adversarial byte streams.  The contract mirrors the acceptor's
 // fail-closed posture: garbage must surface as an error that drops the
 // session, never a panic, a giant allocation, or arriving chips installed
 // from a snapshot that did not validate.
@@ -92,11 +91,12 @@ func FuzzRebalanceStream(f *testing.F) {
 		}
 		defer reg.Close()
 		br := bufio.NewReader(bytes.NewReader(data))
+		var buf []byte
 		migID, lo, hi := "mig-f", "chip-0", "chip-1"
 		var snap []byte
 		var snapLen uint64
 		for {
-			typ, payload, err := repl.ReadFrame(br)
+			typ, payload, err := wire.ReadOpaque(br, &buf)
 			if err != nil {
 				return // torn or corrupt stream: the session would drop here
 			}
@@ -118,22 +118,22 @@ func FuzzRebalanceStream(f *testing.F) {
 			case mSnapEnd:
 				_, _ = reg.InstallMigrating(migID, lo, hi, snap) // must not panic, corrupt or not
 			case mDelta:
-				_, rectype, rec, err := decodeDelta(payload)
+				_, rectype, rec, err := repl.DecodeRecord(payload)
 				if err != nil {
 					return
 				}
 				_, _ = reg.ApplyMigrated(migID, rectype, rec)
 			case mDeltaAck, mCutoverAck:
-				_, _ = decodeU64(payload, "ack")
+				_, _ = repl.DecodeU64(payload, "ack")
 			case mCutover:
-				if _, err := decodeU64(payload, "cutover"); err != nil {
+				if _, err := repl.DecodeU64(payload, "cutover"); err != nil {
 					return
 				}
 				_, _ = reg.CutoverTarget(migID, reg.OwnershipEpoch()+1)
 			case mAbort:
 				_ = reg.AbortMigrationIn(migID)
 			case mError:
-				_, _ = decodeError(payload)
+				_, _ = repl.DecodeError(payload)
 			}
 		}
 	})

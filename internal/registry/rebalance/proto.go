@@ -6,9 +6,10 @@
 // hand identical CRPs to two servers, exactly the reuse the Fig 7 protocol
 // exists to prevent.
 //
-// Protocol (source dials the target's acceptor; frames are the repl package's
-// framed-TCP codec, with a disjoint type space so a mis-wired link fails the
-// CRC/type check instead of being misinterpreted):
+// Protocol: the source dials the target's acceptor.  Frames are
+// internal/wire opaque frames in the type range 0x10–0x1A, disjoint from
+// netauth's and repl's, so a mis-wired link fails the type check instead of
+// being misinterpreted.  The payloads are:
 //
 //	mHello      s→t  version(1) epoch(u64) migID(str) lo(str) hi(str)
 //	mHelloAck   t→s  state(u8: 0 fresh / 1 already-cut-over) epoch(u64)
@@ -20,8 +21,11 @@
 //	mCutover    s→t  finalSeq(u64)
 //	mCutoverAck t→s  epoch(u64)    (sent only after the target's cutover
 //	                                record is journaled and quorum-acked)
-//	mAbort      s→t  reason(str)
+//	mAbort      s→t  reason(rest)
 //	mError      ↔    code(str16) message(rest)
+//
+// mDelta, the u64 frames and mError use the replication stream's layouts
+// (repl.RecordPayload, repl.U64Payload, repl.ErrorPayload): one copy of each.
 //
 // A session is: hello → (already-cut-over shortcut, or) snapshot → live
 // delta tail → fence on the source → final drain → cutover.  Everything is
@@ -36,10 +40,12 @@ import (
 	"fmt"
 )
 
-const protocolVersion = 1
+// protocolVersion 2 is the first on internal/wire framing: a version-1
+// peer's frames fail at their first byte, which is not wire.Magic.
+const protocolVersion = 2
 
-// Frame types.  The space starts at 16 so no rebalance frame can be confused
-// with a repl frame (1–8) if a link is ever cross-wired.
+// Frame types, in a range disjoint from netauth's (0x01–0x0C) and repl's
+// (0x20–0x28).
 const (
 	mHello      byte = 16
 	mHelloAck   byte = 17
@@ -92,47 +98,6 @@ func appendStr(b []byte, s string) []byte {
 	return append(b, s...)
 }
 
-// strCursor decodes length-prefixed strings with sticky bounds checking.
-type strCursor struct {
-	b  []byte
-	ok bool
-}
-
-func (c *strCursor) str() string {
-	if !c.ok || len(c.b) < 2 {
-		c.ok = false
-		return ""
-	}
-	n := int(binary.LittleEndian.Uint16(c.b[:2]))
-	if len(c.b) < 2+n {
-		c.ok = false
-		return ""
-	}
-	s := string(c.b[2 : 2+n])
-	c.b = c.b[2+n:]
-	return s
-}
-
-func (c *strCursor) u64() uint64 {
-	if !c.ok || len(c.b) < 8 {
-		c.ok = false
-		return 0
-	}
-	v := binary.LittleEndian.Uint64(c.b[:8])
-	c.b = c.b[8:]
-	return v
-}
-
-func (c *strCursor) u8() byte {
-	if !c.ok || len(c.b) < 1 {
-		c.ok = false
-		return 0
-	}
-	v := c.b[0]
-	c.b = c.b[1:]
-	return v
-}
-
 func helloPayload(epoch uint64, migID, lo, hi string) []byte {
 	b := []byte{protocolVersion}
 	b = binary.LittleEndian.AppendUint64(b, epoch)
@@ -142,16 +107,23 @@ func helloPayload(epoch uint64, migID, lo, hi string) []byte {
 }
 
 func decodeHello(p []byte) (version byte, epoch uint64, migID, lo, hi string, err error) {
-	c := &strCursor{b: p, ok: true}
-	version = c.u8()
-	epoch = c.u64()
-	migID = c.str()
-	lo = c.str()
-	hi = c.str()
-	if !c.ok || len(c.b) != 0 {
-		return 0, 0, "", "", "", migErrf(CodeProto, "malformed hello payload")
+	bad := migErrf(CodeProto, "malformed hello payload")
+	if len(p) < 9 {
+		return 0, 0, "", "", "", bad
 	}
-	return version, epoch, migID, lo, hi, nil
+	version, epoch, p = p[0], binary.LittleEndian.Uint64(p[1:9]), p[9:]
+	var strs [3]string // migID, lo, hi
+	for i := range strs {
+		if len(p) < 2 || len(p) < 2+int(binary.LittleEndian.Uint16(p)) {
+			return 0, 0, "", "", "", bad
+		}
+		n := 2 + int(binary.LittleEndian.Uint16(p))
+		strs[i], p = string(p[2:n]), p[n:]
+	}
+	if len(p) != 0 {
+		return 0, 0, "", "", "", bad
+	}
+	return version, epoch, strs[0], strs[1], strs[2], nil
 }
 
 func helloAckPayload(state byte, epoch uint64) []byte {
@@ -184,42 +156,4 @@ func decodeSnapBegin(p []byte) (cutSeq, dataLen uint64, count uint32, err error)
 		return 0, 0, 0, migErrf(CodeProto, "snapshot length %d exceeds cap", dataLen)
 	}
 	return binary.LittleEndian.Uint64(p[0:8]), dataLen, binary.LittleEndian.Uint32(p[16:20]), nil
-}
-
-func deltaPayload(srcSeq uint64, rectype byte, rec []byte) []byte {
-	b := binary.LittleEndian.AppendUint64(nil, srcSeq)
-	b = append(b, rectype)
-	return append(b, rec...)
-}
-
-func decodeDelta(p []byte) (srcSeq uint64, rectype byte, rec []byte, err error) {
-	if len(p) < 9 {
-		return 0, 0, nil, migErrf(CodeProto, "delta payload %d bytes, want ≥ 9", len(p))
-	}
-	return binary.LittleEndian.Uint64(p[0:8]), p[8], p[9:], nil
-}
-
-func u64Payload(v uint64) []byte {
-	return binary.LittleEndian.AppendUint64(make([]byte, 0, 8), v)
-}
-
-func decodeU64(p []byte, what string) (uint64, error) {
-	if len(p) != 8 {
-		return 0, migErrf(CodeProto, "%s payload %d bytes, want 8", what, len(p))
-	}
-	return binary.LittleEndian.Uint64(p), nil
-}
-
-func errorPayload(code, msg string) []byte {
-	b := appendStr(nil, code)
-	return append(b, msg...)
-}
-
-func decodeError(p []byte) (*MigError, error) {
-	c := &strCursor{b: p, ok: true}
-	code := c.str()
-	if !c.ok {
-		return nil, migErrf(CodeProto, "malformed error frame")
-	}
-	return &MigError{Code: code, Msg: string(c.b)}, nil
 }

@@ -11,10 +11,8 @@ import (
 
 	"xorpuf/internal/registry"
 	"xorpuf/internal/registry/repl"
+	"xorpuf/internal/wire"
 )
-
-// snapChunkSize is how much range-snapshot data rides in one mSnapChunk.
-const snapChunkSize = 256 << 10
 
 // SourceConfig parameterizes one outbound migration.
 type SourceConfig struct {
@@ -307,18 +305,18 @@ func (s *Source) abortCleanup() {
 	}
 	defer conn.Close()
 	_ = conn.SetDeadline(time.Now().Add(s.cfg.AckTimeout))
-	if err := repl.WriteFrame(conn, mHello, helloPayload(s.reg.OwnershipEpoch()+1, s.cfg.MigrationID, s.cfg.Lo, s.cfg.Hi)); err != nil {
+	if err := wire.WriteOpaque(conn, mHello, helloPayload(s.reg.OwnershipEpoch()+1, s.cfg.MigrationID, s.cfg.Lo, s.cfg.Hi)); err != nil {
 		return
 	}
-	br := bufio.NewReader(conn)
-	typ, payload, err := repl.ReadFrame(br)
+	var buf []byte
+	typ, payload, err := wire.ReadOpaque(bufio.NewReader(conn), &buf)
 	if err != nil || typ != mHelloAck {
 		return
 	}
 	if state, _, err := decodeHelloAck(payload); err != nil || state != helloFresh {
 		return // already cut over: nothing to abort
 	}
-	_ = repl.WriteFrame(conn, mAbort, []byte("operator abort"))
+	_ = wire.WriteOpaque(conn, mAbort, []byte("operator abort"))
 }
 
 // obsRec is one live WAL record captured by the range observer.
@@ -341,7 +339,7 @@ func (s *Source) attempt() error {
 	// over (resolving a previously ambiguous cutover).
 	_ = conn.SetDeadline(time.Now().Add(s.cfg.AckTimeout))
 	proposed := s.reg.OwnershipEpoch() + 1
-	if err := repl.WriteFrame(conn, mHello, helloPayload(proposed, s.cfg.MigrationID, s.cfg.Lo, s.cfg.Hi)); err != nil {
+	if err := wire.WriteOpaque(conn, mHello, helloPayload(proposed, s.cfg.MigrationID, s.cfg.Lo, s.cfg.Hi)); err != nil {
 		return fmt.Errorf("%w: hello: %v", errRestart, err)
 	}
 	typ, payload, err := s.readReply(br)
@@ -404,21 +402,11 @@ func (s *Source) attempt() error {
 		s.cfg.MigrationID, count, len(data), cutSeq)
 
 	_ = conn.SetDeadline(time.Now().Add(s.cfg.AckTimeout))
-	if err := repl.WriteFrame(conn, mSnapBegin, snapBeginPayload(cutSeq, uint64(len(data)), uint32(count))); err != nil {
+	if err := wire.WriteOpaque(conn, mSnapBegin, snapBeginPayload(cutSeq, uint64(len(data)), uint32(count))); err != nil {
 		return fmt.Errorf("%w: snap begin: %v", errRestart, err)
 	}
-	for off := 0; off < len(data); off += snapChunkSize {
-		end := off + snapChunkSize
-		if end > len(data) {
-			end = len(data)
-		}
-		_ = conn.SetDeadline(time.Now().Add(s.cfg.AckTimeout))
-		if err := repl.WriteFrame(conn, mSnapChunk, data[off:end]); err != nil {
-			return fmt.Errorf("%w: snap chunk: %v", errRestart, err)
-		}
-	}
-	if err := repl.WriteFrame(conn, mSnapEnd, nil); err != nil {
-		return fmt.Errorf("%w: snap end: %v", errRestart, err)
+	if err := repl.SendSnapshot(conn, mSnapChunk, mSnapEnd, data, s.cfg.AckTimeout); err != nil {
+		return fmt.Errorf("%w: snapshot: %v", errRestart, err)
 	}
 	// The target acks the snapshot install via mDeltaAck(cutSeq).
 	if err := s.awaitAck(br, conn, cutSeq); err != nil {
@@ -483,7 +471,7 @@ fence:
 cutover:
 	s.cutoverSent.Store(true)
 	_ = conn.SetDeadline(time.Now().Add(s.cfg.AckTimeout))
-	if err := repl.WriteFrame(conn, mCutover, u64Payload(fenceSeq)); err != nil {
+	if err := wire.WriteOpaque(conn, mCutover, repl.U64Payload(fenceSeq)); err != nil {
 		return fmt.Errorf("%w: cutover send: %v", errRestart, err)
 	}
 	typ, payload, err = s.readReply(br)
@@ -495,7 +483,7 @@ cutover:
 	if typ != mCutoverAck {
 		return migErrf(CodeProto, "expected cutover-ack, got frame type %d", typ)
 	}
-	ackEpoch, err := decodeU64(payload, "cutover-ack")
+	ackEpoch, err := repl.DecodeU64(payload, "cutover-ack")
 	if err != nil {
 		return err
 	}
@@ -526,7 +514,7 @@ func (s *Source) finalize(epoch uint64) error {
 // shipDelta sends one live record and waits for the target's journal ack.
 func (s *Source) shipDelta(br *bufio.Reader, conn net.Conn, rec obsRec) error {
 	_ = conn.SetDeadline(time.Now().Add(s.cfg.AckTimeout))
-	if err := repl.WriteFrame(conn, mDelta, deltaPayload(rec.seq, rec.typ, rec.payload)); err != nil {
+	if err := wire.WriteOpaque(conn, mDelta, repl.RecordPayload(rec.seq, rec.typ, rec.payload)); err != nil {
 		return fmt.Errorf("%w: delta send: %v", errRestart, err)
 	}
 	if err := s.awaitAck(br, conn, rec.seq); err != nil {
@@ -549,7 +537,7 @@ func (s *Source) awaitAck(br *bufio.Reader, conn net.Conn, want uint64) error {
 	if typ != mDeltaAck {
 		return migErrf(CodeProto, "expected delta-ack, got frame type %d", typ)
 	}
-	got, err := decodeU64(payload, "delta-ack")
+	got, err := repl.DecodeU64(payload, "delta-ack")
 	if err != nil {
 		return err
 	}
@@ -561,15 +549,17 @@ func (s *Source) awaitAck(br *bufio.Reader, conn net.Conn, want uint64) error {
 
 // readReply reads one frame, converting mError frames and transport errors.
 func (s *Source) readReply(br *bufio.Reader) (byte, []byte, error) {
-	typ, payload, err := repl.ReadFrame(br)
+	var buf []byte
+	typ, payload, err := wire.ReadOpaque(br, &buf)
 	if err != nil {
 		return 0, nil, fmt.Errorf("%w: read: %v", errRestart, err)
 	}
 	if typ == mError {
-		me, derr := decodeError(payload)
+		le, derr := repl.DecodeError(payload)
 		if derr != nil {
 			return 0, nil, derr
 		}
+		me := &MigError{Code: le.Code, Msg: le.Msg}
 		if me.Code == CodeAborted {
 			return 0, nil, me
 		}

@@ -11,6 +11,7 @@ import (
 
 	"xorpuf/internal/registry"
 	"xorpuf/internal/telemetry/dtrace"
+	"xorpuf/internal/wire"
 )
 
 // State is a follower's replication state.
@@ -170,19 +171,20 @@ func (f *Follower) session(ctx context.Context) error {
 	defer stop()
 
 	br := bufio.NewReader(conn)
+	var buf []byte
 	conn.SetDeadline(time.Now().Add(f.cfg.IOTimeout))
-	if err := writeFrame(conn, fHello, helloPayload(f.reg.Seq())); err != nil {
+	if err := wire.WriteOpaque(conn, fHello, helloPayload(f.reg.Seq())); err != nil {
 		return err
 	}
 
 	// Snapshot phase: always announced, possibly empty.
 	f.setState(StateSyncing)
-	typ, payload, err := readFrame(br)
+	typ, payload, err := wire.ReadOpaque(br, &buf)
 	if err != nil {
 		return err
 	}
 	if typ == fError {
-		if le, derr := decodeError(payload); derr == nil {
+		if le, derr := DecodeError(payload); derr == nil {
 			return le
 		}
 		return linkErrf(CodeProto, "undecodable error frame")
@@ -194,32 +196,12 @@ func (f *Follower) session(ctx context.Context) error {
 	if err != nil {
 		return err
 	}
-	var snap []byte
-	if dataLen > 0 {
-		snap = make([]byte, 0, dataLen)
-	}
-	for {
-		conn.SetDeadline(time.Now().Add(f.cfg.IOTimeout))
-		typ, payload, err := readFrame(br)
-		if err != nil {
-			return err
-		}
-		if typ == fSnapEnd {
-			break
-		}
-		if typ != fSnapChunk {
-			return linkErrf(CodeProto, "want snap-chunk, got frame type %d", typ)
-		}
-		if uint64(len(snap)+len(payload)) > dataLen {
-			return linkErrf(CodeProto, "snapshot overruns announced length %d", dataLen)
-		}
-		snap = append(snap, payload...)
+	snap, err := ReceiveSnapshot(conn, br, &buf, fSnapChunk, fSnapEnd, dataLen, f.cfg.IOTimeout)
+	if err != nil {
+		return err
 	}
 	applied := f.reg.Seq()
 	if len(snap) > 0 {
-		if uint64(len(snap)) != dataLen {
-			return linkErrf(CodeProto, "snapshot %d bytes, announced %d", len(snap), dataLen)
-		}
 		if err := f.reg.InstallSnapshot(snap); err != nil {
 			f.sendError(conn, CodeApply, err)
 			return linkErrf(CodeApply, "install snapshot: %v", err)
@@ -241,7 +223,7 @@ func (f *Follower) session(ctx context.Context) error {
 	f.mu.Unlock()
 	f.publishLag()
 	conn.SetDeadline(time.Now().Add(f.cfg.IdleTimeout))
-	if err := writeFrame(conn, fAck, u64Payload(applied)); err != nil {
+	if err := wire.WriteOpaque(conn, fAck, U64Payload(applied)); err != nil {
 		return err
 	}
 
@@ -253,13 +235,13 @@ func (f *Follower) session(ctx context.Context) error {
 	var lastApplySeconds float64
 	for {
 		conn.SetDeadline(time.Now().Add(f.cfg.IdleTimeout))
-		typ, payload, err := readFrame(br)
+		typ, payload, err := wire.ReadOpaque(br, &buf)
 		if err != nil {
 			return err
 		}
 		switch typ {
 		case fRecord:
-			seq, rectype, rec, err := decodeRecord(payload)
+			seq, rectype, rec, err := DecodeRecord(payload)
 			if err != nil {
 				return err
 			}
@@ -284,13 +266,13 @@ func (f *Follower) session(ctx context.Context) error {
 				replApplied.Inc()
 				f.mu.Lock()
 				f.appliedSeq = applied
-				f.appliedByte += uint64(len(payload)) + 9 // frame header + crc
+				f.appliedByte += uint64(len(buf)) // the whole frame, as the primary counts it
 				if f.primarySeq < seq {
 					f.primarySeq = seq
 				}
 				f.mu.Unlock()
 			}
-			if err := writeFrame(conn, fAck, u64Payload(applied)); err != nil {
+			if err := wire.WriteOpaque(conn, fAck, U64Payload(applied)); err != nil {
 				return err
 			}
 		case fHeartbeat:
@@ -306,7 +288,7 @@ func (f *Follower) session(ctx context.Context) error {
 				f.primaryByte = pbytes
 			}
 			f.mu.Unlock()
-			if err := writeFrame(conn, fAck, u64Payload(applied)); err != nil {
+			if err := wire.WriteOpaque(conn, fAck, U64Payload(applied)); err != nil {
 				return err
 			}
 		case fTraceMark:
@@ -340,7 +322,7 @@ func (f *Follower) session(ctx context.Context) error {
 				})
 			}
 		case fError:
-			if le, derr := decodeError(payload); derr == nil {
+			if le, derr := DecodeError(payload); derr == nil {
 				return le
 			}
 			return linkErrf(CodeProto, "undecodable error frame")
@@ -353,7 +335,7 @@ func (f *Follower) session(ctx context.Context) error {
 
 func (f *Follower) sendError(conn net.Conn, code string, err error) {
 	conn.SetWriteDeadline(time.Now().Add(f.cfg.IOTimeout))
-	writeFrame(conn, fError, errorPayload(code, err.Error())) //nolint:errcheck
+	wire.WriteOpaque(conn, fError, ErrorPayload(code, err.Error())) //nolint:errcheck
 }
 
 // publishLag refreshes the replication-lag gauges from the follower's view.

@@ -3,15 +3,19 @@ package repl
 import (
 	"bufio"
 	"bytes"
+	"encoding/binary"
+	"hash/crc32"
 	"testing"
 
 	"xorpuf/internal/registry"
+	"xorpuf/internal/wire"
 )
 
-// seedFrames builds a corpus of well-formed wire traffic: a full session's
-// worth of handshake, snapshot, record, and control frames, with the record
-// and snapshot bytes captured from a live registry so the decoders see
-// realistic payloads, not just hand-rolled ones.
+// seedFrames builds a corpus of well-formed link traffic in internal/wire
+// frames: a full session's worth of handshake, snapshot, record, and
+// control frames, with the record and snapshot bytes captured from a live
+// registry so the decoders see realistic payloads, not just hand-rolled
+// ones.
 func seedFrames(f *testing.F) {
 	reg, err := registry.Open("", registry.Options{Seed: 5})
 	if err != nil {
@@ -20,7 +24,7 @@ func seedFrames(f *testing.F) {
 	defer reg.Close()
 	var records [][]byte
 	reg.SetAppendObserver(func(seq uint64, typ byte, payload []byte) {
-		records = append(records, encodeFrame(fRecord, recordPayload(seq, typ, payload)))
+		records = append(records, wire.AppendOpaque(nil, fRecord, RecordPayload(seq, typ, payload)))
 	})
 	if err := reg.Register("chip-0", syntheticModel(2, 16), 64); err != nil {
 		f.Fatal(err)
@@ -36,20 +40,20 @@ func seedFrames(f *testing.F) {
 		f.Fatal(err)
 	}
 
-	f.Add(encodeFrame(fHello, helloPayload(0)))
-	f.Add(encodeFrame(fSnapBegin, snapBeginPayload(snapSeq, uint64(len(snap)), 4096)))
-	f.Add(encodeFrame(fSnapChunk, snap))
-	f.Add(encodeFrame(fSnapEnd, nil))
-	f.Add(encodeFrame(fAck, u64Payload(7)))
-	f.Add(encodeFrame(fHeartbeat, heartbeatPayload(9, 1<<20)))
-	f.Add(encodeFrame(fError, errorPayload(CodeApply, "wal append failed")))
+	f.Add(wire.AppendOpaque(nil, fHello, helloPayload(0)))
+	f.Add(wire.AppendOpaque(nil, fSnapBegin, snapBeginPayload(snapSeq, uint64(len(snap)), 4096)))
+	f.Add(wire.AppendOpaque(nil, fSnapChunk, snap))
+	f.Add(wire.AppendOpaque(nil, fSnapEnd, nil))
+	f.Add(wire.AppendOpaque(nil, fAck, U64Payload(7)))
+	f.Add(wire.AppendOpaque(nil, fHeartbeat, heartbeatPayload(9, 1<<20)))
+	f.Add(wire.AppendOpaque(nil, fError, ErrorPayload(CodeApply, "wal append failed")))
 	for _, rec := range records {
 		f.Add(rec)
 	}
 	// One whole session on the wire: snapshot phase then the record tail.
-	stream := encodeFrame(fSnapBegin, snapBeginPayload(0, uint64(len(snap)), 0))
-	stream = append(stream, encodeFrame(fSnapChunk, snap)...)
-	stream = append(stream, encodeFrame(fSnapEnd, nil)...)
+	stream := wire.AppendOpaque(nil, fSnapBegin, snapBeginPayload(0, uint64(len(snap)), 0))
+	stream = append(stream, wire.AppendOpaque(nil, fSnapChunk, snap)...)
+	stream = append(stream, wire.AppendOpaque(nil, fSnapEnd, nil)...)
 	for _, rec := range records {
 		stream = append(stream, rec...)
 	}
@@ -57,15 +61,20 @@ func seedFrames(f *testing.F) {
 	// Degenerate inputs.
 	f.Add([]byte{})
 	f.Add(bytes.Repeat([]byte{0xff}, 64))
-	f.Add([]byte{fRecord, 0xff, 0xff, 0xff, 0x7f})
+	// A header declaring a ~2 GiB record: refused by the payload cap.
+	f.Add([]byte{wire.Magic, fRecord, 0, 0xff, 0xff, 0xff, 0x7f})
+	// A CRC-valid record frame whose 10-byte stream id overflows uint64.
+	bad := append([]byte{wire.Magic, fRecord}, bytes.Repeat([]byte{0xff}, 9)...)
+	bad = append(bad, 0x02, 0, 0, 0, 0)
+	f.Add(binary.LittleEndian.AppendUint32(bad, crc32.ChecksumIEEE(bad)))
 }
 
-// FuzzReplStream drives the replication stream decoder — frame reader,
-// per-type payload decoders, snapshot install, and replicated record apply —
-// with adversarial byte streams.  The invariant mirrors the follower's
-// degrade-never-fork contract: garbage must surface as an error (dropping
-// the link), never as a panic, a giant allocation, or a state change that
-// skips sequence numbers.
+// FuzzReplStream drives the replication stream decoder — the wire frame
+// reader, per-type payload decoders, snapshot install, and replicated
+// record apply — with adversarial byte streams.  The invariant mirrors the
+// follower's degrade-never-fork contract: garbage must surface as an error
+// (dropping the link), never as a panic, a giant allocation, or a state
+// change that skips sequence numbers.
 func FuzzReplStream(f *testing.F) {
 	seedFrames(f)
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -75,10 +84,11 @@ func FuzzReplStream(f *testing.F) {
 		}
 		defer reg.Close()
 		br := bufio.NewReader(bytes.NewReader(data))
+		var buf []byte
 		var snap []byte
 		var snapLen uint64
 		for {
-			typ, payload, err := readFrame(br)
+			typ, payload, err := wire.ReadOpaque(br, &buf)
 			if err != nil {
 				return // torn or corrupt stream: the link would drop here
 			}
@@ -96,7 +106,7 @@ func FuzzReplStream(f *testing.F) {
 			case fSnapEnd:
 				_ = reg.InstallSnapshot(snap) // must not panic, corrupt or not
 			case fRecord:
-				seq, rectype, rec, err := decodeRecord(payload)
+				seq, rectype, rec, err := DecodeRecord(payload)
 				if err != nil {
 					return
 				}
@@ -111,11 +121,11 @@ func FuzzReplStream(f *testing.F) {
 					t.Fatalf("apply moved seq %d → %d, want +1", before, got)
 				}
 			case fAck:
-				_, _ = decodeU64(payload, "ack")
+				_, _ = DecodeU64(payload, "ack")
 			case fHeartbeat:
 				_, _, _ = decodeHeartbeat(payload)
 			case fError:
-				_, _ = decodeError(payload)
+				_, _ = DecodeError(payload)
 			}
 		}
 	})

@@ -12,6 +12,7 @@ import (
 
 	"xorpuf/internal/registry"
 	"xorpuf/internal/telemetry/dtrace"
+	"xorpuf/internal/wire"
 )
 
 // ErrQuorum is returned (wrapped in a LinkError-free path) by WaitCommitted
@@ -120,7 +121,7 @@ func NewPrimary(reg *registry.Registry, cfg PrimaryConfig) *Primary {
 // (its writer notices and drops the link) — blocking would stall every
 // journal append in the process.
 func (p *Primary) observe(seq uint64, typ byte, payload []byte) {
-	frame := encodeFrame(fRecord, recordPayload(seq, typ, payload))
+	frame := wire.AppendOpaque(nil, fRecord, RecordPayload(seq, typ, payload))
 	p.mu.Lock()
 	p.lastSeq = seq
 	p.bytes += uint64(len(frame))
@@ -172,15 +173,16 @@ func (p *Primary) Serve(ln net.Listener) error {
 func (p *Primary) handle(conn net.Conn) {
 	defer conn.Close()
 	br := bufio.NewReader(conn)
+	var buf []byte
 
 	conn.SetDeadline(time.Now().Add(p.cfg.IOTimeout))
-	typ, payload, err := readFrame(br)
+	typ, payload, err := wire.ReadOpaque(br, &buf)
 	if err != nil || typ != fHello {
 		return
 	}
 	version, lastSeq, err := decodeHello(payload)
 	if err != nil || version != protocolVersion {
-		writeFrame(conn, fError, errorPayload(CodeProto, "unsupported hello")) //nolint:errcheck
+		wire.WriteOpaque(conn, fError, ErrorPayload(CodeProto, "unsupported hello")) //nolint:errcheck
 		return
 	}
 
@@ -203,7 +205,7 @@ func (p *Primary) handle(conn net.Conn) {
 	// so no record with seq > cut exists before the subscription above.
 	snap, snapSeq, err := p.reg.SnapshotBytes()
 	if err != nil {
-		writeFrame(conn, fError, errorPayload(CodeApply, err.Error())) //nolint:errcheck
+		wire.WriteOpaque(conn, fError, ErrorPayload(CodeApply, err.Error())) //nolint:errcheck
 		return
 	}
 	p.mu.Lock()
@@ -213,27 +215,17 @@ func (p *Primary) handle(conn net.Conn) {
 		// The follower's log is ahead of ours: it has history we never
 		// wrote (e.g. it used to be a primary).  Shipping anything would
 		// fork its log; refuse instead.
-		writeFrame(conn, fError, errorPayload(CodeDiverged, "follower log ahead of primary")) //nolint:errcheck
+		wire.WriteOpaque(conn, fError, ErrorPayload(CodeDiverged, "follower log ahead of primary")) //nolint:errcheck
 		return
 	}
 	if lastSeq == snapSeq {
 		snap = nil // already at the cut; baseline-only snapshot phase
 	}
 	conn.SetDeadline(time.Now().Add(p.cfg.IOTimeout))
-	if err := writeFrame(conn, fSnapBegin, snapBeginPayload(snapSeq, uint64(len(snap)), baseBytes)); err != nil {
+	if err := wire.WriteOpaque(conn, fSnapBegin, snapBeginPayload(snapSeq, uint64(len(snap)), baseBytes)); err != nil {
 		return
 	}
-	for off := 0; off < len(snap); off += snapChunkSize {
-		end := off + snapChunkSize
-		if end > len(snap) {
-			end = len(snap)
-		}
-		conn.SetDeadline(time.Now().Add(p.cfg.IOTimeout))
-		if err := writeFrame(conn, fSnapChunk, snap[off:end]); err != nil {
-			return
-		}
-	}
-	if err := writeFrame(conn, fSnapEnd, nil); err != nil {
+	if err := SendSnapshot(conn, fSnapChunk, fSnapEnd, snap, p.cfg.IOTimeout); err != nil {
 		return
 	}
 	conn.SetDeadline(time.Time{})
@@ -244,14 +236,15 @@ func (p *Primary) handle(conn net.Conn) {
 	go func() {
 		defer p.wg.Done()
 		defer l.close()
+		var buf []byte
 		for {
-			typ, payload, err := readFrame(br)
+			typ, payload, err := wire.ReadOpaque(br, &buf)
 			if err != nil {
 				return
 			}
 			switch typ {
 			case fAck:
-				seq, err := decodeU64(payload, "ack")
+				seq, err := DecodeU64(payload, "ack")
 				if err != nil {
 					return
 				}
@@ -290,7 +283,7 @@ func (p *Primary) handle(conn net.Conn) {
 			seq, bytes := p.lastSeq, p.bytes
 			p.mu.Unlock()
 			conn.SetWriteDeadline(time.Now().Add(p.cfg.IOTimeout))
-			if err := writeFrame(conn, fHeartbeat, heartbeatPayload(seq, bytes)); err != nil {
+			if err := wire.WriteOpaque(conn, fHeartbeat, heartbeatPayload(seq, bytes)); err != nil {
 				return
 			}
 		}
@@ -349,7 +342,7 @@ func (p *Primary) WaitCommittedCtx(ctx context.Context, seq uint64) error {
 // observe, a full buffer silently drops the marker instead of killing the
 // link: markers are observability, not log.
 func (p *Primary) shipTraceMark(seq uint64, tc dtrace.Context) {
-	frame := encodeFrame(fTraceMark, traceMarkPayload(seq, tc.String()))
+	frame := wire.AppendOpaque(nil, fTraceMark, traceMarkPayload(seq, tc.String()))
 	p.mu.Lock()
 	for l := range p.links {
 		select {

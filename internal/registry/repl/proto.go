@@ -5,9 +5,9 @@
 // the paper's never-reuse invariant holds across primary loss, not just
 // primary restart.
 //
-// Wire format (one TCP connection per follower, follower dials):
-//
-//	frame: type(1) | len(u32 LE) | payload | crc32(IEEE, over type..payload)
+// One TCP connection per follower, follower dials.  Frames are
+// internal/wire opaque frames in the type range 0x20–0x28; their payloads
+// are:
 //
 //	fHello     f→p  version(1) lastSeq(u64)
 //	fSnapBegin p→f  snapSeq(u64) dataLen(u64) walBytes(u64)
@@ -18,6 +18,10 @@
 //	fHeartbeat p→f  primarySeq(u64) walBytes(u64)
 //	fError     ↔    code(str16) message(rest)
 //	fTraceMark p→f  seq(u64) trace-context(rest, see internal/telemetry/dtrace)
+//
+// The record, ack and error layouts are shared with the migration stream
+// (internal/registry/rebalance) through RecordPayload, U64Payload and
+// ErrorPayload and their decoders.
 //
 // fTraceMark is pure observability: it tags an already-shipped record with
 // the distributed-trace context of the session that burned it, so the
@@ -38,30 +42,32 @@ import (
 	"bufio"
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
-	"io"
+	"net"
+	"time"
+
+	"xorpuf/internal/wire"
 )
 
-const protocolVersion = 1
+// protocolVersion 2 is the first on internal/wire framing: a version-1
+// peer's frames fail at their first byte, which is not wire.Magic.
+const protocolVersion = 2
 
+// Frame types, in a range disjoint from netauth's (0x01–0x0C) and
+// rebalance's (0x10–0x1A), so a link wired to the wrong port is refused at
+// the type check.
 const (
-	fHello     byte = 1
-	fSnapBegin byte = 2
-	fSnapChunk byte = 3
-	fSnapEnd   byte = 4
-	fRecord    byte = 5
-	fAck       byte = 6
-	fHeartbeat byte = 7
-	fError     byte = 8
-	fTraceMark byte = 9
+	fHello     byte = 0x20
+	fSnapBegin byte = 0x21
+	fSnapChunk byte = 0x22
+	fSnapEnd   byte = 0x23
+	fRecord    byte = 0x24
+	fAck       byte = 0x25
+	fHeartbeat byte = 0x26
+	fError     byte = 0x27
+	fTraceMark byte = 0x28
 )
 
 const (
-	// maxFramePayload bounds one frame so a corrupted length field cannot
-	// trigger a giant allocation: the registry caps WAL record payloads at
-	// 1<<26, plus the seq/type prefix of an fRecord frame.
-	maxFramePayload = 1<<26 + 16
-
 	// snapChunkSize is how much snapshot data rides in one fSnapChunk.
 	snapChunkSize = 256 << 10
 
@@ -93,58 +99,45 @@ func linkErrf(code, format string, args ...interface{}) *LinkError {
 	return &LinkError{Code: code, Msg: fmt.Sprintf(format, args...)}
 }
 
-// encodeFrame builds one wire frame.
-func encodeFrame(typ byte, payload []byte) []byte {
-	buf := make([]byte, 0, 5+len(payload)+4)
-	buf = append(buf, typ)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(payload)))
-	buf = append(buf, payload...)
-	return binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf[:len(buf)]))
+// SendSnapshot ships data as frames of type chunk, at most snapChunkSize
+// bytes each, then an empty frame of type end, renewing conn's deadline by
+// timeout before every write.  Replication and migration share it.
+func SendSnapshot(conn net.Conn, chunk, end byte, data []byte, timeout time.Duration) error {
+	for off := 0; off < len(data); off += snapChunkSize {
+		_ = conn.SetDeadline(time.Now().Add(timeout))
+		if err := wire.WriteOpaque(conn, chunk, data[off:min(off+snapChunkSize, len(data))]); err != nil {
+			return err
+		}
+	}
+	_ = conn.SetDeadline(time.Now().Add(timeout))
+	return wire.WriteOpaque(conn, end, nil)
 }
 
-// writeFrame sends one frame as a single write.
-func writeFrame(w io.Writer, typ byte, payload []byte) error {
-	_, err := w.Write(encodeFrame(typ, payload))
-	return err
-}
-
-// WriteFrame exposes the frame codec to sibling packages that ride the same
-// framing — the rebalance engine ships migration traffic in repl frames
-// (with its own type space) so there is exactly one framed-TCP dialect to
-// fuzz and audit.
-func WriteFrame(w io.Writer, typ byte, payload []byte) error {
-	return writeFrame(w, typ, payload)
-}
-
-// ReadFrame is the exported read side of WriteFrame.
-func ReadFrame(br *bufio.Reader) (byte, []byte, error) {
-	return readFrame(br)
-}
-
-// readFrame reads and integrity-checks one frame.
-func readFrame(br *bufio.Reader) (byte, []byte, error) {
-	var hdr [5]byte
-	if _, err := io.ReadFull(br, hdr[:]); err != nil {
-		return 0, nil, err
+// ReceiveSnapshot is the inverse of SendSnapshot: it reads chunk frames up
+// to the end frame and returns exactly dataLen bytes.  The snapshot grows
+// as chunks arrive — an announced length is the peer's claim, not an
+// allocation — and one that overruns or falls short of dataLen is a
+// CodeProto error.
+func ReceiveSnapshot(conn net.Conn, br *bufio.Reader, buf *[]byte, chunk, end byte, dataLen uint64, timeout time.Duration) ([]byte, error) {
+	var snap []byte
+	for {
+		_ = conn.SetDeadline(time.Now().Add(timeout))
+		typ, payload, err := wire.ReadOpaque(br, buf)
+		if err != nil {
+			return nil, err
+		}
+		switch {
+		case typ == end && uint64(len(snap)) == dataLen:
+			return snap, nil
+		case typ == end:
+			return nil, linkErrf(CodeProto, "snapshot %d bytes, announced %d", len(snap), dataLen)
+		case typ != chunk:
+			return nil, linkErrf(CodeProto, "want snapshot chunk, got frame type %d", typ)
+		case uint64(len(snap)+len(payload)) > dataLen:
+			return nil, linkErrf(CodeProto, "snapshot overruns announced length %d", dataLen)
+		}
+		snap = append(snap, payload...)
 	}
-	n := binary.LittleEndian.Uint32(hdr[1:5])
-	if n > maxFramePayload {
-		return 0, nil, linkErrf(CodeProto, "frame payload %d exceeds cap", n)
-	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(br, payload); err != nil {
-		return 0, nil, err
-	}
-	var trailer [4]byte
-	if _, err := io.ReadFull(br, trailer[:]); err != nil {
-		return 0, nil, err
-	}
-	crc := crc32.ChecksumIEEE(hdr[:])
-	crc = crc32.Update(crc, crc32.IEEETable, payload)
-	if crc != binary.LittleEndian.Uint32(trailer[:]) {
-		return 0, nil, linkErrf(CodeProto, "frame checksum mismatch")
-	}
-	return hdr[0], payload, nil
 }
 
 func helloPayload(lastSeq uint64) []byte {
@@ -180,25 +173,30 @@ func decodeSnapBegin(p []byte) (snapSeq, dataLen, walBytes uint64, err error) {
 	return snapSeq, dataLen, walBytes, nil
 }
 
-func recordPayload(seq uint64, rectype byte, rec []byte) []byte {
+// RecordPayload lays out one shipped WAL record — the fRecord payload
+// here and the migration stream's delta payload.
+func RecordPayload(seq uint64, rectype byte, rec []byte) []byte {
 	buf := make([]byte, 0, 9+len(rec))
 	buf = binary.LittleEndian.AppendUint64(buf, seq)
 	buf = append(buf, rectype)
 	return append(buf, rec...)
 }
 
-func decodeRecord(p []byte) (seq uint64, rectype byte, rec []byte, err error) {
+// DecodeRecord is the inverse of RecordPayload.  rec aliases p.
+func DecodeRecord(p []byte) (seq uint64, rectype byte, rec []byte, err error) {
 	if len(p) < 9 {
 		return 0, 0, nil, linkErrf(CodeProto, "record payload %d bytes, want ≥ 9", len(p))
 	}
 	return binary.LittleEndian.Uint64(p[0:8]), p[8], p[9:], nil
 }
 
-func u64Payload(v uint64) []byte {
+// U64Payload lays out a frame carrying one sequence number or epoch.
+func U64Payload(v uint64) []byte {
 	return binary.LittleEndian.AppendUint64(make([]byte, 0, 8), v)
 }
 
-func decodeU64(p []byte, what string) (uint64, error) {
+// DecodeU64 is the inverse of U64Payload; what names the frame in errors.
+func DecodeU64(p []byte, what string) (uint64, error) {
 	if len(p) != 8 {
 		return 0, linkErrf(CodeProto, "%s payload %d bytes, want 8", what, len(p))
 	}
@@ -231,7 +229,8 @@ func decodeTraceMark(p []byte) (seq uint64, traceCtx string, err error) {
 	return binary.LittleEndian.Uint64(p[0:8]), string(p[8:]), nil
 }
 
-func errorPayload(code, msg string) []byte {
+// ErrorPayload lays out a structured link error: code(str16) message(rest).
+func ErrorPayload(code, msg string) []byte {
 	if len(code) > 0xFFFF {
 		code = code[:0xFFFF]
 	}
@@ -241,7 +240,8 @@ func errorPayload(code, msg string) []byte {
 	return append(buf, msg...)
 }
 
-func decodeError(p []byte) (*LinkError, error) {
+// DecodeError is the inverse of ErrorPayload.
+func DecodeError(p []byte) (*LinkError, error) {
 	if len(p) < 2 {
 		return nil, linkErrf(CodeProto, "error payload %d bytes, want ≥ 2", len(p))
 	}

@@ -1,9 +1,11 @@
 package repl
 
 import (
+	"bufio"
 	"context"
 	"errors"
 	"net"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -12,6 +14,7 @@ import (
 	"xorpuf/internal/faultnet"
 	"xorpuf/internal/registry"
 	"xorpuf/internal/telemetry/dtrace"
+	"xorpuf/internal/wire"
 )
 
 // syntheticModel mirrors the registry tests' cheap deterministic model:
@@ -372,5 +375,31 @@ func TestTraceMarkSpansCrossProcesses(t *testing.T) {
 	time.Sleep(50 * time.Millisecond)
 	if got := len(dtrace.Default.ByTrace(tid)); got != n {
 		t.Fatalf("untraced issuance added spans: %d -> %d", n, got)
+	}
+}
+
+// TestReceiveSnapshotGrowsAsChunksArrive: a snap-begin may announce up to
+// 4 GiB, but the receiver commits memory only for the chunks that actually
+// arrive, and a stream that ends short of the announcement is refused.
+func TestReceiveSnapshotGrowsAsChunksArrive(t *testing.T) {
+	client, server := net.Pipe()
+	defer client.Close()
+	go func() {
+		_ = wire.WriteOpaque(server, fSnapChunk, []byte("the only chunk"))
+		_ = wire.WriteOpaque(server, fSnapEnd, nil)
+		server.Close()
+	}()
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	var buf []byte
+	_, err := ReceiveSnapshot(client, bufio.NewReader(client), &buf, fSnapChunk, fSnapEnd, maxSnapshotBytes, time.Second)
+	runtime.ReadMemStats(&after)
+	var le *LinkError
+	if !errors.As(err, &le) || le.Code != CodeProto {
+		t.Fatalf("short snapshot: err = %v, want a proto LinkError", err)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 1<<20 {
+		t.Fatalf("announced 4 GiB snapshot allocated %d bytes up front", alloc)
 	}
 }

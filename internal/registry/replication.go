@@ -376,7 +376,7 @@ func (r *Registry) SnapshotBytes() ([]byte, uint64, error) {
 	defer r.opmu.Unlock()
 	r.pmu.Lock()
 	defer r.pmu.Unlock()
-	return encodeSnapshot(r.snapshotBodyLocked()), r.seq, nil
+	return sealBlob(snapMagic, r.snapshotBodyLocked()), r.seq, nil
 }
 
 // InstallSnapshot replaces the entire store with the contents of an

@@ -230,7 +230,7 @@ func (r *Registry) compactLocked() error {
 	r.pmu.Lock()
 	defer r.pmu.Unlock()
 
-	if err := r.writeSnapshotFile(encodeSnapshot(r.snapshotBodyLocked())); err != nil {
+	if err := r.writeSnapshotFile(sealBlob(snapMagic, r.snapshotBodyLocked())); err != nil {
 		return err
 	}
 	// Snapshot durable; the WAL prefix is now redundant.  Recreate it
@@ -330,12 +330,34 @@ func (rd *reader) readOwnershipState() ownState {
 	return o
 }
 
-// encodeSnapshot frames a snapshot body in the XPS3 file format.
-func encodeSnapshot(body []byte) []byte {
+// sealBlob frames body as magic | body | crc32(body) — the layout of the
+// XPS snapshot file and the XPR1 range snapshot.
+func sealBlob(magic [4]byte, body []byte) []byte {
 	buf := make([]byte, 0, 4+len(body)+4)
-	buf = append(buf, snapMagic[:]...)
+	buf = append(buf, magic[:]...)
 	buf = append(buf, body...)
 	return appendU32(buf, crc32.ChecksumIEEE(body))
+}
+
+// openBlob verifies a sealed blob whose magic is one of magics and returns
+// that magic and the body.  Every blob body starts with a seq (u64) and a
+// count (u32), so anything shorter is refused with the bad-magic error.
+// what names the blob in errors.
+func openBlob(data []byte, what string, magics ...[4]byte) ([4]byte, []byte, error) {
+	if len(data) >= 4+8+4+4 {
+		magic := [4]byte(data[:4])
+		for _, m := range magics {
+			if magic != m {
+				continue
+			}
+			body, trailer := data[4:len(data)-4], data[len(data)-4:]
+			if crc32.ChecksumIEEE(body) != binary.LittleEndian.Uint32(trailer) {
+				return magic, nil, fmt.Errorf("%w: %s checksum mismatch", ErrCorrupt, what)
+			}
+			return magic, body, nil
+		}
+	}
+	return [4]byte{}, nil, fmt.Errorf("%w: bad %s magic", ErrCorrupt, what)
 }
 
 // writeSnapshotFile atomically replaces the snapshot file with data (an
@@ -430,19 +452,12 @@ func (r *Registry) loadSnapshot() (uint64, error) {
 func (r *Registry) decodeSnapshot(data []byte) ([]*Entry, ownState, uint64, error) {
 	var own ownState
 	own.init()
-	if len(data) < 4+8+4+4 {
-		return nil, own, 0, fmt.Errorf("%w: bad snapshot magic", ErrCorrupt)
-	}
-	magic := [4]byte(data[:4])
-	if magic != snapMagic && magic != snapMagicV2 && magic != snapMagicV1 {
-		return nil, own, 0, fmt.Errorf("%w: bad snapshot magic", ErrCorrupt)
+	magic, body, err := openBlob(data, "snapshot", snapMagic, snapMagicV2, snapMagicV1)
+	if err != nil {
+		return nil, own, 0, err
 	}
 	hasHealth := magic != snapMagicV1
 	hasOwnership := magic == snapMagic
-	body, trailer := data[4:len(data)-4], data[len(data)-4:]
-	if crc32.ChecksumIEEE(body) != binary.LittleEndian.Uint32(trailer) {
-		return nil, own, 0, fmt.Errorf("%w: snapshot checksum mismatch", ErrCorrupt)
-	}
 	rd := &reader{b: body}
 	seq := rd.u64()
 	count := int(rd.u32())
@@ -498,40 +513,21 @@ func (r *Registry) replayWAL(snapSeq uint64) error {
 	if err != nil {
 		return err
 	}
-	if len(data) < 4 || [4]byte(data[:4]) != walMagic {
-		// Unrecognizable log: refuse to guess rather than silently drop
-		// the never-reuse history.
-		return fmt.Errorf("%w: bad WAL magic", ErrCorrupt)
-	}
-	good := 4
 	records := 0
-	for off := 4; off < len(data); {
-		rest := data[off:]
-		if len(rest) < recHeaderLen+recTrailerLen {
-			break // torn header
-		}
-		plen := int(binary.LittleEndian.Uint32(rest[9:13]))
-		if plen > maxRecordPayload || len(rest) < recHeaderLen+plen+recTrailerLen {
-			break // torn or garbage payload
-		}
-		frame := rest[:recHeaderLen+plen]
-		crc := binary.LittleEndian.Uint32(rest[recHeaderLen+plen : recHeaderLen+plen+4])
-		if crc32.ChecksumIEEE(frame) != crc {
-			break // corrupt record; everything after is untrustworthy
-		}
-		seq := binary.LittleEndian.Uint64(frame[:8])
-		typ := frame[8]
+	good, err := walkWAL(data, func(seq uint64, typ byte, payload []byte) error {
 		if seq > snapSeq {
-			if err := r.applyRecord(typ, frame[recHeaderLen:]); err != nil {
+			if err := r.applyRecord(typ, payload); err != nil {
 				return err
 			}
 		}
 		if seq > r.seq {
 			r.seq = seq
 		}
-		off += recHeaderLen + plen + recTrailerLen
-		good = off
 		records++
+		return nil
+	})
+	if err != nil {
+		return err
 	}
 	r.sinceSnap = records
 	f, err := os.OpenFile(path, os.O_WRONLY, 0o644)
@@ -552,6 +548,39 @@ func (r *Registry) replayWAL(snapSeq uint64) error {
 	}
 	r.wal = &walFile{f: f}
 	return nil
+}
+
+// walkWAL checks a WAL image's magic, then calls fn with each intact record
+// in order.  It stops at the first torn or corrupt record — everything after
+// one is untrustworthy — or at fn's first error, and returns the length of
+// the intact prefix.  Recovery and offline tooling (IterateWAL) share it, so
+// both apply the same torn-tail tolerance.
+func walkWAL(data []byte, fn func(seq uint64, typ byte, payload []byte) error) (int, error) {
+	if len(data) < 4 || [4]byte(data[:4]) != walMagic {
+		// Unrecognizable log: refuse to guess rather than silently drop
+		// the never-reuse history.
+		return 0, fmt.Errorf("%w: bad WAL magic", ErrCorrupt)
+	}
+	off := 4
+	for {
+		rest := data[off:]
+		if len(rest) < recHeaderLen+recTrailerLen {
+			break // clean end or torn header
+		}
+		plen := int(binary.LittleEndian.Uint32(rest[9:13]))
+		if plen > maxRecordPayload || len(rest) < recHeaderLen+plen+recTrailerLen {
+			break // torn or garbage payload
+		}
+		rec := rest[:recHeaderLen+plen]
+		if crc32.ChecksumIEEE(rec) != binary.LittleEndian.Uint32(rest[len(rec):]) {
+			break // corrupt record
+		}
+		if err := fn(binary.LittleEndian.Uint64(rec), rec[8], rec[recHeaderLen:]); err != nil {
+			return off, err
+		}
+		off += len(rec) + recTrailerLen
+	}
+	return off, nil
 }
 
 func (r *Registry) createWAL() error {

@@ -10,20 +10,35 @@ import (
 // must never panic, and any frame it accepts must survive a semantic
 // round-trip: re-encoding the decoded Msg and decoding again yields the
 // same fields. (Byte-identical re-encoding is not required — overlong
-// varints decode but re-encode canonically.)
+// varints decode but re-encode canonically.) The opaque link reader sees
+// the same bytes: it must never panic either, and every frame Decode
+// accepts is a link frame of the same type — one framing, whatever the
+// payload means.
 func FuzzV2Frame(f *testing.F) {
 	for _, m := range fuzzSeeds() {
 		m := m
 		f.Add(AppendFrame(nil, &m))
 	}
+	// One frame from each link type range: a migration hello and a
+	// replication record. Decode must refuse both at the type check.
+	f.Add(AppendOpaque(nil, 0x10, []byte("\x02\x01\x00\x00\x00\x00\x00\x00\x00\x05\x00mig-1\x00\x00\x00\x00")))
+	f.Add(AppendOpaque(nil, 0x24, []byte("\x01\x00\x00\x00\x00\x00\x00\x00\x02record")))
+	// A CRC-valid frame whose stream id overflows uint64.
+	f.Add(overflowFrame(0x24, 0x02))
 	f.Add([]byte{})
 	f.Add([]byte{Magic})
 	f.Add([]byte{Magic, THello, 0, 0, 0, 0, 0, 0, 0, 0, 0})
 	f.Add(bytes.Repeat([]byte{Magic}, 64))
 	f.Fuzz(func(t *testing.T, data []byte) {
+		var buf []byte
+		typ, _, oerr := ReadOpaque(bufio.NewReader(bytes.NewReader(data)), &buf)
 		var m Msg
 		if err := Decode(data, &m); err != nil {
 			return
+		}
+		if oerr != nil || typ != m.Type || len(buf) != len(data) {
+			t.Fatalf("netauth frame of type 0x%02x is not a link frame: type 0x%02x, %d of %d bytes, %v",
+				m.Type, typ, len(buf), len(data), oerr)
 		}
 		re := AppendFrame(nil, &m)
 		var m2 Msg

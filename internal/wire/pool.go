@@ -36,6 +36,12 @@ func GetBuf() *[]byte {
 	return b
 }
 
+// maxPooledCap is the largest buffer the pool keeps: one maximal netauth
+// frame. A buffer that grew to hold a replication or migration frame
+// (up to MaxLinkPayload) is left to the garbage collector instead of
+// pinning tens of megabytes behind the session hot path.
+const maxPooledCap = MaxPayload + 64
+
 // PutBuf returns a buffer to the pool. With poison enabled the full
 // capacity is overwritten first, so stale aliases into the buffer read
 // poison instead of another session's frames.
@@ -50,6 +56,9 @@ func PutBuf(b *[]byte) {
 		}
 	}
 	*b = (*b)[:0]
+	if cap(*b) > maxPooledCap {
+		return
+	}
 	bufPool.Put(b)
 }
 

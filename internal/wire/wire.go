@@ -1,22 +1,31 @@
-// Package wire implements the compact binary framing of the netauth
-// protocol (wire protocol v2).
-//
-// Every frame has the same shape:
+// Package wire is the one framed codec for every byte this repository
+// puts on the network. Every frame has the same shape:
 //
 //	magic (1 byte, 0xF2) | type (1 byte) | stream (uvarint) |
 //	payload length (uint32 LE) | payload | crc32 (uint32 LE)
 //
-// The CRC (IEEE polynomial) covers every byte of the frame before it,
-// magic through payload. A byte other than the magic where a frame should
-// begin is a frame error like any other, so anything that is not a v2
-// frame — including a JSON line from a retired protocol v1 peer — is
-// refused at the first byte.
+// The CRC (IEEE polynomial) covers every byte of the frame before it. A
+// byte other than the magic where a frame should begin is a frame error,
+// so anything that is not a frame is refused at the first byte.
 //
-// Payload fields are varint-coded where variable (string and bit-vector
-// lengths, counts, stream ids) and fixed-width where the size is part of
-// the protocol (8-byte session ids, 32-byte MACs and digests).
-// Challenge, response, and helper bits travel packed eight per byte,
-// LSB-first.
+// Three protocols share the framing in disjoint type ranges, so a link
+// wired to the wrong port is refused at the type check:
+//
+//	0x01–0x0C  netauth sessions: the T* constants, decoded into Msg
+//	0x10–0x1A  chip-range migration (internal/registry/rebalance)
+//	0x20–0x28  WAL-shipping replication (internal/registry/repl)
+//
+// There are two payload caps: MaxPayload for netauth frames and
+// MaxLinkPayload for the opaque replication and migration frames
+// (AppendOpaque, WriteOpaque, ReadOpaque), which carry whole WAL records.
+// Every reader accepts only stream ids binary.Uvarint parses, and grows
+// its buffer only as payload bytes arrive, so a declared length commits
+// no memory the peer has not sent.
+//
+// Netauth payload fields are varint-coded where variable and fixed-width
+// where the size is part of the protocol (8-byte session ids, 32-byte MACs
+// and digests). Challenge, response, and helper bits travel packed eight
+// per byte, LSB-first.
 //
 // Decoding never retains references outside the input frame: byte-slice
 // fields of Msg alias the frame buffer, so a caller that reuses buffers
@@ -79,6 +88,11 @@ const (
 	// megabyte "contexts".
 	MaxTrace = 64
 )
+
+// MaxLinkPayload caps the payload of an opaque replication or migration
+// frame: the registry bounds a WAL record payload at 1<<26, plus the
+// seq/type prefix of a record frame.
+const MaxLinkPayload = 1<<26 + 16
 
 var (
 	// ErrFrame is wrapped by every malformed-frame error so callers can
@@ -262,8 +276,33 @@ func AppendFrame(dst []byte, m *Msg) []byte {
 	}
 
 	binary.LittleEndian.PutUint32(dst[lenAt:], uint32(len(dst)-payloadAt))
-	sum := crc32.ChecksumIEEE(dst[start:])
-	return binary.LittleEndian.AppendUint32(dst, sum)
+	return binary.LittleEndian.AppendUint32(dst, crc32.ChecksumIEEE(dst[start:]))
+}
+
+// AppendOpaque appends a stream-0 frame of type typ carrying payload
+// verbatim — the replication and migration links' encoder, whose payload
+// layouts belong to their own packages.
+func AppendOpaque(dst []byte, typ byte, payload []byte) []byte {
+	start := len(dst)
+	dst = append(dst, Magic, typ, 0)
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(payload)))
+	dst = append(dst, payload...)
+	return binary.LittleEndian.AppendUint32(dst, crc32.ChecksumIEEE(dst[start:]))
+}
+
+// WriteOpaque writes one link frame to w as a single write.
+func WriteOpaque(w io.Writer, typ byte, payload []byte) error {
+	_, err := w.Write(AppendOpaque(nil, typ, payload))
+	return err
+}
+
+// checkCRC verifies the trailing checksum of a complete frame.
+func checkCRC(frame []byte) error {
+	n := len(frame) - 4
+	if n < 0 || crc32.ChecksumIEEE(frame[:n]) != binary.LittleEndian.Uint32(frame[n:]) {
+		return frameErr("crc mismatch")
+	}
+	return nil
 }
 
 // cursor walks a payload during decode.
@@ -333,9 +372,8 @@ func Decode(frame []byte, m *Msg) error {
 	if frame[0] != Magic {
 		return ErrNotV2
 	}
-	sum := binary.LittleEndian.Uint32(frame[len(frame)-4:])
-	if crc32.ChecksumIEEE(frame[:len(frame)-4]) != sum {
-		return frameErr("crc mismatch")
+	if err := checkCRC(frame); err != nil {
+		return err
 	}
 	m.Type = frame[1]
 	c := cursor{b: frame[2 : len(frame)-4]}
@@ -523,7 +561,7 @@ func (r *Reader) Release() {
 // frame size in bytes alongside any error. io.EOF is returned verbatim
 // when the stream ends cleanly before a frame starts.
 func (r *Reader) Next(m *Msg) (int, error) {
-	n, err := readFrame(r.br, r.buf)
+	n, err := readFrame(r.br, r.buf, MaxPayload)
 	if err != nil {
 		return n, err
 	}
@@ -536,11 +574,16 @@ func (r *Reader) Raw() []byte {
 	return *r.buf
 }
 
+// growStep is the least a frame buffer grows by while a payload is being
+// received; beyond it the buffer at most doubles, so the memory committed
+// to a frame stays within a small multiple of the bytes actually read.
+const growStep = 64 << 10
+
 // readFrame reads one complete frame into *buf (reusing its capacity)
-// and reports its size. Errors after the first byte has been consumed
-// wrap ErrFrame (or are I/O errors); a clean EOF before any byte is
-// io.EOF.
-func readFrame(br *bufio.Reader, buf *[]byte) (int, error) {
+// and reports its size. The payload may not exceed maxPayload. Errors
+// after the first byte has been consumed wrap ErrFrame (or are I/O
+// errors); a clean EOF before any byte is io.EOF.
+func readFrame(br *bufio.Reader, buf *[]byte, maxPayload uint32) (int, error) {
 	b := (*buf)[:0]
 	b0, err := br.ReadByte()
 	if err != nil {
@@ -555,7 +598,8 @@ func readFrame(br *bufio.Reader, buf *[]byte) (int, error) {
 		return 1, frameErr("truncated header: %v", err)
 	}
 	b = append(b, b0, typ)
-	// Stream id varint, at most 10 bytes.
+	// Stream id varint, at most 10 bytes and within uint64 — exactly what
+	// binary.Uvarint accepts, so every frame read here has a parsable header.
 	for i := 0; ; i++ {
 		if i == binary.MaxVarintLen64 {
 			*buf = b
@@ -567,6 +611,10 @@ func readFrame(br *bufio.Reader, buf *[]byte) (int, error) {
 			return len(b), frameErr("truncated stream id: %v", err)
 		}
 		b = append(b, vb)
+		if i == binary.MaxVarintLen64-1 && vb > 1 {
+			*buf = b
+			return len(b), frameErr("stream varint overflows uint64")
+		}
 		if vb < 0x80 {
 			break
 		}
@@ -583,42 +631,64 @@ func readFrame(br *bufio.Reader, buf *[]byte) (int, error) {
 		b = append(b, vb)
 	}
 	plen := binary.LittleEndian.Uint32(b[len(b)-4:])
-	if plen > MaxPayload {
+	if plen > maxPayload {
 		*buf = b
-		return len(b), frameErr("payload of %d bytes exceeds cap %d", plen, MaxPayload)
+		return len(b), frameErr("payload of %d bytes exceeds cap %d", plen, maxPayload)
 	}
 	head := len(b)
 	need := head + int(plen) + 4
-	if cap(b) < need {
-		nb := make([]byte, need)
-		copy(nb, b)
-		b = nb
-	} else {
-		b = b[:need]
-	}
-	if _, err := io.ReadFull(br, b[head:]); err != nil {
-		*buf = b[:head]
-		return head, frameErr("truncated payload: %v", err)
+	// Fill the buffer to its capacity, growing only once it is full: the
+	// declared length is the peer's claim, the received bytes are fact.
+	for len(b) < need {
+		if len(b) == cap(b) {
+			n := max(2*cap(b), growStep)
+			nb := make([]byte, len(b), min(n, need))
+			copy(nb, b)
+			b = nb
+		}
+		k, err := io.ReadFull(br, b[len(b):min(cap(b), need)])
+		b = b[:len(b)+k]
+		if err != nil {
+			*buf = b[:head]
+			return head, frameErr("truncated payload: %v", err)
+		}
 	}
 	*buf = b
 	return need, nil
 }
 
-// ReadRawFrame reads one complete frame from br into a fresh buffer and
-// verifies its CRC, without interpreting the payload beyond the header.
-// It is the gateway's forwarding primitive: the returned bytes can be
-// relayed verbatim and separately decoded with Decode.
+// ReadRawFrame reads one complete netauth frame from br into a fresh
+// buffer and verifies its CRC, without interpreting the payload beyond
+// the header. It is the gateway's forwarding primitive: the returned
+// bytes can be relayed verbatim and separately decoded with Decode.
 func ReadRawFrame(br *bufio.Reader) ([]byte, error) {
 	buf := make([]byte, 0, 512)
-	if _, err := readFrame(br, &buf); err != nil {
+	if _, err := readFrame(br, &buf, MaxPayload); err != nil {
 		return nil, err
 	}
-	if len(buf) < 4 {
-		return nil, frameErr("short frame")
-	}
-	sum := binary.LittleEndian.Uint32(buf[len(buf)-4:])
-	if crc32.ChecksumIEEE(buf[:len(buf)-4]) != sum {
-		return nil, frameErr("crc mismatch")
+	if err := checkCRC(buf); err != nil {
+		return nil, err
 	}
 	return buf, nil
+}
+
+// ReadOpaque reads one frame of up to MaxLinkPayload payload bytes into
+// *buf and verifies its CRC — the replication and migration links'
+// decoder, the inverse of AppendOpaque. It returns the frame type and the
+// payload, which aliases *buf and is valid until *buf is reused; *buf
+// holds the whole frame, so len(*buf) is its size on the wire. The stream
+// id is not interpreted.
+func ReadOpaque(br *bufio.Reader, buf *[]byte) (byte, []byte, error) {
+	if _, err := readFrame(br, buf, MaxLinkPayload); err != nil {
+		return 0, nil, err
+	}
+	frame := *buf
+	if err := checkCRC(frame); err != nil {
+		return 0, nil, err
+	}
+	_, n := binary.Uvarint(frame[2:]) // readFrame admits only ids this parses
+	if n <= 0 {
+		return 0, nil, frameErr("malformed stream id")
+	}
+	return frame[1], frame[2+n+4 : len(frame)-4], nil
 }
