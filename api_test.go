@@ -61,6 +61,12 @@ func TestPublicAPIFullLifecycle(t *testing.T) {
 	if res.Approved {
 		t.Fatal("impostor approved via public API")
 	}
+	// An approve over zero challenges would approve any device.
+	for _, count := range []int{0, -1} {
+		if res, err := xorpuf.Authenticate(model, impostor, 5, count, xorpuf.Nominal); err == nil {
+			t.Fatalf("count %d: %+v, want an error", count, res)
+		}
+	}
 }
 
 func TestPublicAPIXORAndCRPs(t *testing.T) {

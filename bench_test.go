@@ -380,8 +380,7 @@ func BenchmarkAblationMeasurementVsModelSelection(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		_, _, _, err = enr.Model.SelectChallenges(rng.New(uint64(60+i)), 1000, 50_000_000)
-		if err != nil {
+		if _, _, err := core.NewSelector(enr.Model, rng.New(uint64(60+i))).Next(1000, 50_000_000); err != nil {
 			b.Fatal(err)
 		}
 		enrollMeas := width * (cfg.TrainingSize + cfg.ValidationSize)

@@ -40,9 +40,6 @@
 //	          (report / quarantine / reenroll subcommands; -state, -chip)
 //	metrics   scrape a serve instance's admin plane and pretty-print the
 //	          snapshot (-addr, -raw, -json)
-//	bench     measure the authentication hot path and the observability
-//	          plane's overhead (-json, -o, -out, -n, -seed, -baseline,
-//	          -tolerance, -best)
 //	top       live terminal dashboard over a serve admin plane: windowed
 //	          rates, quantiles, burn rates, alerts (-addr, -interval,
 //	          -count, -window)
@@ -110,9 +107,6 @@ func main() {
 		return
 	case "metrics":
 		runMetrics(os.Args[2:])
-		return
-	case "bench":
-		runBench(os.Args[2:])
 		return
 	case "top":
 		runTop(os.Args[2:])
@@ -296,7 +290,7 @@ rebalancing: rebalance    (live chip-range migration between serves: start / sta
              never-reuse audit over WAL journals; the target serve needs -migrate-listen)
 fleet:       fleet        (persistent registry benchmark: enrollment throughput, lookups/s, recovery time)
 lifecycle:   health       (drift-detector report, force-quarantine, re-enrollment; "puflab health" for usage)
-observe:     metrics bench top slo trace ("puflab metrics" scrapes a serve -admin plane; "puflab bench"
-             measures hot-path overhead; "puflab top" is a live dashboard; "puflab slo" gates on firing
-             alerts; "puflab trace" renders one session's span tree across gateway, shard, and follower)`)
+observe:     metrics top slo trace ("puflab metrics" scrapes a serve -admin plane; "puflab top" is a
+             live dashboard; "puflab slo" gates on firing alerts; "puflab trace" renders one session's
+             span tree across gateway, shard, and follower)`)
 }

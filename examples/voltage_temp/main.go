@@ -29,13 +29,14 @@ func main() {
 
 	// Select 200 challenges with the hardened model and also draw 200
 	// purely random ones as the control group.
-	selected, predicted, examined, err := enr.Model.SelectChallenges(xorpuf.NewSource(11), 200, 0)
+	sel := xorpuf.NewKeySelector(enr.Model, 11)
+	selected, predicted, err := sel.Next(200, 0)
 	if err != nil {
 		log.Fatal(err)
 	}
 	random := xorpuf.RandomChallenges(12, 200, chip.Stages())
 	fmt.Printf("selected 200 challenges (examined %d; yield %.2f%%)\n\n",
-		examined, 100*200/float64(examined))
+		sel.Examined(), 100*200/float64(sel.Examined()))
 
 	x := xorpuf.NewXORPUF(chip, 6)
 	refRandom := make([]uint8, len(random))

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"xorpuf/internal/challenge"
+	"xorpuf/internal/core"
 	"xorpuf/internal/mlattack"
 	"xorpuf/internal/rng"
 	"xorpuf/internal/silicon"
@@ -90,7 +91,7 @@ func TestModelAssistedSelectionDoesNotWeakenAttackResistance(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Eavesdrop 6000 authentication CRPs.
-	cs, predicted, _, err := p.Model.SelectChallenges(rng.New(68), 6000, 0)
+	cs, predicted, err := core.NewSelector(p.Model, rng.New(68)).Next(6000, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +115,7 @@ func TestSelectedChallengesNotLowEntropy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cs, _, _, err := p.Model.SelectChallenges(rng.New(71), 4000, 0)
+	cs, _, err := core.NewSelector(p.Model, rng.New(71)).Next(4000, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

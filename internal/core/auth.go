@@ -39,35 +39,6 @@ func (e *ErrSelectionExhausted) Error() string {
 		e.Found, e.Wanted, e.Examined)
 }
 
-// SelectChallenges draws random challenges and keeps those predicted stable
-// on every member PUF (paper Fig 7 "Select Stable Challenges" loop), along
-// with the server-predicted XOR bit for each.  maxExamined bounds the search
-// (0 means 10,000× the requested count).
-func (cm *ChipModel) SelectChallenges(src *rng.Source, count, maxExamined int) (cs []challenge.Challenge, predicted []uint8, examined int, err error) {
-	if count <= 0 {
-		return nil, nil, 0, fmt.Errorf("core: SelectChallenges count %d, want > 0", count)
-	}
-	if maxExamined <= 0 {
-		maxExamined = 10000 * count
-	}
-	cs = make([]challenge.Challenge, 0, count)
-	predicted = make([]uint8, 0, count)
-	for len(cs) < count && examined < maxExamined {
-		c := challenge.Random(src, cm.Stages())
-		examined++
-		bit, stable := cm.PredictXOR(c)
-		if !stable {
-			continue
-		}
-		cs = append(cs, c)
-		predicted = append(predicted, bit)
-	}
-	if len(cs) < count {
-		return cs, predicted, examined, &ErrSelectionExhausted{Wanted: count, Found: len(cs), Examined: examined}
-	}
-	return cs, predicted, examined, nil
-}
-
 // AuthResult summarizes one authentication attempt.
 type AuthResult struct {
 	// Approved is true iff every response matched the prediction
@@ -84,15 +55,20 @@ type AuthResult struct {
 }
 
 // Authenticate runs the paper's Fig 7 protocol against a device: select
-// `count` predicted-stable challenges, obtain one-shot XOR responses (a
-// single sample suffices because the selected CRPs are 100 % stable), and
-// approve only on a perfect match.
+// `count` predicted-stable challenges through a fresh Selector, obtain
+// one-shot XOR responses (a single sample suffices because the selected
+// CRPs are 100 % stable), and approve only on a perfect match.
 func Authenticate(cm *ChipModel, dev Device, src *rng.Source, count int, cond silicon.Condition) (AuthResult, error) {
-	cs, predicted, examined, err := cm.SelectChallenges(src, count, 0)
-	if err != nil {
-		return AuthResult{Examined: examined}, err
+	if count <= 0 {
+		// Zero challenges would approve any device at zero Hamming distance.
+		return AuthResult{}, fmt.Errorf("core: Authenticate count %d, want > 0", count)
 	}
-	res := AuthResult{Challenges: count, Examined: examined}
+	sel := NewSelector(cm, src)
+	cs, predicted, err := sel.Next(count, 0)
+	if err != nil {
+		return AuthResult{Examined: sel.Examined()}, err
+	}
+	res := AuthResult{Challenges: count, Examined: sel.Examined()}
 	for i, c := range cs {
 		if dev.ReadXOR(c, cond) != predicted[i] {
 			res.Mismatches++

@@ -200,7 +200,7 @@ func TestSelectedChallengesAreTrulyStable(t *testing.T) {
 	// The heart of the paper: challenges the model selects must be
 	// measured 100 % stable.
 	chip, enr := enrollTestChip(t, 15, 4, testConfig())
-	cs, _, _, err := enr.Model.SelectChallenges(rng.New(16), 300, 0)
+	cs, _, err := NewSelector(enr.Model, rng.New(16)).Next(300, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,7 +219,7 @@ func TestSelectedChallengesAreTrulyStable(t *testing.T) {
 
 func TestPredictXORMatchesGroundTruth(t *testing.T) {
 	chip, enr := enrollTestChip(t, 17, 4, testConfig())
-	cs, predicted, _, err := enr.Model.SelectChallenges(rng.New(18), 300, 0)
+	cs, predicted, err := NewSelector(enr.Model, rng.New(18)).Next(300, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -311,11 +311,11 @@ func TestSelectionYieldDropsWithWidth(t *testing.T) {
 	var prevYield float64 = 2
 	for _, width := range []int{1, 3, 6} {
 		cm := enr.Model.Narrow(width)
-		_, _, examined, err := cm.SelectChallenges(rng.New(29), 200, 2_000_000)
-		if err != nil {
+		sel := NewSelector(cm, rng.New(29))
+		if _, _, err := sel.Next(200, 2_000_000); err != nil {
 			t.Fatalf("width %d: %v", width, err)
 		}
-		yield := 200 / float64(examined)
+		yield := 200 / float64(sel.Examined())
 		if yield >= prevYield {
 			t.Errorf("yield did not drop at width %d: %v vs %v", width, yield, prevYield)
 		}
@@ -325,14 +325,10 @@ func TestSelectionYieldDropsWithWidth(t *testing.T) {
 
 func TestSelectChallengesExhaustion(t *testing.T) {
 	// An impossible model (thresholds excluding everything) must fail
-	// with ErrSelectionExhausted.
-	m := &PUFModel{Theta: make([]float64, 33), Thr0: 0.4, Thr1: 0.6}
-	// Zero theta predicts 0.0 for every challenge... that's < Thr0, so
-	// stable. Force unstable instead with impossible thresholds.
-	m.Thr0 = -10
-	m.Thr1 = 10
+	// with ErrSelectionExhausted after examining exactly the cap.
+	m := &PUFModel{Theta: make([]float64, 33), Thr0: -10, Thr1: 10}
 	cm := &ChipModel{PUFs: []*PUFModel{m}, Beta0: 1, Beta1: 1}
-	_, _, _, err := cm.SelectChallenges(rng.New(30), 5, 1000)
+	_, _, err := NewSelector(cm, rng.New(30)).Next(5, 1000)
 	var exhausted *ErrSelectionExhausted
 	if !errors.As(err, &exhausted) {
 		t.Fatalf("err = %v, want ErrSelectionExhausted", err)
@@ -478,13 +474,18 @@ func TestSelectorPredictionsMatchModel(t *testing.T) {
 }
 
 func TestSelectorExhaustion(t *testing.T) {
-	m := &PUFModel{Theta: make([]float64, 33), Thr0: -10, Thr1: 10} // everything unstable
+	// Thresholds no prediction can clear: every candidate is unstable, so
+	// the search must stop at its cap with ErrSelectionExhausted.
+	m := &PUFModel{Theta: make([]float64, 33), Thr0: -10, Thr1: 10}
 	cm := &ChipModel{PUFs: []*PUFModel{m}, Beta0: 1, Beta1: 1}
 	sel := NewSelector(cm, rng.New(44))
 	_, _, err := sel.Next(5, 500)
 	var exhausted *ErrSelectionExhausted
 	if !errors.As(err, &exhausted) {
 		t.Fatalf("err = %v, want ErrSelectionExhausted", err)
+	}
+	if exhausted.Examined != 500 || sel.Examined() != 500 {
+		t.Errorf("Examined = %d (selector %d), want 500", exhausted.Examined, sel.Examined())
 	}
 }
 

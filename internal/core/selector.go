@@ -22,6 +22,9 @@ type Selector struct {
 	used   map[uint64]struct{}
 	budget int       // lifetime cap on issued challenges; 0 = unlimited
 	phi    []float64 // scratch feature vector shared across candidates
+	// examined counts every random candidate drawn by Next over the
+	// selector's lifetime, accepted or not.
+	examined int
 }
 
 // NewSelector creates a selector for an enrolled chip model.  src drives
@@ -35,6 +38,10 @@ func NewSelector(model *ChipModel, src *rng.Source) *Selector {
 
 // Issued returns how many distinct challenges have been handed out.
 func (s *Selector) Issued() int { return len(s.used) }
+
+// Examined returns how many random candidates Next has drawn so far, the
+// denominator of the selection yield (paper Fig 12).
+func (s *Selector) Examined() int { return s.examined }
 
 // SetBudget caps the lifetime number of challenges this selector may
 // issue; 0 removes the cap.  Because issued challenges are never reused,
@@ -157,6 +164,7 @@ func (s *Selector) Next(count, maxExamined int) ([]challenge.Challenge, []uint8,
 		cs = append(cs, c)
 		bits = append(bits, bit)
 	}
+	s.examined += examined
 	if len(cs) < count {
 		return cs, bits, &ErrSelectionExhausted{Wanted: count, Found: len(cs), Examined: examined}
 	}

@@ -39,9 +39,9 @@ func (d modelAnswerDevice) ReadXOR(c challenge.Challenge, _ silicon.Condition) u
 	return bit
 }
 
-// startBenchServer brings up a loopback server over one synthetic chip and
-// returns a ready client.  instrumented toggles the telemetry plane.
-func startBenchServer(tb testing.TB, n int, instrumented bool) *V2Client {
+// startBenchServer brings up a loopback server over one synthetic chip, with
+// the telemetry plane wired as in production, and returns a ready client.
+func startBenchServer(tb testing.TB, n int) *V2Client {
 	tb.Helper()
 	model := benchChipModel(7, 4, 64)
 	reg, err := registry.Open("", registry.Options{Seed: 7})
@@ -54,10 +54,6 @@ func startBenchServer(tb testing.TB, n int, instrumented bool) *V2Client {
 		tb.Fatal(err)
 	}
 	srv := NewServerWithRegistry(n, 7, reg)
-	if !instrumented {
-		srv.SetTelemetry(nil)
-		srv.SetTracer(nil)
-	}
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		tb.Fatal(err)
@@ -80,7 +76,7 @@ func startBenchServer(tb testing.TB, n int, instrumented bool) *V2Client {
 // per iteration, with the telemetry plane fully wired (the production
 // configuration).
 func BenchmarkAuthSessionE2E(b *testing.B) {
-	client := startBenchServer(b, 16, true)
+	client := startBenchServer(b, 16)
 	ctx := context.Background()
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -92,20 +88,29 @@ func BenchmarkAuthSessionE2E(b *testing.B) {
 	}
 }
 
-// BenchmarkAuthSessionE2EBare is the control arm: the identical session with
-// server telemetry and tracing disabled.  Comparing ns/op against
-// BenchmarkAuthSessionE2E bounds the observability plane's overhead (the
-// budget is < 5 %).
-func BenchmarkAuthSessionE2EBare(b *testing.B) {
-	client := startBenchServer(b, 16, false)
+// TestV2SessionAllocBudget pins the end-to-end (client + in-process
+// server) allocation cost of one session on a warm connection.  The
+// retired JSON protocol spent 220 allocs/session; the pooled binary codec
+// must come in at or under a quarter of that.
+func TestV2SessionAllocBudget(t *testing.T) {
+	const budget = 55
+	c := startBenchServer(t, 16)
 	ctx := context.Background()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := client.Authenticate(ctx)
-		if err != nil || !res.Approved {
-			b.Fatalf("session %d: approved=%v err=%v", i, res.Approved, err)
+	// Warm up: dial, fill the buffer pools on both ends.
+	for i := 0; i < 5; i++ {
+		if res, err := c.Authenticate(ctx); err != nil || !res.Approved {
+			t.Fatalf("warmup %d: %+v, %v", i, res, err)
 		}
+	}
+	allocs := testing.AllocsPerRun(200, func() {
+		res, err := c.Authenticate(ctx)
+		if err != nil || !res.Approved {
+			t.Fatalf("%+v, %v", res, err)
+		}
+	})
+	t.Logf("v2 session: %.1f allocs (budget %d)", allocs, budget)
+	if allocs > budget {
+		t.Errorf("v2 session allocates %.1f/op end-to-end, budget %d", allocs, budget)
 	}
 }
 

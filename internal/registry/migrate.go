@@ -44,7 +44,8 @@ func newTrackerFrom(r *Registry, st health.TrackerState) *health.Tracker {
 }
 
 // ErrMigrating is returned by issuance for a chip whose range is fenced for
-// an in-flight migration (on the source) or still arriving (on the target).
+// an in-flight migration (on the source), still arriving (on the target),
+// or already departed under an Entry the caller looked up before cutover.
 // It is retryable: the caller should back off and retry, by which time the
 // handoff window has resolved one way or the other.
 var ErrMigrating = errors.New("registry: chip range is migrating")
@@ -205,8 +206,11 @@ func (r *Registry) MigrationCutover(migID string) (uint64, bool) {
 }
 
 // issueAllowed is the fail-closed issuance check, called under opmu.R and
-// the entry lock so it cannot race a fence being set (SetRangeFence holds
-// opmu.W).  arriving is the entry's own flag, authoritative on the target.
+// the entry lock so it cannot race a fence being set or a cutover
+// (SetRangeFence and CutoverSource hold opmu.W).  arriving is the entry's
+// own flag, authoritative on the target.  A departed range is refused too:
+// an Entry looked up before cutover outlives its removal from the store,
+// and a burn on it would never reach the new owner.
 func (r *Registry) issueAllowed(id, arriving string) error {
 	if arriving != "" {
 		return ErrMigrating
@@ -215,6 +219,11 @@ func (r *Registry) issueAllowed(id, arriving string) error {
 	defer r.ownMu.Unlock()
 	for _, f := range r.own.fences {
 		if f.Contains(id) {
+			return ErrMigrating
+		}
+	}
+	for _, d := range r.own.departed {
+		if d.contains(id) {
 			return ErrMigrating
 		}
 	}

@@ -162,6 +162,38 @@ func TestVolatileRegistryBasics(t *testing.T) {
 	}
 }
 
+// TestStaleEntryRefusedAfterCutover holds an Entry across a source-side
+// cutover, as a caller that looked the chip up just before the handoff
+// would.  The entry is gone from the store and its burns past the fence
+// never reached the new owner, so issuing on it must be refused: the new
+// owner draws the same selector stream and would re-issue those words.
+func TestStaleEntryRefusedAfterCutover(t *testing.T) {
+	r, err := Open("", Options{Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	if err := r.Register("chip-A", syntheticModel(2, 32), 0); err != nil {
+		t.Fatal(err)
+	}
+	e := r.Lookup("chip-A")
+	if _, err := r.SetRangeFence("m1", "chip-A", "chip-B"); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := e.Issue(2, 0); !errors.Is(err, ErrMigrating) {
+		t.Fatalf("fenced Issue err = %v, want ErrMigrating", err)
+	}
+	if err := r.CutoverSource("m1", 1, "chip-A", "chip-B", "new-owner:1"); err != nil {
+		t.Fatal(err)
+	}
+	if r.Lookup("chip-A") != nil {
+		t.Fatal("entry still resident after cutover")
+	}
+	if cs, _, err := e.Issue(2, 0); !errors.Is(err, ErrMigrating) {
+		t.Fatalf("departed Issue = %d challenges, err %v; want ErrMigrating", len(cs), err)
+	}
+}
+
 func TestRegistryClosedMutations(t *testing.T) {
 	r, err := Open(t.TempDir(), Options{Seed: 1})
 	if err != nil {

@@ -182,8 +182,9 @@ type KeyEnrollment = keygen.Enrollment
 // generation.
 type KeyConfig = keygen.Config
 
-// NewKeySelector builds a stateful stable-challenge selector from an
-// enrolled chip model, for use in KeyConfig.
+// NewKeySelector builds a stateful stable-challenge selector (the paper's
+// Fig 7 selection loop) from an enrolled chip model, for use in KeyConfig
+// or to draw authentication challenges directly.
 func NewKeySelector(model *ChipModel, seed uint64) *core.Selector {
 	return core.NewSelector(model, rng.New(seed))
 }
