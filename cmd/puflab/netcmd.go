@@ -151,6 +151,7 @@ func runServe(args []string) {
 			recovered, *state, time.Since(openStart).Round(time.Millisecond))
 	}
 	srv := netauth.NewServerWithRegistry(*n, *seed+1, reg)
+	srv.SessionRecorder().SetService(dtrace.Default.Service())
 	srv.SetTimeout(*timeout)
 	srv.SetDrainTimeout(*drain)
 	srv.SetMaxConns(*maxConns)
@@ -300,9 +301,7 @@ func runServe(args []string) {
 	})
 	detector := slo.NewAnomalyDetector(slo.AnomalyConfig{}, sampler.Now)
 	engine.Attach(detector)
-	srv.SetTraceObserver(func(tr telemetry.SessionTrace) {
-		detector.ObserveSession(tr.ChipID, tr.Challenges, tr.Verdict != "approved")
-	})
+	srv.SetSessionObserver(detector.ObserveSession)
 	engine.OnEvent(func(ev slo.Event) {
 		fmt.Printf("alert: %s [%s] %s → %s (%s)\n", ev.Name, ev.Severity, ev.FromState, ev.ToState, ev.Reason)
 		if *attackLockout && ev.ToState == "firing" {
@@ -356,7 +355,7 @@ func runServe(args []string) {
 		return startErr
 	}
 
-	// Observability plane: metrics, health, session traces, time series,
+	// Observability plane: metrics, health, session records, time series,
 	// SLOs, alerts, replication state, and pprof on a separate listener so
 	// operational scraping never competes with (or exposes) the
 	// authentication port.
@@ -368,6 +367,7 @@ func runServe(args []string) {
 			os.Exit(1)
 		}
 		endpoints := []telemetry.Endpoint{
+			{Path: "/traces", Handler: dtrace.Handler(srv.SessionRecorder())},
 			{Path: "/trace/spans", Handler: dtrace.Handler(dtrace.Default)},
 			{Path: "/timeseries", Handler: sampler.Handler()},
 			{Path: "/slo", Handler: engine.SLOHandler()},
@@ -382,7 +382,7 @@ func runServe(args []string) {
 				Path: "/repl/promote", Handler: promoteHandler(foll, startAuth),
 			})
 		}
-		mux := telemetry.AdminMux(telemetry.Default, srv.Tracer(), func() any {
+		mux := telemetry.AdminMux(telemetry.Default, func() any {
 			approved, denied := srv.Stats()
 			payload := map[string]any{
 				"status":   "ok",

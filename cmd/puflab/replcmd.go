@@ -156,7 +156,7 @@ func runGateway(args []string) {
 			fmt.Fprintf(os.Stderr, "puflab gateway: admin listener: %v\n", err)
 			os.Exit(1)
 		}
-		mux := telemetry.AdminMux(telemetry.Default, nil, nil, telemetry.Endpoint{
+		mux := telemetry.AdminMux(telemetry.Default, nil, telemetry.Endpoint{
 			Path: "/trace/spans", Handler: dtrace.Handler(dtrace.Default),
 		})
 		go func() {

@@ -3,6 +3,7 @@ package netauth
 import (
 	"context"
 	"net"
+	"strconv"
 	"testing"
 
 	"xorpuf/internal/challenge"
@@ -116,8 +117,8 @@ func TestV2SessionAllocBudget(t *testing.T) {
 
 // TestServerMetricsRecorded injects a private telemetry registry and checks
 // the server's per-session instruments actually move: counters for started /
-// completed / approved sessions, the RTT and session histograms, and a
-// recorded trace with the expected step names and verdict.
+// completed / approved sessions, the RTT and session histograms, and one
+// session record per session with the expected status and attrs.
 func TestServerMetricsRecorded(t *testing.T) {
 	model := benchChipModel(7, 4, 64)
 	reg, err := registry.Open("", registry.Options{Seed: 7})
@@ -131,8 +132,6 @@ func TestServerMetricsRecorded(t *testing.T) {
 	srv := NewServerWithRegistry(8, 7, reg)
 	tel := telemetry.NewRegistry()
 	srv.SetTelemetry(tel)
-	tracer := telemetry.NewTracer(4)
-	srv.SetTracer(tracer)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -189,25 +188,33 @@ func TestServerMetricsRecorded(t *testing.T) {
 		t.Errorf("frame bytes observed %d times, want ≥ 4", snap.Histograms["netauth_frame_bytes"].Count)
 	}
 
-	traces := tracer.Recent(0)
-	if len(traces) != 2 {
-		t.Fatalf("tracer retained %d traces, want 2", len(traces))
+	records := srv.SessionRecorder().Spans()
+	if len(records) != 2 {
+		t.Fatalf("session ring holds %d records, want 2", len(records))
 	}
-	// Newest first: the unknown-chip error, then the approval.
-	if traces[0].Verdict != "error" || traces[0].DenialCode != CodeUnknownChip {
-		t.Errorf("trace[0] = %+v, want unknown_chip error", traces[0])
+	// Newest first: the unknown-chip refusal, then the approval.
+	if r := records[0]; r.Name != "netauth.session" || r.Status != "refused:"+CodeUnknownChip ||
+		r.Attrs["chip"] != "nope" || r.Attrs["challenges"] != "0" {
+		t.Errorf("record[0] = %+v, want unknown_chip refusal of chip nope", r)
 	}
-	ok := traces[1]
-	if ok.Verdict != "approved" || ok.ChipID != "chip-0" || ok.Session == "" || ok.TotalSeconds <= 0 {
-		t.Errorf("trace[1] = %+v, want approved session for chip-0", ok)
+	ok := records[1]
+	if ok.Status != "ok" || ok.Attrs["chip"] != "chip-0" || ok.Attrs["session"] == "" || ok.Seconds <= 0 {
+		t.Errorf("record[1] = %+v, want approved session for chip-0", ok)
 	}
-	steps := make(map[string]bool, len(ok.Steps))
-	for _, s := range ok.Steps {
-		steps[s.Name] = true
+	for attr, want := range map[string]string{"challenges": "8", "mismatches": "0"} {
+		if ok.Attrs[attr] != want {
+			t.Errorf("approved record %s = %q, want %q", attr, ok.Attrs[attr], want)
+		}
 	}
-	for _, name := range []string{"select", "device_rtt", "verdict"} {
-		if !steps[name] {
-			t.Errorf("approved trace missing step %q (has %+v)", name, ok.Steps)
+	for _, attr := range []string{"select_us", "device_rtt_us"} {
+		if _, err := strconv.Atoi(ok.Attrs[attr]); err != nil {
+			t.Errorf("approved record %s = %q, want whole microseconds", attr, ok.Attrs[attr])
+		}
+	}
+	// Untraced sessions mint no IDs.
+	for _, r := range records {
+		if !r.Trace.IsZero() || !r.ID.IsZero() {
+			t.Errorf("untraced record %s carries IDs %s/%s", r.Status, r.Trace, r.ID)
 		}
 	}
 }

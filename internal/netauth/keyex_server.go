@@ -49,7 +49,6 @@ import (
 	"time"
 
 	"xorpuf/internal/keyex"
-	"xorpuf/internal/telemetry"
 	"xorpuf/internal/telemetry/dtrace"
 	"xorpuf/internal/wire"
 )
@@ -70,25 +69,17 @@ func (s *Server) SetKeyExchange(cfg keyex.Config) error {
 }
 
 // keyexSession serves one key exchange opened by init, the connection's
-// first frame.  Key derivation runs under a "keyex.derive" span whose
-// context carries into the quorum-gated IssueKey journaling.
+// first frame.  Its session record is a "netauth.keyex" span; key
+// derivation runs under a "keyex.derive" child whose context carries into
+// the quorum-gated IssueKey journaling.  A peer that vanishes mid-exchange
+// leaves the record refused:bad_message, like an abandoned stream.
 func (s *Server) keyexSession(l *link, init *wire.Msg) {
-	start := time.Now()
-	s.tel.sessionStart()
-	trace := telemetry.SessionTrace{Start: start, ChipID: init.ChipID, Verdict: "error"}
-	var span *dtrace.Span
-	if tc, ok := dtrace.ParseContext(init.Trace); ok {
-		span = s.spans.StartSpanAt(tc, "netauth.keyex", start)
-		trace.TraceID = tc.Trace.String()
-	}
-	defer func() {
-		trace.TotalSeconds = time.Since(start).Seconds()
-		s.tel.sessionEnd(start, trace.TraceID)
-		s.recordTrace(trace)
-		s.endSessionSpan(span, &trace)
-	}()
+	tc, _ := dtrace.ParseContext(init.Trace)
+	rec := s.startSession(tc, "netauth.keyex", init.ChipID, time.Now())
+	status, burned := "refused:"+CodeBadMessage, 0
+	defer func() { s.endSession(&rec, init.ChipID, burned, status) }()
 	fail := func(code string, retryable bool, format string, args ...interface{}) {
-		trace.DenialCode = code
+		status = "refused:" + code
 		l.fail(init.Stream, code, retryable, format, args...)
 	}
 
@@ -96,7 +87,7 @@ func (s *Server) keyexSession(l *link, init *wire.Msg) {
 	// data either.
 	entry, ref := s.admitChip(init.ChipID)
 	if ref != nil {
-		trace.DenialCode = ref.code
+		status = "refused:" + ref.code
 		l.refuse(init.Stream, ref)
 		return
 	}
@@ -122,7 +113,7 @@ func (s *Server) keyexSession(l *link, init *wire.Msg) {
 	randomSessionIDs(sessRaw[:])
 	session := hex.EncodeToString(sessRaw[:])
 	s.tel.keyexStart()
-	trace.Session = session
+	rec.SetAttr("session", session)
 
 	// Cipher negotiation: one suite today.  A client that offers nothing we
 	// speak still gets key confirmation (mutual proof of key possession)
@@ -138,10 +129,10 @@ func (s *Server) keyexSession(l *link, init *wire.Msg) {
 	// before they are released, so the never-reuse guarantee covers
 	// abandoned handshakes and crashes too.
 	deriveStart := time.Now()
-	deriveSpan := s.spans.StartSpanAt(span.Context(), "keyex.derive", deriveStart)
+	deriveSpan := s.spans.StartSpanAt(rec.Context(), "keyex.derive", deriveStart)
 	cs, predicted, err := entry.IssueKeyCtx(dtrace.Inject(context.Background(), deriveSpan.Context()), cfg.N(), 0)
 	s.tel.observeSelect(deriveStart)
-	trace.Step("select", time.Since(deriveStart))
+	rec.SetAttr("select_us", usAttr(time.Since(deriveStart)))
 	if err != nil {
 		code, retryable := issueRefusal(err)
 		deriveSpan.SetStatus("error:" + code)
@@ -149,7 +140,7 @@ func (s *Server) keyexSession(l *link, init *wire.Msg) {
 		fail(code, retryable, "challenge selection failed: %v", err)
 		return
 	}
-	trace.Challenges = len(cs)
+	burned = len(cs)
 
 	// Reverse fuzzy extractor: the enrolled model's predictions are the
 	// error-free enrollment reading, so Generate runs server-side and the
@@ -181,7 +172,6 @@ func (s *Server) keyexSession(l *link, init *wire.Msg) {
 	keys := keyex.DeriveSession(master, transcript)
 	keyex.Zeroize(master[:])
 	s.tel.observeKeyDerive(deriveStart)
-	trace.Step("derive", time.Since(deriveStart))
 	deriveSpan.SetStatus("ok")
 	deriveSpan.End()
 
@@ -199,7 +189,7 @@ func (s *Server) keyexSession(l *link, init *wire.Msg) {
 	var m wire.Msg
 	err = l.next(&m)
 	s.tel.observeRTT(rttStart)
-	trace.Step("device_rtt", time.Since(rttStart))
+	rec.SetAttr("device_rtt_us", usAttr(time.Since(rttStart)))
 	if err != nil || m.Type != wire.TKeyexConfirm {
 		fail(CodeBadMessage, true, "bad keyex_confirm")
 		return
@@ -218,7 +208,7 @@ func (s *Server) keyexSession(l *link, init *wire.Msg) {
 		}
 		s.tel.keyexReject()
 		fail(CodeKeyMismatch, false, "key confirmation failed")
-		trace.Verdict = "denied"
+		status = "denied"
 		return
 	}
 	entry.Verdict(true, lockoutK)
@@ -229,7 +219,7 @@ func (s *Server) keyexSession(l *link, init *wire.Msg) {
 		return
 	}
 	s.tel.keyexEstablishedOK()
-	trace.Verdict = "key_established"
+	status = "ok"
 	l.inflight.Add(-held)
 	held = 0
 
@@ -242,7 +232,7 @@ func (s *Server) keyexSession(l *link, init *wire.Msg) {
 	inner := s.newLink(l.conn, bufio.NewReader(sealed), sealed, s.tel.secureFrame)
 	inner.inflight = l.inflight
 	defer inner.release()
-	s.serveFrames(inner, init.ChipID, span.Context())
+	s.serveFrames(inner, init.ChipID, rec.Context())
 }
 
 // readWriter stitches the handshake's buffered reader to the raw

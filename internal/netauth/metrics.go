@@ -47,7 +47,17 @@ import (
 	"time"
 
 	"xorpuf/internal/telemetry"
+	"xorpuf/internal/telemetry/dtrace"
 )
+
+// exemplar renders a session's trace ID as its histogram exemplar: empty
+// for an untraced session.
+func exemplar(t dtrace.TraceID) string {
+	if t.IsZero() {
+		return ""
+	}
+	return t.String()
+}
 
 // serverMetrics holds the server's captured instruments.  A nil
 // *serverMetrics is the disabled state; every method guards for it.

@@ -57,6 +57,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -182,24 +183,28 @@ type Server struct {
 	// healthHandler observes drift-detector transitions (SetHealthHandler).
 	healthHandler func(health.Event)
 
-	// tel is the captured instrument set (nil = telemetry disabled); tracer
-	// retains recent session traces.  Both are read without s.mu on the hot
-	// path, so they may only be swapped before Serve (SetTelemetry and
-	// SetTracer document this).
-	tel    *serverMetrics
-	tracer *telemetry.Tracer
+	// tel is the captured instrument set (nil = telemetry disabled).  Read
+	// without s.mu on the hot path, so it may only be swapped before Serve
+	// (SetTelemetry documents this).
+	tel *serverMetrics
 
-	// traceObs, when set, observes every finished session trace (approved,
-	// denied, or refused) on the session goroutine — the anomaly detector's
-	// feed.  Like tel and tracer it is read without s.mu on the hot path,
-	// so it may only be swapped before Serve.
-	traceObs func(telemetry.SessionTrace)
+	// sessions is the per-session record ring behind /traces: every
+	// session of every kind — approved, denied, refused, key exchange —
+	// ends as exactly one span here, traced or not.
+	sessions *dtrace.Recorder
+
+	// sessionObs, when set, observes every finished session on the
+	// session goroutine — the anomaly detector's feed.  Like tel it is
+	// read without s.mu on the hot path, so it may only be set before
+	// Serve.
+	sessionObs func(chipID string, challenges int, denied bool)
 
 	// spans is the distributed-trace span ring sessions record into when a
 	// hello carries a trace context (dtrace.Default unless swapped).  Read
 	// without s.mu on the hot path; swap only before Serve
-	// (SetSpanRecorder).  A session without a context executes nil checks
-	// only — the recorder is never touched.
+	// (SetSpanRecorder).  A session without a context never touches it, so
+	// untraced volume cannot evict the traced trees `puflab trace
+	// collect` reads.
 	spans *dtrace.Recorder
 
 	// decisions counts completed authentications, for tests/monitoring.
@@ -248,13 +253,13 @@ func NewServerWithRegistry(numChallenges int, seed uint64, reg *registry.Registr
 		reg:           reg,
 		conns:         make(map[net.Conn]*atomic.Int32),
 		tel:           newServerMetrics(telemetry.Default),
-		tracer:        telemetry.NewTracer(defaultTraceCapacity),
+		sessions:      dtrace.NewRecorder(sessionRingCapacity),
 		spans:         dtrace.Default,
 	}
 }
 
-// defaultTraceCapacity is how many recent session traces a server retains.
-const defaultTraceCapacity = 256
+// sessionRingCapacity is how many recent session records a server retains.
+const sessionRingCapacity = 256
 
 // SetTelemetry rebinds the server's instruments to reg; nil disables
 // server-side metrics entirely (the bare arm of the overhead benchmark).
@@ -264,30 +269,32 @@ func (s *Server) SetTelemetry(reg *telemetry.Registry) {
 	s.tel = newServerMetrics(reg)
 }
 
-// SetTracer replaces the session trace recorder; nil disables tracing.
-// Call before Serve.
-func (s *Server) SetTracer(t *telemetry.Tracer) { s.tracer = t }
-
 // SetSpanRecorder replaces the distributed-trace span ring (default
-// dtrace.Default); nil disables span recording even for sessions that
-// carry a trace context.  Call before Serve — like tel and tracer it is
-// read without a lock on the session hot path.
+// dtrace.Default); nil disables span trees even for sessions that carry a
+// trace context (their session records still land in SessionRecorder).
+// Call before Serve — like tel it is read without a lock on the session
+// hot path.
 func (s *Server) SetSpanRecorder(r *dtrace.Recorder) { s.spans = r }
 
 // SpanRecorder returns the span ring (nil when disabled) — the admin
 // /trace/spans endpoint reads it.
 func (s *Server) SpanRecorder() *dtrace.Recorder { return s.spans }
 
-// Tracer returns the session trace recorder (nil when disabled) — the
-// admin /traces endpoint reads it.
-func (s *Server) Tracer() *telemetry.Tracer { return s.tracer }
+// SessionRecorder returns the per-session record ring — the admin /traces
+// endpoint serves it through dtrace.Handler.
+func (s *Server) SessionRecorder() *dtrace.Recorder { return s.sessions }
 
-// SetTraceObserver registers fn to receive every finished session trace —
+// SetSessionObserver registers fn to observe every finished session —
 // including sessions refused before a verdict (unknown chip, throttled,
 // locked out), which is exactly the traffic an attack-pattern detector
-// must see.  fn runs on the session goroutine after the wire exchange is
-// complete; keep it fast or hand off.  Call before Serve.
-func (s *Server) SetTraceObserver(fn func(telemetry.SessionTrace)) { s.traceObs = fn }
+// must see.  challenges is how many the session burned; denied is true
+// unless the session ended ok (an approval or an established key).  The
+// signature is slo.AnomalyDetector.ObserveSession's.  fn runs on the
+// session goroutine after the wire exchange is complete; keep it fast or
+// hand off.  Call before Serve.
+func (s *Server) SetSessionObserver(fn func(chipID string, challenges int, denied bool)) {
+	s.sessionObs = fn
+}
 
 // ForceLockout locks a chip immediately, without waiting for K consecutive
 // denials — the enforcement half of a suspected-modeling-attack alert.
@@ -551,37 +558,40 @@ func (s *Server) handle(conn net.Conn, inflight *atomic.Int32) {
 	s.serveFrames(l, "", dtrace.Context{})
 }
 
-// endSessionSpan closes out a session's dtrace span from its finished
-// SessionTrace — one status vocabulary for every session kind: "ok" for
-// approvals and established keys, "denied" for mismatch verdicts and
-// failed key confirmations, "refused:<code>" for structured refusals.
-// Nil-safe (untraced session).
-func (s *Server) endSessionSpan(span *dtrace.Span, trace *telemetry.SessionTrace) {
-	if span == nil {
-		return
+// startSession opens one session's record.  A traced session (tc valid)
+// gets its span in the s.spans tree, so its children nest under it; an
+// untraced one gets a bare span — no trace ID, no CSPRNG read — that only
+// ever enters the session ring.
+func (s *Server) startSession(tc dtrace.Context, name, chipID string, start time.Time) dtrace.Span {
+	s.tel.sessionStart()
+	rec := dtrace.Span{Name: name, Start: start}
+	if sp := s.spans.StartSpanAt(tc, name, start); sp != nil {
+		rec = *sp
 	}
-	span.SetAttr("chip", trace.ChipID)
-	span.SetAttr("session", trace.Session)
-	span.SetAttr("proto", "v2")
-	switch trace.Verdict {
-	case "approved", "key_established":
-		span.SetStatus("ok")
-	case "denied":
-		span.SetStatus("denied")
-	default:
-		span.SetStatus("refused:" + trace.DenialCode)
-	}
-	span.End()
+	rec.SetAttr("chip", chipID)
+	rec.SetAttr("proto", "v2")
+	return rec
 }
 
-// recordTrace hands a finished session trace to the tracer ring and the
-// attack-pattern observer — the single sink for every session kind.
-func (s *Server) recordTrace(trace telemetry.SessionTrace) {
-	s.tracer.Record(trace)
-	if s.traceObs != nil {
-		s.traceObs(trace)
+// endSession closes one session's record — the single sink for every
+// session kind — with one status vocabulary: "ok" for approvals and
+// established keys, "denied" for mismatch verdicts and failed key
+// confirmations, "refused:<code>" for structured refusals.  The record
+// lands in the session ring (and, when traced, the s.spans tree), then
+// the session observer sees it.
+func (s *Server) endSession(rec *dtrace.Span, chipID string, challenges int, status string) {
+	s.tel.sessionEnd(rec.Start, exemplar(rec.Trace))
+	rec.SetAttr("challenges", strconv.Itoa(challenges))
+	rec.SetStatus(status)
+	rec.End()
+	s.sessions.Record(*rec)
+	if s.sessionObs != nil {
+		s.sessionObs(chipID, challenges, status != "ok")
 	}
 }
+
+// usAttr renders a duration as a whole-microsecond span attribute.
+func usAttr(d time.Duration) string { return strconv.FormatInt(d.Microseconds(), 10) }
 
 // refusal is a structured admission denial: the decision, kept apart from
 // the error frame that carries it.

@@ -25,7 +25,6 @@ import (
 
 	"xorpuf/internal/challenge"
 	"xorpuf/internal/registry"
-	"xorpuf/internal/telemetry"
 	"xorpuf/internal/telemetry/dtrace"
 	"xorpuf/internal/wire"
 )
@@ -203,15 +202,15 @@ func (l *link) refuse(stream uint64, ref *refusal) {
 type stream struct {
 	id        uint64
 	session   [wire.SessionLen]byte
+	chipID    string
 	entry     *registry.Entry
 	predicted []uint8
 	start     time.Time
 	issued    time.Time
-	trace     telemetry.SessionTrace
-	// span is the stream's dtrace session span (nil when untraced);
-	// batched marks streams from a batch > 1 hello, whose latency feeds
-	// the pipelined histogram.
-	span    *dtrace.Span
+	// rec is the stream's session record (startSession); batched marks
+	// streams from a batch > 1 hello, whose latency feeds the pipelined
+	// histogram.
+	rec     dtrace.Span
 	batched bool
 }
 
@@ -230,9 +229,7 @@ func (s *Server) serveFrames(l *link, chipID string, parent dtrace.Context) {
 		// Streams the peer abandoned mid-exchange close out as errored
 		// sessions.
 		for i := range streams {
-			st := &streams[i]
-			st.trace.Verdict, st.trace.DenialCode = "error", CodeBadMessage
-			s.endStream(st)
+			s.endStream(&streams[i], "refused:"+CodeBadMessage)
 		}
 		l.inflight.Add(-int32(len(streams)))
 	}()
@@ -294,27 +291,15 @@ func (s *Server) serveFrames(l *link, chipID string, parent dtrace.Context) {
 	}
 }
 
-// refusedTrace records the session trace of a refused hello, for the
-// attack detector.  tc (invalid when untraced) cross-links the trace and
-// records a refused session span so even a bounced session appears in its
-// trace tree.
-func (s *Server) refusedTrace(chipID, code string, start time.Time, tc dtrace.Context) {
-	s.tel.sessionStart()
-	tr := telemetry.SessionTrace{
-		Start: start, ChipID: chipID, Verdict: "error", DenialCode: code,
-		TotalSeconds: time.Since(start).Seconds(),
+// refusedSession records the one session of a hello refused before any
+// stream opened.  selected is the failed selection's duration, 0 when the
+// hello was refused at admission.
+func (s *Server) refusedSession(tc dtrace.Context, chipID, code string, start time.Time, selected time.Duration) {
+	rec := s.startSession(tc, "netauth.session", chipID, start)
+	if selected > 0 {
+		rec.SetAttr("select_us", usAttr(selected))
 	}
-	if tc.Valid() {
-		tr.TraceID = tc.Trace.String()
-	}
-	s.tel.sessionEnd(start, tr.TraceID)
-	s.recordTrace(tr)
-	if span := s.spans.StartSpanAt(tc, "netauth.session", start); span != nil {
-		span.SetAttr("chip", chipID)
-		span.SetAttr("proto", "v2")
-		span.SetStatus("refused:" + code)
-		span.End()
-	}
+	s.endSession(&rec, chipID, 0, "refused:"+code)
 }
 
 // packChallengeBits appends the concatenated bits of cs — width bits per
@@ -358,18 +343,18 @@ func (s *Server) hello(l *link, m *wire.Msg, streams *[]stream, parent dtrace.Co
 	// "select" span for the single batched issuance, then one session span
 	// per stream, all siblings under the caller's span.
 	tc, traced := dtrace.ParseContext(m.Trace)
-	if !traced && parent.Valid() {
-		tc, traced = parent, true
+	if !traced {
+		tc = parent
 	}
 	entry, ref := s.admitChip(chipID)
 	if ref != nil {
-		s.refusedTrace(chipID, ref.code, start, tc)
+		s.refusedSession(tc, chipID, ref.code, start, 0)
 		l.refuse(m.Stream, ref)
 		return false
 	}
 	if !l.acquire(batch) {
 		// Draining: refuse the new streams, keep serving the old ones.
-		s.refusedTrace(chipID, CodeBusy, start, tc)
+		s.refusedSession(tc, chipID, CodeBusy, start, 0)
 		l.fail(m.Stream, CodeBusy, true, "server shutting down")
 		return true
 	}
@@ -383,19 +368,21 @@ func (s *Server) hello(l *link, m *wire.Msg, streams *[]stream, parent dtrace.Co
 	selSpan := s.spans.StartSpanAt(tc, "select", selectStart)
 	selSpan.SetAttr("batch", strconv.Itoa(batch))
 	cs, predicted, err := entry.IssueCtx(dtrace.Inject(context.Background(), selSpan.Context()), s.numChallenges*batch, 0)
+	selected := time.Since(selectStart)
 	s.tel.observeSelect(selectStart)
 	if err != nil {
 		l.inflight.Add(-int32(batch))
 		code, retryable := issueRefusal(err)
 		selSpan.SetStatus("error:" + code)
 		selSpan.End()
-		s.refusedTrace(chipID, code, start, tc)
+		s.refusedSession(tc, chipID, code, start, selected)
 		l.fail(m.Stream, code, retryable, "challenge selection failed: %v", err)
 		return false
 	}
 	selSpan.SetStatus("ok")
 	selSpan.End()
 	width := len(cs[0])
+	selectUS := usAttr(selected)
 
 	// One CSPRNG read covers the whole batch's session ids.
 	ids := make([]byte, wire.SessionLen*batch)
@@ -406,24 +393,17 @@ func (s *Server) hello(l *link, m *wire.Msg, streams *[]stream, parent dtrace.Co
 	for i := 0; i < batch; i++ {
 		st := stream{
 			id:        m.Stream + uint64(i),
+			chipID:    chipID,
 			entry:     entry,
 			predicted: predicted[i*s.numChallenges : (i+1)*s.numChallenges],
 			start:     start,
+			rec:       s.startSession(tc, "netauth.session", chipID, start),
 			batched:   batch > 1,
 		}
 		copy(st.session[:], ids[i*wire.SessionLen:])
-		s.tel.sessionStart()
-		st.trace = telemetry.SessionTrace{
-			Start: start, ChipID: chipID,
-			Session:    hex.EncodeToString(st.session[:]),
-			Challenges: s.numChallenges,
-		}
-		st.trace.Step("select", time.Since(selectStart))
-		if traced {
-			st.span = s.spans.StartSpanAt(tc, "netauth.session", start)
-			st.span.SetAttr("stream", strconv.FormatUint(st.id, 10))
-			st.trace.TraceID = tc.Trace.String()
-		}
+		st.rec.SetAttr("session", hex.EncodeToString(st.session[:]))
+		st.rec.SetAttr("stream", strconv.FormatUint(st.id, 10))
+		st.rec.SetAttr("select_us", selectUS)
 		group := cs[i*s.numChallenges : (i+1)*s.numChallenges]
 		*pb = packChallengeBits((*pb)[:0], group, width)
 		// Queued, not written: the whole batch's challenge frames go out
@@ -457,9 +437,8 @@ func (s *Server) responses(l *link, m *wire.Msg, streams *[]stream) bool {
 	}
 	st := &(*streams)[idx]
 	fail := func(format string, args ...interface{}) bool {
-		st.trace.Verdict, st.trace.DenialCode = "error", CodeBadMessage
 		l.fail(m.Stream, CodeBadMessage, true, format, args...)
-		l.settle(streams, idx)
+		l.settle(streams, idx, "refused:"+CodeBadMessage)
 		return false
 	}
 	if !bytes.Equal(m.Session, st.session[:]) {
@@ -469,8 +448,8 @@ func (s *Server) responses(l *link, m *wire.Msg, streams *[]stream) bool {
 		return fail("expected %d responses, got %d", len(st.predicted), m.Count)
 	}
 	s.tel.observeRTT(st.issued)
-	st.trace.Step("device_rtt", time.Since(st.issued))
-	if rtt := s.spans.StartSpanAt(st.span.Context(), "device_rtt", st.issued); rtt != nil {
+	st.rec.SetAttr("device_rtt_us", usAttr(time.Since(st.issued)))
+	if rtt := s.spans.StartSpanAt(st.rec.Context(), "device_rtt", st.issued); rtt != nil {
 		rtt.SetStatus("ok")
 		rtt.End()
 	}
@@ -485,21 +464,18 @@ func (s *Server) responses(l *link, m *wire.Msg, streams *[]stream) bool {
 	lockoutK := s.lockoutK
 	s.mu.Unlock()
 	ev, transitioned, onHealth := s.applyVerdict(st.entry, lockoutK, approved, mismatches, len(st.predicted))
-	st.trace.Mismatches = mismatches
+	st.rec.SetAttr("mismatches", strconv.Itoa(mismatches))
+	status := "denied"
 	if approved {
-		st.trace.Verdict = "approved"
-	} else {
-		st.trace.Verdict = "denied"
+		status = "ok"
 	}
-	verdictStart := time.Now()
 	l.queue(&wire.Msg{
 		Type: wire.TVerdict, Stream: st.id, Approved: approved, Mismatches: mismatches,
 	})
-	st.trace.Step("verdict", time.Since(verdictStart))
 	if transitioned && onHealth != nil {
 		onHealth(ev)
 	}
-	l.settle(streams, idx)
+	l.settle(streams, idx, status)
 	return true
 }
 
@@ -516,22 +492,19 @@ func (s *Server) payload(l *link, m *wire.Msg) bool {
 	return true
 }
 
-// endStream closes out one stream's telemetry, trace, and session span.
-func (s *Server) endStream(st *stream) {
-	st.trace.TotalSeconds = time.Since(st.start).Seconds()
-	s.tel.sessionEnd(st.start, st.trace.TraceID)
+// endStream closes out one stream's session record with status.
+func (s *Server) endStream(st *stream, status string) {
 	if st.batched {
-		s.tel.observePipelined(st.start, st.trace.TraceID)
+		s.tel.observePipelined(st.start, exemplar(st.rec.Trace))
 	}
-	s.recordTrace(st.trace)
-	s.endSessionSpan(st.span, &st.trace)
-	st.span = nil
+	s.endSession(&st.rec, st.chipID, len(st.predicted), status)
 }
 
-// settle closes out stream idx and removes it from streams (reusing the
-// slice's capacity) and from the connection's in-flight count.
-func (l *link) settle(streams *[]stream, idx int) {
-	l.s.endStream(&(*streams)[idx])
+// settle closes out stream idx with status and removes it from streams
+// (reusing the slice's capacity) and from the connection's in-flight
+// count.
+func (l *link) settle(streams *[]stream, idx int, status string) {
+	l.s.endStream(&(*streams)[idx], status)
 	l.inflight.Add(-1)
 	ss := *streams
 	last := len(ss) - 1

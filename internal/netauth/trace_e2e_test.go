@@ -2,8 +2,11 @@ package netauth
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"net"
 	"strconv"
+	"sync"
 	"testing"
 	"time"
 
@@ -106,7 +109,7 @@ func spanNamed(spans []dtrace.Span, name string) *dtrace.Span {
 
 // TestTraceSessionSpans: a traced single session records the full
 // server-side subtree — select and netauth.session under the device's
-// context, device_rtt under the session — plus the SessionTrace cross-link
+// context, device_rtt under the session — plus the /traces cross-link
 // and the session-latency histogram exemplar.
 func TestTraceSessionSpans(t *testing.T) {
 	addr, srv, chip := startServer(t, 30)
@@ -144,11 +147,11 @@ func TestTraceSessionSpans(t *testing.T) {
 		}
 	}
 
-	// Cross-link: the SessionTrace carries the trace ID, so /traces rows
-	// point into /trace/spans.
-	recent := srv.Tracer().Recent(1)
-	if len(recent) != 1 || recent[0].TraceID != tc.Trace.String() {
-		t.Fatalf("SessionTrace.TraceID = %+v, want %s", recent, tc.Trace)
+	// Cross-link: the session's /traces row is the same span, so it carries
+	// the trace ID that points into /trace/spans.
+	recent := srv.SessionRecorder().Spans()
+	if len(recent) != 1 || recent[0].Trace != tc.Trace || recent[0].ID != sess.ID {
+		t.Fatalf("/traces row = %+v, want the session span %s of trace %s", recent, sess.ID, tc.Trace)
 	}
 
 	// Exemplar: the latency histogram names this trace.
@@ -158,6 +161,109 @@ func TestTraceSessionSpans(t *testing.T) {
 	}
 	if trace, _ := h.Exemplar(); trace != tc.Trace.String() {
 		t.Errorf("session histogram exemplar = %q, want %s", trace, tc.Trace)
+	}
+}
+
+// TestUntracedSessionsDoNotEvictTracedTrees: untraced sessions never enter
+// the span ring, so even a minimum-size ring keeps one traced session's
+// tree through any volume of untraced traffic, while every session still
+// lands in the /traces ring.
+func TestUntracedSessionsDoNotEvictTracedTrees(t *testing.T) {
+	spans := dtrace.NewRecorder(16)
+	addr, srv, chip := startServerConfigured(t, 10, func(s *Server) { s.SetSpanRecorder(spans) })
+	tc := mintTrace()
+	traced := &V2Client{
+		Addr: addr, ChipID: "chip-A", Device: chip, Cond: silicon.Nominal,
+		Timeout: 5 * time.Second, Trace: tc.String(),
+	}
+	defer traced.Close()
+	if res, err := traced.Authenticate(context.Background()); err != nil || !res.Approved {
+		t.Fatalf("traced session: %+v, %v", res, err)
+	}
+	const untraced = 24
+	plain := &V2Client{
+		Addr: addr, ChipID: "chip-A", Device: chip, Cond: silicon.Nominal,
+		Timeout: 5 * time.Second,
+	}
+	defer plain.Close()
+	for i := 0; i < untraced; i++ {
+		if res, err := plain.Authenticate(context.Background()); err != nil || !res.Approved {
+			t.Fatalf("untraced session %d: %+v, %v", i, res, err)
+		}
+	}
+
+	tree := spans.ByTrace(tc.Trace)
+	for _, name := range []string{"select", "netauth.session", "device_rtt"} {
+		if spanNamed(tree, name) == nil {
+			t.Errorf("traced tree lost its %s span: %+v", name, tree)
+		}
+	}
+	if n := spans.Len(); n != len(tree) {
+		t.Errorf("span ring holds %d spans, want only the traced tree's %d", n, len(tree))
+	}
+	if n := srv.SessionRecorder().Len(); n != untraced+1 {
+		t.Errorf("session ring holds %d records, want %d", n, untraced+1)
+	}
+}
+
+// observedSession is one call of the session observer.
+type observedSession struct {
+	challenges int
+	denied     bool
+}
+
+// TestSessionObserverFeed: the anomaly detector's hook sees a successful
+// key exchange as not denied, with every word it burned, and a refused
+// unknown-chip hello as denied with nothing burned.
+func TestSessionObserverFeed(t *testing.T) {
+	var (
+		mu  sync.Mutex
+		got = map[string][]observedSession{}
+	)
+	cfg := keyex.Config{M: 7, T: 8}
+	addr, srv, chip := startServerConfigured(t, 20, func(s *Server) {
+		s.SetSessionObserver(func(chipID string, challenges int, denied bool) {
+			mu.Lock()
+			got[chipID] = append(got[chipID], observedSession{challenges, denied})
+			mu.Unlock()
+		})
+		if err := s.SetKeyExchange(cfg); err != nil {
+			t.Fatal(err)
+		}
+	})
+	before := srv.ChipStatus("chip-A").Issued
+	ss, err := keyexClient(addr, chip, silicon.Nominal).Establish(context.Background())
+	if err != nil {
+		t.Fatalf("Establish: %v", err)
+	}
+	_ = ss.Close()
+	burned := srv.ChipStatus("chip-A").Issued - before
+	if burned != cfg.N() {
+		t.Fatalf("key exchange burned %d challenges, want %d", burned, cfg.N())
+	}
+	var perr *ProtocolError
+	if _, err := Authenticate(addr, "chip-Z", chip, silicon.Nominal, 5*time.Second); !errors.As(err, &perr) || perr.Code != CodeUnknownChip {
+		t.Fatalf("unknown chip: %v, want %s", err, CodeUnknownChip)
+	}
+
+	// The key exchange's record closes when its channel does, racing the
+	// client's Close: poll.
+	want := map[string][]observedSession{
+		"chip-A": {{challenges: burned, denied: false}},
+		"chip-Z": {{challenges: 0, denied: true}},
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		mu.Lock()
+		seen := fmt.Sprint(got)
+		mu.Unlock()
+		if seen == fmt.Sprint(want) {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("observer saw %s, want %s", seen, fmt.Sprint(want))
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
 }
 
@@ -274,9 +380,9 @@ func TestTraceHostileValues(t *testing.T) {
 			if err != nil || !res.Approved {
 				t.Fatalf("hostile trace %q broke the session: %+v, %v", tcase.trace, res, err)
 			}
-			recent := srv.Tracer().Recent(1)
-			if len(recent) != 1 || recent[0].TraceID != "" {
-				t.Fatalf("hostile trace %q leaked into SessionTrace: %+v", tcase.trace, recent)
+			recent := srv.SessionRecorder().Spans()
+			if len(recent) == 0 || !recent[0].Trace.IsZero() || recent[0].Status != "ok" {
+				t.Fatalf("hostile trace %q leaked into the /traces row: %+v", tcase.trace, recent)
 			}
 		})
 	}

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/pprof"
-	"strconv"
 )
 
 // Content types the admin plane serves.  /metrics is the text scrape
@@ -24,11 +23,12 @@ func writeJSON(w http.ResponseWriter, v any) {
 	_ = json.NewEncoder(w).Encode(v)
 }
 
-// Endpoint is an extra handler to mount on the admin mux — the time-series
-// and SLO planes register /timeseries, /slo, and /alerts this way (their
-// packages sit above telemetry in the import graph, so the mux cannot
-// import them).  Extra endpoints returning JSON must set ContentTypeJSON
-// themselves; history.Sampler.Handler and the slo.Engine handlers do.
+// Endpoint is an extra handler to mount on the admin mux — the session
+// record ring (/traces), the span ring (/trace/spans), and the time-series
+// and SLO planes (/timeseries, /slo, /alerts) are mounted this way, so the
+// mux stays free of their packages.  Extra endpoints returning JSON must
+// set ContentTypeJSON themselves; dtrace.Handler, history.Sampler.Handler
+// and the slo.Engine handlers do.
 type Endpoint struct {
 	Path    string
 	Handler http.Handler
@@ -39,20 +39,19 @@ type Endpoint struct {
 //
 //	/metrics        text scrape format (?format=json for the JSON snapshot)
 //	/healthz        JSON liveness payload from the healthz callback
-//	/traces         recent authentication session traces (?n=K caps the count)
 //	/debug/pprof/*  the standard runtime profiler endpoints
 //
-// plus any extra endpoints (/timeseries, /slo, /alerts in production).
+// plus any extra endpoints (/traces, /trace/spans, /timeseries, /slo,
+// /alerts in production).
 //
 // Content-type contract, pinned by TestAdminMuxContentTypes: /metrics
 // serves ContentTypeText; every JSON endpoint serves ContentTypeJSON.
 //
-// reg, tracer, and healthz may each be nil; the endpoints degrade to empty
-// snapshots, empty trace lists, and a bare {"status":"ok"}.  The mux is
-// deliberately built by hand (not net/http.DefaultServeMux) so importing
-// net/http/pprof's handlers never leaks profiling onto a mux the caller
-// didn't ask for.
-func AdminMux(reg *Registry, tracer *Tracer, healthz func() any, extra ...Endpoint) *http.ServeMux {
+// reg and healthz may each be nil; the endpoints degrade to an empty
+// snapshot and a bare {"status":"ok"}.  The mux is deliberately built by
+// hand (not net/http.DefaultServeMux) so importing net/http/pprof's
+// handlers never leaks profiling onto a mux the caller didn't ask for.
+func AdminMux(reg *Registry, healthz func() any, extra ...Endpoint) *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
 		snap := reg.Snapshot()
@@ -75,41 +74,6 @@ func AdminMux(reg *Registry, tracer *Tracer, healthz func() any, extra ...Endpoi
 			payload = healthz()
 		}
 		writeJSON(w, payload)
-	})
-	mux.HandleFunc("/traces", func(w http.ResponseWriter, r *http.Request) {
-		n := 0
-		if q := r.URL.Query().Get("n"); q != "" {
-			// Tolerant parse: a bad n means "all retained".
-			if v, err := strconv.Atoi(q); err == nil && v > 0 {
-				n = v
-			}
-		}
-		// Filters select before the ?n= cap is applied, so "the last 5
-		// denied sessions of chip-7" works as expected: fetch everything,
-		// filter, then truncate.
-		chip := r.URL.Query().Get("chip")
-		verdict := r.URL.Query().Get("verdict")
-		traces := tracer.Recent(0)
-		if chip != "" || verdict != "" {
-			kept := traces[:0]
-			for _, tr := range traces {
-				if chip != "" && tr.ChipID != chip {
-					continue
-				}
-				if verdict != "" && tr.Verdict != verdict {
-					continue
-				}
-				kept = append(kept, tr)
-			}
-			traces = kept
-		}
-		if n > 0 && n < len(traces) {
-			traces = traces[:n]
-		}
-		if traces == nil {
-			traces = []SessionTrace{}
-		}
-		writeJSON(w, traces)
 	})
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)

@@ -7,17 +7,32 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+
+	"xorpuf/internal/telemetry/dtrace"
 )
+
+// sessionRing is a session-record ring holding two records of chip-1, an
+// approval then a denial — what /traces serves in production.
+func sessionRing() *dtrace.Recorder {
+	r := dtrace.NewRecorder(16)
+	for _, st := range []struct{ session, status string }{{"s1", "ok"}, {"s2", "denied"}} {
+		r.Record(dtrace.Span{Name: "netauth.session", Status: st.status,
+			Attrs: map[string]string{"chip": "chip-1", "session": st.session}})
+	}
+	return r
+}
+
+// tracesEndpoint mounts a session-record ring at /traces, as serve does.
+func tracesEndpoint(r *dtrace.Recorder) Endpoint {
+	return Endpoint{Path: "/traces", Handler: dtrace.Handler(r)}
+}
 
 func TestAdminMuxEndpoints(t *testing.T) {
 	reg := NewRegistry()
 	reg.Counter("requests_total").Add(3)
-	tracer := NewTracer(8)
-	tracer.Record(SessionTrace{Session: "s1", Verdict: "approved"})
-	tracer.Record(SessionTrace{Session: "s2", Verdict: "denied"})
-	mux := AdminMux(reg, tracer, func() any {
+	mux := AdminMux(reg, func() any {
 		return map[string]any{"status": "ok", "chips": 2}
-	})
+	}, tracesEndpoint(sessionRing()))
 	srv := httptest.NewServer(mux)
 	defer srv.Close()
 
@@ -59,11 +74,11 @@ func TestAdminMuxEndpoints(t *testing.T) {
 	}
 
 	resp, body = get("/traces?n=1")
-	var traces []SessionTrace
+	var traces dtrace.Dump
 	if err := json.Unmarshal([]byte(body), &traces); err != nil {
 		t.Fatalf("/traces did not parse: %v", err)
 	}
-	if len(traces) != 1 || traces[0].Session != "s2" {
+	if len(traces.Spans) != 1 || traces.Spans[0].Attrs["session"] != "s2" {
 		t.Fatalf("/traces?n=1 = %+v, want newest only", traces)
 	}
 
@@ -88,7 +103,7 @@ func TestAdminMuxContentTypes(t *testing.T) {
 	extra := Endpoint{Path: "/extra", Handler: http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, map[string]int{"ok": 1})
 	})}
-	srv := httptest.NewServer(AdminMux(reg, NewTracer(4), nil, extra))
+	srv := httptest.NewServer(AdminMux(reg, nil, tracesEndpoint(sessionRing()), extra))
 	defer srv.Close()
 
 	cases := []struct {
@@ -121,7 +136,7 @@ func TestAdminMuxContentTypes(t *testing.T) {
 // TestAdminMuxNilDependencies: every dependency may be nil and the plane
 // must still serve.
 func TestAdminMuxNilDependencies(t *testing.T) {
-	srv := httptest.NewServer(AdminMux(nil, nil, nil))
+	srv := httptest.NewServer(AdminMux(nil, nil, tracesEndpoint(nil)))
 	defer srv.Close()
 	for _, path := range []string{"/metrics", "/metrics?format=json", "/healthz", "/traces"} {
 		resp, err := http.Get(srv.URL + path)

@@ -162,7 +162,7 @@ func (s *Span) SetAttr(k, v string) {
 		return
 	}
 	if s.Attrs == nil {
-		s.Attrs = make(map[string]string, 4)
+		s.Attrs = make(map[string]string, 8)
 	}
 	s.Attrs[k] = v
 }
@@ -187,11 +187,12 @@ func (s *Span) End() {
 }
 
 // View is the JSON shape of one recorded span — shared by the /trace/spans
-// admin endpoint, spans_final.json, and the `puflab trace` collector, so one
-// process's output is another's input.
+// and /traces admin endpoints, spans_final.json, and the `puflab trace`
+// collector, so one process's output is another's input.  An untraced
+// session's record has no IDs, so it renders without trace_id and span_id.
 type View struct {
-	TraceID  string            `json:"trace_id"`
-	SpanID   string            `json:"span_id"`
+	TraceID  string            `json:"trace_id,omitempty"`
+	SpanID   string            `json:"span_id,omitempty"`
 	ParentID string            `json:"parent_id,omitempty"`
 	Service  string            `json:"service"`
 	Name     string            `json:"name"`
@@ -204,14 +205,18 @@ type View struct {
 // View converts a recorded span to its JSON shape.
 func (s Span) View() View {
 	v := View{
-		TraceID: s.Trace.String(),
-		SpanID:  s.ID.String(),
 		Service: s.Service,
 		Name:    s.Name,
 		Start:   s.Start,
 		Seconds: s.Seconds,
 		Status:  s.Status,
 		Attrs:   s.Attrs,
+	}
+	if !s.Trace.IsZero() {
+		v.TraceID = s.Trace.String()
+	}
+	if !s.ID.IsZero() {
+		v.SpanID = s.ID.String()
 	}
 	if !s.Parent.IsZero() {
 		v.ParentID = s.Parent.String()

@@ -3,6 +3,7 @@ package dtrace
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http/httptest"
 	"strings"
 	"sync"
@@ -133,6 +134,15 @@ func TestRingEviction(t *testing.T) {
 	if got := len(r.Spans()); got != 16 {
 		t.Fatalf("Spans returned %d, want 16", got)
 	}
+	// Newest first across the wrap: the last 16 records survive.
+	for i := 0; i < 40; i++ {
+		r.Record(Span{Name: fmt.Sprint(i)})
+	}
+	for i, sp := range r.Spans() {
+		if want := fmt.Sprint(39 - i); sp.Name != want {
+			t.Fatalf("Spans()[%d] = %q, want %q", i, sp.Name, want)
+		}
+	}
 }
 
 func TestConcurrentRecording(t *testing.T) {
@@ -170,45 +180,59 @@ func TestContextInjection(t *testing.T) {
 	}
 }
 
+// TestHandler pins the query contract /trace/spans and /traces share:
+// trace, chip and status filters select before the ?n= cap, n ≤ 0 or junk
+// means all, and junk filter values are ignored.
 func TestHandler(t *testing.T) {
 	r := NewRecorder(64)
 	r.SetService("h-svc")
 	keep := r.StartRoot("keep")
+	keep.SetAttr("chip", "chip-1")
+	keep.SetStatus("ok")
 	keep.End()
 	other := r.StartRoot("other")
+	other.SetAttr("chip", "chip-2")
+	other.SetStatus("refused:locked_out")
 	other.End()
+	// An untraced session record: no IDs, still filterable.
+	r.Record(Span{Name: "bare", Status: "ok", Attrs: map[string]string{"chip": "chip-2"}})
 
-	get := func(url string) Dump {
-		t.Helper()
-		req := httptest.NewRequest("GET", url, nil)
+	cases := []struct {
+		query string
+		want  []string // span names, newest first
+	}{
+		{"", []string{"bare", "other", "keep"}},
+		{"?trace=" + keep.Trace.String(), []string{"keep"}},
+		{"?n=1", []string{"bare"}},
+		{"?n=0", []string{"bare", "other", "keep"}},
+		{"?n=-3", []string{"bare", "other", "keep"}},
+		{"?chip=chip-2", []string{"bare", "other"}},
+		{"?status=ok", []string{"bare", "keep"}},
+		{"?chip=chip-2&status=refused:locked_out", []string{"other"}},
+		{"?chip=chip-2&n=1", []string{"bare"}},
+		{"?status=ok&n=1&trace=" + keep.Trace.String(), []string{"keep"}},
+		{"?chip=chip-9", nil},
+		// Junk parameters are ignored, not errors.
+		{"?trace=zzz&n=bogus", []string{"bare", "other", "keep"}},
+	}
+	for _, tc := range cases {
+		req := httptest.NewRequest("GET", "/trace/spans"+tc.query, nil)
 		w := httptest.NewRecorder()
 		Handler(r)(w, req)
-		if ct := w.Header().Get("Content-Type"); !strings.Contains(ct, "application/json") {
-			t.Fatalf("content type %q", ct)
+		if ct := w.Header().Get("Content-Type"); ct != "application/json" {
+			t.Fatalf("%q: content type %q", tc.query, ct)
 		}
 		var d Dump
 		if err := json.Unmarshal(w.Body.Bytes(), &d); err != nil {
-			t.Fatalf("bad JSON: %v\n%s", err, w.Body.String())
+			t.Fatalf("%q: bad JSON: %v\n%s", tc.query, err, w.Body.String())
 		}
-		return d
-	}
-
-	d := get("/trace/spans")
-	if d.Service != "h-svc" || d.Count != 2 || len(d.Spans) != 2 {
-		t.Fatalf("full dump: %+v", d)
-	}
-	d = get("/trace/spans?trace=" + keep.Trace.String())
-	if d.Count != 1 || d.Spans[0].Name != "keep" {
-		t.Fatalf("trace filter: %+v", d)
-	}
-	d = get("/trace/spans?n=1")
-	if d.Count != 1 {
-		t.Fatalf("n filter: %+v", d)
-	}
-	// Junk parameters are ignored, not errors.
-	d = get("/trace/spans?trace=zzz&n=bogus")
-	if d.Count != 2 {
-		t.Fatalf("junk params: %+v", d)
+		var got []string
+		for _, v := range d.Spans {
+			got = append(got, v.Name)
+		}
+		if d.Service != "h-svc" || d.Count != len(d.Spans) || fmt.Sprint(got) != fmt.Sprint(tc.want) {
+			t.Errorf("%q: service=%q count=%d spans=%v, want %v", tc.query, d.Service, d.Count, got, tc.want)
+		}
 	}
 }
 
@@ -238,6 +262,11 @@ func TestViewJSON(t *testing.T) {
 		if v.Name == "root" && v.ParentID != "" {
 			t.Fatalf("root has parent %q", v.ParentID)
 		}
+	}
+	// An untraced session record carries no IDs, so its row has none.
+	b, err = json.Marshal(Span{Name: "bare"}.View())
+	if err != nil || strings.Contains(string(b), "_id") {
+		t.Fatalf("bare span view = %s, %v; want no ID fields", b, err)
 	}
 }
 

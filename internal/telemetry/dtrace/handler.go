@@ -6,9 +6,9 @@ import (
 	"strconv"
 )
 
-// Dump is the JSON document served by /trace/spans and written to
-// spans_final.json: one process's service tag and its recorded spans, newest
-// first.  `puflab trace collect` merges several of these into one
+// Dump is the JSON document served by /trace/spans and /traces and written
+// to spans_final.json: one process's service tag and its recorded spans,
+// newest first.  `puflab trace collect` merges several of these into one
 // cross-process view.
 type Dump struct {
 	Service string `json:"service"`
@@ -32,28 +32,34 @@ func (r *Recorder) MarshalJSONIndent() ([]byte, error) {
 	return json.MarshalIndent(r.Snapshot(), "", "  ")
 }
 
-// Handler serves the recorder's spans as JSON.  Query parameters, all
-// tolerant of junk (ignored rather than erroring, matching /traces):
+// Handler serves the recorder's spans as JSON, newest first.  Filters
+// select before the ?n= cap, so "the last 5 locked-out sessions of chip-7"
+// works as expected; junk values are tolerated (ignored, never an error):
 //
-//	?n=N            keep only the N most recent spans
-//	?trace=<32hex>  keep only spans of one trace (full-ring lookup)
+//	?trace=<32hex>  keep only spans of one trace
+//	?chip=<id>      keep only spans whose "chip" attr is id
+//	?status=<s>     keep only spans with status s (ok, denied, refused:<code>)
+//	?n=N            keep only the N most recent matches; N ≤ 0 or
+//	                unparsable means all
 func Handler(r *Recorder) http.HandlerFunc {
 	return func(w http.ResponseWriter, req *http.Request) {
-		d := r.Snapshot()
-		if tid, ok := ParseTraceID(req.URL.Query().Get("trace")); ok {
-			kept := d.Spans[:0]
-			for _, v := range d.Spans {
-				if v.TraceID == tid.String() {
-					kept = append(kept, v)
-				}
+		q := req.URL.Query()
+		tid, byTrace := ParseTraceID(q.Get("trace"))
+		chip, status := q.Get("chip"), q.Get("status")
+		n, _ := strconv.Atoi(q.Get("n"))
+		d := Dump{Service: r.Service(), Spans: []View{}}
+		for _, s := range r.Spans() {
+			if n > 0 && len(d.Spans) == n {
+				break
 			}
-			d.Spans = kept
-		}
-		if n, err := strconv.Atoi(req.URL.Query().Get("n")); err == nil && n >= 0 && n < len(d.Spans) {
-			d.Spans = d.Spans[:n]
+			if (byTrace && s.Trace != tid) || (chip != "" && s.Attrs["chip"] != chip) ||
+				(status != "" && s.Status != status) {
+				continue
+			}
+			d.Spans = append(d.Spans, s.View())
 		}
 		d.Count = len(d.Spans)
-		w.Header().Set("Content-Type", "application/json; charset=utf-8")
+		w.Header().Set("Content-Type", "application/json")
 		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")
 		enc.Encode(d) //nolint:errcheck

@@ -1,7 +1,8 @@
 // Package telemetry is the observability plane: a dependency-free,
 // concurrency-safe metrics registry (counters, gauges, bounded-bucket
-// latency histograms) plus a per-session trace recorder for the
-// authentication hot path.
+// latency histograms) and the admin HTTP mux that serves it.  Per-session
+// records are dtrace spans (package dtrace), mounted on the mux as
+// endpoints.
 //
 // Design constraints, in order:
 //

@@ -35,15 +35,13 @@ func TestNilInstrumentsAreSafe(t *testing.T) {
 	var c *Counter
 	var g *Gauge
 	var h *Histogram
-	var tr *Tracer
 	c.Inc()
 	c.Add(5)
 	g.Set(1)
 	g.Inc()
 	h.Observe(1)
 	h.ObserveSince(time.Now())
-	tr.Record(SessionTrace{})
-	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 || tr.Len() != 0 {
+	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 {
 		t.Fatal("nil instruments must read zero")
 	}
 	var nilReg *Registry
@@ -227,37 +225,5 @@ func TestConcurrentIncrements(t *testing.T) {
 	}
 	if math.Abs(hs.Sum-goroutines*perG) > 1e-6 {
 		t.Fatalf("histogram sum = %g, want %d", hs.Sum, goroutines*perG)
-	}
-}
-
-func TestTracerRing(t *testing.T) {
-	tr := NewTracer(3)
-	for i := 0; i < 5; i++ {
-		tr.Record(SessionTrace{Session: string(rune('a' + i))})
-	}
-	if tr.Len() != 3 {
-		t.Fatalf("len = %d, want capacity 3", tr.Len())
-	}
-	recent := tr.Recent(10)
-	if len(recent) != 3 {
-		t.Fatalf("Recent returned %d, want 3", len(recent))
-	}
-	// Newest first: e, d, c survived the wrap.
-	for i, want := range []string{"e", "d", "c"} {
-		if recent[i].Session != want {
-			t.Fatalf("recent[%d] = %q, want %q", i, recent[i].Session, want)
-		}
-	}
-	if got := tr.Recent(1); len(got) != 1 || got[0].Session != "e" {
-		t.Fatalf("Recent(1) = %+v, want just the newest", got)
-	}
-}
-
-func TestTraceStepHelper(t *testing.T) {
-	var st SessionTrace
-	st.Step("hello", 2*time.Millisecond)
-	st.Step("verdict", time.Millisecond)
-	if len(st.Steps) != 2 || st.Steps[0].Name != "hello" || st.Steps[1].Seconds != 0.001 {
-		t.Fatalf("steps = %+v", st.Steps)
 	}
 }
