@@ -19,23 +19,6 @@ import (
 	"xorpuf/internal/registry/fleet"
 )
 
-// fleetProgress returns a Progress callback that prints a coarse ticker
-// (every ~5 % of the fleet, and on completion) without drowning stdout.
-func fleetProgress(total int) func(done, total int) {
-	step := total / 20
-	if step < 1 {
-		step = 1
-	}
-	return func(done, total int) {
-		if done == total || done%step == 0 {
-			fmt.Printf("\renrolling fleet: %d/%d", done, total)
-			if done == total {
-				fmt.Println()
-			}
-		}
-	}
-}
-
 func runFleet(args []string) {
 	fs := flag.NewFlagSet("fleet", flag.ExitOnError)
 	chips := fs.Int("chips", 1000, "fleet size to enroll")
@@ -73,7 +56,7 @@ func runFleet(args []string) {
 		Enroll:       enrollCfg,
 		Budget:       *budget,
 		SkipExisting: true,
-		Progress:     fleetProgress(*chips),
+		Progress:     fleet.PrintProgress(*chips),
 	}, reg)
 	if err != nil {
 		fail("enrollment: %v (enrolled %d, failed %d)", err, rep.Enrolled, rep.Failed)

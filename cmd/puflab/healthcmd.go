@@ -91,13 +91,7 @@ func runHealth(args []string) {
 			Seed:   *seed,
 			Enroll: enrollCfg,
 			Budget: *budget,
-			Chip: func(id string) (*silicon.Chip, error) {
-				var idx int
-				if _, err := fmt.Sscanf(id, "chip-%d", &idx); err != nil {
-					return nil, fmt.Errorf("cannot derive fleet index from id %q", id)
-				}
-				return fleet.Chip(*seed, idx, silicon.DefaultParams(), *xorWidth), nil
-			},
+			Chip:   fleet.Provider(*seed, silicon.DefaultParams(), *xorWidth),
 		})
 		if err != nil {
 			fail("%v", err)

@@ -33,26 +33,25 @@ func runKeyex(args []string) {
 	tempC := fs.Float64("temp", silicon.Nominal.TempC, "temperature (°C) the device is read at")
 	payload := fs.Int("payload", 1024, "bytes of application payload to ship over the channel (0 = none)")
 	skipAuth := fs.Bool("no-auth", false, "skip the authentication exchange inside the channel")
-	fault := faultFlags(fs)
+	var fault faultnet.Config
+	faultFlags(fs, &fault)
 	if err := fs.Parse(args); err != nil {
 		os.Exit(2)
 	}
 
-	nc := netConfig{seed: *seed, xor: *xorWidth}
-	device := nc.chip(*chipIdx, *impostor)
+	dev := device(*seed, *chipIdx, *xorWidth, *impostor)
 	cond := silicon.Condition{VDD: *vdd, TempC: *tempC}
 	chipID := fmt.Sprintf("chip-%d", *chipIdx)
 	client := &netauth.V2Client{
 		Addr:    *addr,
 		ChipID:  chipID,
-		Device:  device,
+		Device:  dev,
 		Cond:    cond,
 		Timeout: *timeout,
 	}
-	if cfg := fault(); cfg.ResetProb > 0 || cfg.CorruptProb > 0 || cfg.StallProb > 0 ||
-		cfg.PartialWriteProb > 0 || cfg.MaxLatency > 0 {
-		client.DialContext = faultnet.NewDialer(cfg).DialContext
-		fmt.Printf("fault injection active: %+v\n", cfg)
+	if fault.Injects() {
+		client.DialContext = faultnet.NewDialer(fault).DialContext
+		fmt.Printf("fault injection active: %+v\n", fault)
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)

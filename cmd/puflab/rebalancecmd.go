@@ -30,27 +30,12 @@ import (
 	"net/http"
 	"net/url"
 	"os"
-	"sync"
 	"time"
 
+	"xorpuf/internal/node"
 	"xorpuf/internal/registry"
 	"xorpuf/internal/registry/rebalance"
 )
-
-// rebalanceDoc is the GET /rebalance payload: the active (or most recent)
-// outbound migration plus the registry's durable ownership state.
-type rebalanceDoc struct {
-	Epoch    uint64                   `json:"epoch"`
-	Active   *rebalance.SourceStatus  `json:"active,omitempty"`
-	Departed []registry.DepartedRange `json:"departed"`
-	Fences   []rebalanceFence         `json:"fences"`
-}
-
-type rebalanceFence struct {
-	ID string `json:"id"`
-	Lo string `json:"lo"`
-	Hi string `json:"hi"`
-}
 
 func runRebalance(args []string) {
 	if len(args) < 1 {
@@ -137,7 +122,7 @@ func runRebalanceStart(args []string) {
 	}
 	for {
 		time.Sleep(*interval)
-		var doc rebalanceDoc
+		var doc node.RebalanceDoc
 		if err := json.Unmarshal(adminGet(client, *addr, "/rebalance"), &doc); err != nil {
 			fmt.Fprintf(os.Stderr, "puflab rebalance: bad /rebalance payload: %v\n", err)
 			os.Exit(1)
@@ -173,7 +158,7 @@ func runRebalanceStatus(args []string) {
 		os.Stdout.Write(body)
 		return
 	}
-	var doc rebalanceDoc
+	var doc node.RebalanceDoc
 	if err := json.Unmarshal(body, &doc); err != nil {
 		fmt.Fprintf(os.Stderr, "puflab rebalance: bad /rebalance payload: %v\n", err)
 		os.Exit(1)
@@ -294,112 +279,4 @@ func runRebalanceAudit(args []string) {
 		os.Exit(1)
 	}
 	fmt.Println("audit OK: no challenge issued twice across the fleet's combined history")
-}
-
-// rebalanceManager owns the serve process's outbound migration slot: one
-// live migration at a time, started and aborted through the admin plane.
-// The last terminal status stays visible until the next start, so a -wait
-// poller never races the slot being cleared.
-type rebalanceManager struct {
-	reg *registry.Registry
-	mu  sync.Mutex
-	src *rebalance.Source
-}
-
-func (m *rebalanceManager) start(cfg rebalance.SourceConfig) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.src != nil {
-		select {
-		case <-m.src.Done():
-		default:
-			return fmt.Errorf("migration %s is still running", m.src.Status().MigrationID)
-		}
-	}
-	src, err := rebalance.StartSource(m.reg, cfg)
-	if err != nil {
-		return err
-	}
-	m.src = src
-	return nil
-}
-
-func (m *rebalanceManager) doc() rebalanceDoc {
-	doc := rebalanceDoc{
-		Epoch:    m.reg.OwnershipEpoch(),
-		Departed: m.reg.Departed(),
-		Fences:   []rebalanceFence{},
-	}
-	if doc.Departed == nil {
-		doc.Departed = []registry.DepartedRange{}
-	}
-	for _, f := range m.reg.Fences() {
-		doc.Fences = append(doc.Fences, rebalanceFence{ID: f.ID, Lo: f.Lo, Hi: f.Hi})
-	}
-	m.mu.Lock()
-	if m.src != nil {
-		st := m.src.Status()
-		doc.Active = &st
-	}
-	m.mu.Unlock()
-	return doc
-}
-
-// statusHandler serves GET /rebalance.
-func (m *rebalanceManager) statusHandler() http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		_ = json.NewEncoder(w).Encode(m.doc())
-	})
-}
-
-// startHandler serves POST /rebalance/start (form params: id, lo, hi,
-// target, redirect).
-func (m *rebalanceManager) startHandler() http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodPost {
-			http.Error(w, "starting a migration requires POST", http.StatusMethodNotAllowed)
-			return
-		}
-		cfg := rebalance.SourceConfig{
-			MigrationID: r.FormValue("id"),
-			Lo:          r.FormValue("lo"),
-			Hi:          r.FormValue("hi"),
-			TargetAddr:  r.FormValue("target"),
-			Redirect:    r.FormValue("redirect"),
-			Logf: func(format string, args ...interface{}) {
-				fmt.Printf("rebalance: "+format+"\n", args...)
-			},
-		}
-		if err := m.start(cfg); err != nil {
-			http.Error(w, err.Error(), http.StatusConflict)
-			return
-		}
-		fmt.Printf("rebalance: migration %s started: [%s, %s) → %s\n", cfg.MigrationID, cfg.Lo, cfg.Hi, cfg.TargetAddr)
-		w.Header().Set("Content-Type", "application/json")
-		_ = json.NewEncoder(w).Encode(map[string]any{"started": true, "migration_id": cfg.MigrationID})
-	})
-}
-
-// abortHandler serves POST /rebalance/abort.
-func (m *rebalanceManager) abortHandler() http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodPost {
-			http.Error(w, "aborting a migration requires POST", http.StatusMethodNotAllowed)
-			return
-		}
-		m.mu.Lock()
-		src := m.src
-		m.mu.Unlock()
-		if src == nil {
-			http.Error(w, "no migration to abort", http.StatusConflict)
-			return
-		}
-		if err := src.Abort(); err != nil {
-			http.Error(w, err.Error(), http.StatusConflict)
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		_ = json.NewEncoder(w).Encode(map[string]any{"aborting": true})
-	})
 }

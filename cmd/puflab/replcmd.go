@@ -9,6 +9,7 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"net"
@@ -20,6 +21,7 @@ import (
 	"time"
 
 	"xorpuf/internal/netauth"
+	"xorpuf/internal/node"
 	"xorpuf/internal/registry/repl"
 	"xorpuf/internal/telemetry"
 	"xorpuf/internal/telemetry/dtrace"
@@ -72,7 +74,7 @@ follower to stop replicating and start serving authentication (failover).
 		fmt.Printf("%s\n", body)
 		return
 	}
-	var doc replStatusDoc
+	var doc node.ReplDoc
 	if err := json.Unmarshal(body, &doc); err != nil {
 		fmt.Fprintf(os.Stderr, "puflab repl status: decoding /repl: %v\n", err)
 		os.Exit(1)
@@ -160,7 +162,7 @@ func runGateway(args []string) {
 			Path: "/trace/spans", Handler: dtrace.Handler(dtrace.Default),
 		})
 		go func() {
-			if err := http.Serve(adminLn, mux); err != nil && !isClosedErr(err) {
+			if err := http.Serve(adminLn, mux); err != nil && !errors.Is(err, net.ErrClosed) {
 				fmt.Fprintf(os.Stderr, "puflab gateway: admin server: %v\n", err)
 			}
 		}()

@@ -61,6 +61,12 @@ type Config struct {
 	MaxLatency time.Duration
 }
 
+// Injects reports whether c injects any fault at all.
+func (c Config) Injects() bool {
+	return c.ResetProb > 0 || c.CorruptProb > 0 || c.StallProb > 0 ||
+		c.PartialWriteProb > 0 || c.MaxLatency > 0
+}
+
 func (c Config) stall() time.Duration {
 	if c.Stall <= 0 {
 		return 500 * time.Millisecond

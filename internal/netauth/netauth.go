@@ -276,10 +276,6 @@ func (s *Server) SetTelemetry(reg *telemetry.Registry) {
 // hot path.
 func (s *Server) SetSpanRecorder(r *dtrace.Recorder) { s.spans = r }
 
-// SpanRecorder returns the span ring (nil when disabled) — the admin
-// /trace/spans endpoint reads it.
-func (s *Server) SpanRecorder() *dtrace.Recorder { return s.spans }
-
 // SessionRecorder returns the per-session record ring — the admin /traces
 // endpoint serves it through dtrace.Handler.
 func (s *Server) SessionRecorder() *dtrace.Recorder { return s.sessions }

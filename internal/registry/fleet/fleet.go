@@ -15,6 +15,8 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -109,6 +111,38 @@ type Report struct {
 // fleet-enrolled server without re-running enrollment.
 func Chip(seed uint64, i int, params silicon.Params, xorWidth int) *silicon.Chip {
 	return silicon.NewChip(rng.New(seed).Fork("chip", i), params, xorWidth)
+}
+
+// Provider is the ChipProvider for a fleet enrolled with seed: ID
+// "chip-<i>" is Chip(seed, i, params, xorWidth), and any other ID is an
+// error.
+func Provider(seed uint64, params silicon.Params, xorWidth int) ChipProvider {
+	return func(id string) (*silicon.Chip, error) {
+		s, ok := strings.CutPrefix(id, "chip-")
+		i, err := strconv.Atoi(s)
+		if !ok || err != nil || i < 0 {
+			return nil, fmt.Errorf("cannot derive fleet index from id %q", id)
+		}
+		return Chip(seed, i, params, xorWidth), nil
+	}
+}
+
+// PrintProgress returns a Config.Progress callback that prints a coarse
+// ticker to stdout (every ~5 % of the fleet, and on completion) without
+// drowning it.
+func PrintProgress(total int) func(done, total int) {
+	step := total / 20
+	if step < 1 {
+		step = 1
+	}
+	return func(done, total int) {
+		if done == total || done%step == 0 {
+			fmt.Printf("\renrolling fleet: %d/%d", done, total)
+			if done == total {
+				fmt.Println()
+			}
+		}
+	}
 }
 
 // Run enrolls the configured fleet into reg using a worker pool.  Individual

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"net"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -181,6 +182,31 @@ func TestRunRejectsBadConfig(t *testing.T) {
 	}
 	if _, err := fleet.Run(fleet.Config{Chips: 1}, nil); err == nil {
 		t.Error("nil registry accepted")
+	}
+}
+
+// TestProviderDerivesFleetSilicon: the ID → silicon mapping re-enrollment
+// uses hands back exactly the silicon fleet member i was fabricated with,
+// and refuses IDs that name no fleet member.
+func TestProviderDerivesFleetSilicon(t *testing.T) {
+	params := silicon.DefaultParams()
+	provide := fleet.Provider(77, params, 2)
+	for _, i := range []int{0, 3} {
+		got, err := provide(fmt.Sprintf("chip-%d", i))
+		if err != nil {
+			t.Fatalf("chip-%d: %v", i, err)
+		}
+		if !reflect.DeepEqual(got, fleet.Chip(77, i, params, 2)) {
+			t.Errorf("chip-%d: provider silicon differs from fleet.Chip(77, %d)", i, i)
+		}
+	}
+	if reflect.DeepEqual(fleet.Chip(77, 0, params, 2), fleet.Chip(77, 3, params, 2)) {
+		t.Fatal("fleet members 0 and 3 are identical; the comparison above proves nothing")
+	}
+	for _, id := range []string{"", "chip-", "chip-x", "chip--1", "chip-1x", "board-1"} {
+		if _, err := provide(id); err == nil {
+			t.Errorf("malformed id %q accepted", id)
+		}
 	}
 }
 

@@ -85,9 +85,9 @@ func (s OwnershipStatus) String() string {
 // unbounded above.  Ranges are compared as raw strings, matching how the
 // fleet's zero-padded or prefix-grouped IDs sort.
 type MigRange struct {
-	ID string // migration ID the range belongs to
-	Lo string
-	Hi string
+	ID string `json:"id"` // migration ID the range belongs to
+	Lo string `json:"lo"`
+	Hi string `json:"hi"`
 }
 
 // Contains reports whether the chip ID falls inside the range.

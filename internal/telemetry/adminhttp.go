@@ -15,10 +15,10 @@ const (
 	ContentTypeJSON = "application/json"
 )
 
-// writeJSON encodes v with the JSON content type set before the first
+// WriteJSON encodes v with the JSON content type set before the first
 // body byte — after the first Write the header is immutable, so every
 // error path must decide its type up front.
-func writeJSON(w http.ResponseWriter, v any) {
+func WriteJSON(w http.ResponseWriter, v any) {
 	w.Header().Set("Content-Type", ContentTypeJSON)
 	_ = json.NewEncoder(w).Encode(v)
 }
@@ -73,7 +73,7 @@ func AdminMux(reg *Registry, healthz func() any, extra ...Endpoint) *http.ServeM
 		if healthz != nil {
 			payload = healthz()
 		}
-		writeJSON(w, payload)
+		WriteJSON(w, payload)
 	})
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)

@@ -101,7 +101,7 @@ func TestAdminMuxContentTypes(t *testing.T) {
 	reg := NewRegistry()
 	reg.Counter("requests_total").Inc()
 	extra := Endpoint{Path: "/extra", Handler: http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, map[string]int{"ok": 1})
+		WriteJSON(w, map[string]int{"ok": 1})
 	})}
 	srv := httptest.NewServer(AdminMux(reg, nil, tracesEndpoint(sessionRing()), extra))
 	defer srv.Close()

@@ -1,7 +1,6 @@
 package history
 
 import (
-	"encoding/json"
 	"math"
 	"net/http"
 	"sort"
@@ -152,6 +151,10 @@ func NewSampler(reg *telemetry.Registry, opts Options) *Sampler {
 		hists:      make(map[string]*histSeries),
 	}
 }
+
+// Registry returns the registry the sampler snapshots (nil for a sampler
+// built over none).
+func (s *Sampler) Registry() *telemetry.Registry { return s.reg }
 
 // Now reports the sampler's current time — the injected clock, so every
 // consumer (SLO engine, anomaly detector, admin handlers) shares one
@@ -455,7 +458,6 @@ func (s *Sampler) Handler() http.Handler {
 			}
 		}
 		withPoints := r.URL.Query().Get("points") == "1"
-		w.Header().Set("Content-Type", "application/json")
-		_ = json.NewEncoder(w).Encode(s.Dump(window, withPoints))
+		telemetry.WriteJSON(w, s.Dump(window, withPoints))
 	})
 }

@@ -60,7 +60,7 @@ type Event struct {
 	Reason string `json:"reason,omitempty"`
 	// ExemplarTrace is a distributed-trace ID of a concrete recent
 	// observation behind the driving metric (latency rules only, and only
-	// when the engine has an exemplar source): `puflab trace show <id>`
+	// once the histogram has a traced observation): `puflab trace show <id>`
 	// turns the page into one offending session's span tree.
 	ExemplarTrace string `json:"exemplar_trace,omitempty"`
 }
@@ -78,8 +78,8 @@ type alertMachine struct {
 	clearSince time.Time
 	lastValue  float64
 	lastReason string
-	// lastExemplar is the most recent exemplar trace ID attached by the
-	// engine's exemplar source (latency rules); carried on events and the
+	// lastExemplar is the most recent exemplar trace ID of the rule's
+	// histogram (latency rules); carried on events and the
 	// /alerts status so a fired alert names a concrete trace.
 	lastExemplar string
 }

@@ -29,7 +29,6 @@
 package slo
 
 import (
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"sort"
@@ -37,6 +36,7 @@ import (
 	"sync"
 	"time"
 
+	"xorpuf/internal/telemetry"
 	"xorpuf/internal/telemetry/history"
 )
 
@@ -147,10 +147,6 @@ type Engine struct {
 	external []Evaluator
 	events   []Event
 	onEvent  func(Event)
-	// exemplar, when set, maps a histogram name to the trace ID (and value)
-	// of its most recent traced observation; latency rules consult it each
-	// evaluation so alerts carry a concrete offending trace.
-	exemplar func(hist string) (trace string, value float64)
 }
 
 // maxEventLog bounds the retained transition history.
@@ -190,20 +186,6 @@ func (e *Engine) OnEvent(fn func(Event)) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.onEvent = fn
-}
-
-// SetExemplarSource wires the engine to histogram exemplars: fn maps a
-// histogram name to the trace ID of its most recent traced observation (and
-// the observed value), typically telemetry.Registry.FindHistogram(name).
-// Exemplar().  Latency rules consult it every evaluation; the latest
-// non-empty trace rides the rule's events and /alerts status, so a burning
-// SLO points at a session to pull up with `puflab trace show`.  fn must be
-// safe for concurrent use; an empty trace return means "no exemplar yet"
-// and leaves the previous one in place.
-func (e *Engine) SetExemplarSource(fn func(hist string) (trace string, value float64)) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.exemplar = fn
 }
 
 // burnRatio evaluates a ratio objective over one window.
@@ -281,7 +263,6 @@ func (e *Engine) Evaluate() []Event {
 	copy(rules, e.rules)
 	external := make([]Evaluator, len(e.external))
 	copy(external, e.external)
-	exemplar := e.exemplar
 	e.mu.Unlock()
 
 	var out []Event
@@ -303,8 +284,10 @@ func (e *Engine) Evaluate() []Event {
 			value = longBurn
 			reason = fmt.Sprintf("%s p%g = %.4gs over %v (threshold %.4gs)",
 				r.Objective.Histogram, r.Objective.Quantile*100, qLong, r.LongWindow, r.Objective.Threshold)
-			if exemplar != nil {
-				exTrace, _ = exemplar(r.Objective.Histogram)
+			// The alert names a concrete offending session: the trace of
+			// the histogram's most recent traced observation.
+			if h := e.hist.Registry().FindHistogram(r.Objective.Histogram); h != nil {
+				exTrace, _ = h.Exemplar()
 			}
 		case KindGauge:
 			var qLong float64
@@ -451,8 +434,7 @@ func (e *Engine) Final() FinalState {
 // SLOHandler serves /slo: the objective statuses as application/json.
 func (e *Engine) SLOHandler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		_ = json.NewEncoder(w).Encode(e.Status())
+		telemetry.WriteJSON(w, e.Status())
 	})
 }
 
@@ -479,8 +461,7 @@ func (e *Engine) AlertsHandler() http.Handler {
 		if payload.Events == nil {
 			payload.Events = []Event{}
 		}
-		w.Header().Set("Content-Type", "application/json")
-		_ = json.NewEncoder(w).Encode(payload)
+		telemetry.WriteJSON(w, payload)
 	})
 }
 

@@ -446,12 +446,6 @@ func TestLatencyExemplarTrace(t *testing.T) {
 		Severity: "page",
 	}})
 	lat := h.reg.Histogram("lat_seconds", telemetry.LatencyBuckets)
-	h.engine.SetExemplarSource(func(hist string) (string, float64) {
-		if hi := h.reg.FindHistogram(hist); hi != nil {
-			return hi.Exemplar()
-		}
-		return "", 0
-	})
 
 	const trace = "0123456789abcdef0123456789abcdef"
 	var fired *Event

@@ -256,6 +256,19 @@ func TestKeyExchangeEndToEnd(t *testing.T) {
 	t.Logf("audit: %d distinct challenges across restart, zero reuse", total)
 }
 
+// lockedDevice serialises one chip's reads: silicon.Chip's noise stream is
+// not safe for concurrent use, and the soak's workers share each chip.
+type lockedDevice struct {
+	mu   sync.Mutex
+	chip core.Device
+}
+
+func (d *lockedDevice) ReadXOR(c challenge.Challenge, cond silicon.Condition) uint8 {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.chip.ReadXOR(c, cond)
+}
+
 // TestEncryptedSessionSoak is the race-detector workout for the channel
 // stack: several devices establish keys and drive encrypted sessions
 // concurrently against one server, cycling through every V/T corner, while
@@ -281,13 +294,14 @@ func TestEncryptedSessionSoak(t *testing.T) {
 	ecfg.TrainingSize = 1000
 	ecfg.ValidationSize = 3000
 	ecfg.Conditions = silicon.Corners()
-	chips := make([]*silicon.Chip, soakKeyChips)
-	for i := range chips {
-		chips[i] = silicon.NewChip(rng.New(uint64(300+i)), silicon.DefaultParams(), 2)
-		enr, err := core.EnrollChip(chips[i], rng.New(uint64(400+i)), ecfg)
+	devices := make([]*lockedDevice, soakKeyChips)
+	for i := range devices {
+		chip := silicon.NewChip(rng.New(uint64(300+i)), silicon.DefaultParams(), 2)
+		enr, err := core.EnrollChip(chip, rng.New(uint64(400+i)), ecfg)
 		if err != nil {
 			t.Fatal(err)
 		}
+		devices[i] = &lockedDevice{chip: chip}
 		if err := srv.Register(fmt.Sprintf("chip-%d", i), enr.Model); err != nil {
 			t.Fatal(err)
 		}
@@ -315,7 +329,7 @@ func TestEncryptedSessionSoak(t *testing.T) {
 				cond := corners[(w*soakKeySessions+j)%len(corners)]
 				c := &netauth.V2Client{
 					Addr: addr, ChipID: fmt.Sprintf("chip-%d", chipIdx),
-					Device: chips[chipIdx], Cond: cond, Timeout: 10 * time.Second,
+					Device: devices[chipIdx], Cond: cond, Timeout: 10 * time.Second,
 				}
 				ss, err := c.Establish(context.Background())
 				if err != nil {

@@ -19,7 +19,6 @@ import (
 	"io"
 	"net"
 	"net/http"
-	"net/http/httptest"
 	"runtime"
 	"strconv"
 	"strings"
@@ -33,6 +32,7 @@ import (
 	"xorpuf/internal/faultnet"
 	"xorpuf/internal/keyex"
 	"xorpuf/internal/netauth"
+	"xorpuf/internal/node"
 	"xorpuf/internal/registry"
 	"xorpuf/internal/rng"
 	"xorpuf/internal/silicon"
@@ -330,14 +330,20 @@ func TestSLOAndAttackAlertsFireAndResolve(t *testing.T) {
 
 // TestOperatorQuestionsFromMetricsAndTraces answers "why was this session
 // slow?" and "why did selection fail?" by scraping only /metrics and
-// /traces of an admin mux built as `puflab serve -admin` builds it.
+// /traces of the admin plane of a node built as `puflab serve -admin`
+// builds it.
 func TestOperatorQuestionsFromMetricsAndTraces(t *testing.T) {
 	const perSession = 25
-	reg, err := registry.Open("", registry.Options{Seed: 5})
+	nd, err := node.Start(node.Config{
+		Addr: "127.0.0.1:0", Admin: "127.0.0.1:0", N: perSession, Seed: 4, // registry seed 5
+		Timeout: 10 * time.Second, Drain: 5 * time.Second, Lockout: 5,
+		Sample: 2 * time.Second, ReplQuorum: 1,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer reg.Close()
+	defer nd.Close()
+	reg := nd.Registry()
 	models := map[string]*core.ChipModel{
 		"chip-1": sloTestModel(8),  // slow wire
 		"chip-3": sloTestModel(10), // budget below one session's challenges
@@ -348,23 +354,10 @@ func TestOperatorQuestionsFromMetricsAndTraces(t *testing.T) {
 	if err := reg.Register("chip-3", models["chip-3"], perSession-1); err != nil {
 		t.Fatal(err)
 	}
-	telReg := telemetry.NewRegistry()
-	srv := netauth.NewServerWithRegistry(perSession, 5, reg)
-	srv.SetTelemetry(telReg)
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	go srv.Serve(ln) //nolint:errcheck
-	defer srv.Close()
-	admin := httptest.NewServer(telemetry.AdminMux(telReg, nil,
-		telemetry.Endpoint{Path: "/traces", Handler: dtrace.Handler(srv.SessionRecorder())},
-		telemetry.Endpoint{Path: "/trace/spans", Handler: dtrace.Handler(srv.SpanRecorder())},
-	))
-	defer admin.Close()
+	authAddr, adminURL := nd.AuthAddr(), "http://"+nd.AdminAddr()
 	get := func(path string) []byte {
 		t.Helper()
-		resp, err := http.Get(admin.URL + path)
+		resp, err := http.Get(adminURL + path)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -386,7 +379,7 @@ func TestOperatorQuestionsFromMetricsAndTraces(t *testing.T) {
 
 	// --- Why was this session slow?  The device round trip. ----------------
 	slow := &netauth.V2Client{
-		Addr: ln.Addr().String(), ChipID: "chip-1", Device: sloTestDevice{m: models["chip-1"]},
+		Addr: authAddr, ChipID: "chip-1", Device: sloTestDevice{m: models["chip-1"]},
 		Cond: silicon.Nominal, Timeout: 10 * time.Second,
 		Policy:      netauth.RetryPolicy{MaxAttempts: 1},
 		DialContext: faultnet.NewDialer(faultnet.Config{Seed: 3, MaxLatency: 150 * time.Millisecond}).DialContext,
@@ -419,7 +412,7 @@ func TestOperatorQuestionsFromMetricsAndTraces(t *testing.T) {
 
 	// --- Why did selection fail?  The refusal, counted and recorded. -------
 	starved := &netauth.V2Client{
-		Addr: ln.Addr().String(), ChipID: "chip-3", Device: sloTestDevice{m: models["chip-3"]},
+		Addr: authAddr, ChipID: "chip-3", Device: sloTestDevice{m: models["chip-3"]},
 		Cond: silicon.Nominal, Timeout: 10 * time.Second,
 		Policy: netauth.RetryPolicy{MaxAttempts: 1},
 	}
