@@ -63,6 +63,9 @@ func Authenticate(cm *ChipModel, dev Device, src *rng.Source, count int, cond si
 		// Zero challenges would approve any device at zero Hamming distance.
 		return AuthResult{}, fmt.Errorf("core: Authenticate count %d, want > 0", count)
 	}
+	if k := cm.Stages(); k > MaxStages {
+		return AuthResult{}, fmt.Errorf("core: Authenticate on %d stages, the selector serves at most %d", k, MaxStages)
+	}
 	sel := NewSelector(cm, src)
 	cs, predicted, err := sel.Next(count, 0)
 	if err != nil {

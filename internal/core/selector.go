@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"xorpuf/internal/challenge"
@@ -14,26 +15,211 @@ import (
 // authentication sessions (reuse would hand an eavesdropper consistent CRPs
 // and invite replay).
 //
+// Candidates are classified on the raw challenge word, never as
+// Challenge objects.  w = src.Uint64() & mask is exactly the draw
+// challenge.Random makes for k ≤ 64 stages, and its suffix-parity word p
+// (bit i = parity of bits i..k−1 of w) gives every feature at once:
+// Φ_i = (−1)^{p_i}.  Each member PUF's prediction is then
+// Δ′ = θ_k + Σ_j T_j[nibble_j(p)], where the nibble table
+// T_j[v] = Σ_{i<4} (−1)^{v_i}·θ_{4j+i} is built once by NewSelector
+// (16 float64 per 4 stages).
+//
+// Δ′ sums the same ±θ_i as the reference Dot(θ, Φ(c)) in a different
+// order, so the two can differ by rounding, but by at most
+// (k + ⌈k/4⌉ + 4)·2⁻⁵³·Σ|θ|.  The kernel trusts Δ′ only when it lies
+// farther than ε = 2⁻⁴⁵·Σ|θ| (at least twice that gap for k ≤ 64) from
+// both β0·Thr0 and β1·Thr1; inside that closed band it recomputes the sum
+// in Dot's order, s = 0, s += ±θ_i for i = 0..k−1, s += θ_k, which is
+// bit-identical to Dot because multiplying by ±1 is exact.  A member whose
+// θ or β-scaled thresholds are not finite, or whose Σ|θ| is too small or
+// too large for ε to be a normal float, always takes that exact path.
+// Every classification, and so every issued word, bit, Examined count and
+// rng position, equals the per-candidate PredictXORFeatures reference.
+//
+// The tables and band are built from the model at NewSelector, which also
+// keeps the model's θ slices for the exact path: the model must not be
+// mutated afterwards (re-enrollment builds a new Selector).
+//
 // A Selector is not safe for concurrent use; wrap it in the caller's lock
 // (netauth.Server does).
 type Selector struct {
-	model  *ChipModel
-	src    *rng.Source
-	used   map[uint64]struct{}
-	budget int       // lifetime cap on issued challenges; 0 = unlimited
-	phi    []float64 // scratch feature vector shared across candidates
+	src     *rng.Source
+	used    map[uint64]struct{}
+	budget  int            // lifetime cap on issued challenges; 0 = unlimited
+	stages  int            // k
+	mask    uint64         // the low k bits
+	members []memberKernel // in the model's member order
 	// examined counts every random candidate drawn by Next over the
 	// selector's lifetime, accepted or not.
 	examined int
 }
 
+// memberKernel is one member PUF's precomputed classifier.
+type memberKernel struct {
+	nib    [][16]float64 // nibble tables T_j
+	theta  []float64     // the model's θ, for the exact path
+	bias   float64       // θ_k
+	lo, hi float64       // β0·Thr0 and β1·Thr1, as Classify computes them
+	eps    float64       // certified band half-width; NaN forces the exact path
+}
+
+// MaxStages is the widest challenge a Selector serves: the candidate
+// kernel and the Word() dedup key cover at most 64 stages.
+const MaxStages = 64
+
+// Bounds on Σ|θ| inside which ε = 2⁻⁴⁵·Σ|θ| is a normal float and no
+// table entry or partial sum can overflow.
+const (
+	minCertifiedMass = 0x1p-960
+	maxCertifiedMass = 0x1p960
+)
+
 // NewSelector creates a selector for an enrolled chip model.  src drives
-// challenge generation.
+// challenge generation.  It panics on an empty model, on more than
+// MaxStages stages, and on members whose θ lengths differ.
 func NewSelector(model *ChipModel, src *rng.Source) *Selector {
 	if model == nil || model.Width() == 0 {
 		panic("core: NewSelector with empty model")
 	}
-	return &Selector{model: model, src: src, used: make(map[uint64]struct{})}
+	k := model.Stages()
+	if k < 1 || k > MaxStages {
+		panic(fmt.Sprintf("core: NewSelector with %d stages, want 1..%d", k, MaxStages))
+	}
+	s := &Selector{
+		src:     src,
+		used:    make(map[uint64]struct{}),
+		stages:  k,
+		mask:    ^uint64(0) >> uint(64-k),
+		members: make([]memberKernel, model.Width()),
+	}
+	for i, m := range model.PUFs {
+		if m.Stages() != k {
+			panic(fmt.Sprintf("core: NewSelector: member %d has %d stages, member 0 has %d", i, m.Stages(), k))
+		}
+		s.members[i] = newMemberKernel(m, model.Beta0, model.Beta1)
+	}
+	return s
+}
+
+func newMemberKernel(m *PUFModel, beta0, beta1 float64) memberKernel {
+	k := m.Stages()
+	mk := memberKernel{
+		nib:   make([][16]float64, (k+3)/4),
+		theta: m.Theta,
+		bias:  m.Theta[k],
+		lo:    beta0 * m.Thr0,
+		hi:    beta1 * m.Thr1,
+		eps:   math.NaN(),
+	}
+	for j := range mk.nib {
+		for v := range mk.nib[j] {
+			var t float64
+			for i := 0; i < 4 && 4*j+i < k; i++ {
+				if v>>uint(i)&1 == 0 {
+					t += m.Theta[4*j+i]
+				} else {
+					t -= m.Theta[4*j+i]
+				}
+			}
+			mk.nib[j][v] = t
+		}
+	}
+	var mass float64
+	for _, th := range m.Theta {
+		mass += math.Abs(th)
+	}
+	// NaN and ±Inf fail every one of these comparisons.
+	if mass >= minCertifiedMass && mass <= maxCertifiedMass &&
+		math.Abs(mk.lo) <= math.MaxFloat64 && math.Abs(mk.hi) <= math.MaxFloat64 {
+		mk.eps = mass * 0x1p-45
+	}
+	return mk
+}
+
+// suffixParity returns the word whose bit i is the parity of bits i..63
+// of w.
+func suffixParity(w uint64) uint64 {
+	w ^= w >> 1
+	w ^= w >> 2
+	w ^= w >> 4
+	w ^= w >> 8
+	w ^= w >> 16
+	w ^= w >> 32
+	return w
+}
+
+// approx is the table-driven prediction Δ′ = θ_k + Σ_j T_j[nibble_j(p)]
+// for the challenge whose suffix-parity word is p.  Even and odd nibbles
+// go to separate accumulators to halve the chain of dependent adds; the
+// rounding bound counts adds, not their order.
+func (mk *memberKernel) approx(p uint64) float64 {
+	d, e := mk.bias, 0.0
+	nib := mk.nib
+	for len(nib) >= 2 {
+		d += nib[0][p&15]
+		e += nib[1][p>>4&15]
+		p >>= 8
+		nib = nib[2:]
+	}
+	if len(nib) == 1 {
+		d += nib[0][p&15]
+	}
+	return d + e
+}
+
+// classifyExact sums in linalg.Dot's order, so the prediction is
+// bit-identical to the reference.
+func (mk *memberKernel) classifyExact(p uint64) Category {
+	k := len(mk.theta) - 1
+	var d float64
+	for i, th := range mk.theta[:k] {
+		if p>>uint(i)&1 == 0 {
+			d += th
+		} else {
+			d += -th
+		}
+	}
+	d += mk.theta[k]
+	switch {
+	case d < mk.lo:
+		return Stable0
+	case d > mk.hi:
+		return Stable1
+	default:
+		return Unstable
+	}
+}
+
+// classify is ChipModel.PredictXORFeatures(Features(FromWord(w, k))),
+// with the same member order and early exit.  A member's table sum
+// decides its category only outside the certified band around β0·Thr0
+// and β1·Thr1; eps is NaN for a member that must always take the exact
+// path, which makes every band comparison false.
+func (s *Selector) classify(w uint64) (bit uint8, stable bool) {
+	p := suffixParity(w)
+	for i := range s.members {
+		mk := &s.members[i]
+		d := mk.approx(p)
+		x, y := d-mk.lo, d-mk.hi
+		var cat Category
+		switch {
+		case x < -mk.eps:
+			cat = Stable0
+		case x > mk.eps && y < -mk.eps:
+			cat = Unstable
+		case x > mk.eps && y > mk.eps:
+			cat = Stable1
+		default:
+			cat = mk.classifyExact(p)
+		}
+		switch cat {
+		case Unstable:
+			return 0, false
+		case Stable1:
+			bit ^= 1
+		}
+	}
+	return bit, true
 }
 
 // Issued returns how many distinct challenges have been handed out.
@@ -141,27 +327,19 @@ func (s *Selector) Next(count, maxExamined int) ([]challenge.Challenge, []uint8,
 	}
 	cs := make([]challenge.Challenge, 0, count)
 	bits := make([]uint8, 0, count)
-	if len(s.phi) != challenge.FeatureDim(s.model.Stages()) {
-		s.phi = make([]float64, challenge.FeatureDim(s.model.Stages()))
-	}
 	examined := 0
 	for len(cs) < count && examined < maxExamined {
-		c := challenge.Random(s.src, s.model.Stages())
+		w := s.src.Uint64() & s.mask
 		examined++
-		// Word() keys on the first 64 stages, which covers every
-		// configuration this repository fabricates; for longer
-		// challenges the dedup would need a wider key.
-		key := c.Word()
-		if _, dup := s.used[key]; dup {
-			continue
-		}
-		challenge.FeaturesInto(c, s.phi)
-		bit, stable := s.model.PredictXORFeatures(s.phi)
+		bit, stable := s.classify(w)
 		if !stable {
 			continue
 		}
-		s.used[key] = struct{}{}
-		cs = append(cs, c)
+		if _, dup := s.used[w]; dup {
+			continue
+		}
+		s.used[w] = struct{}{}
+		cs = append(cs, challenge.FromWord(w, s.stages))
 		bits = append(bits, bit)
 	}
 	s.examined += examined

@@ -25,10 +25,11 @@ var ErrCorrupt = errors.New("registry: corrupt record")
 
 // Decode-side sanity bounds: a corrupted length field must not trigger an
 // absurd allocation (same defensive posture as crpstore's maxCount).
+// maxStages is the widest challenge core.Selector serves.
 const (
 	maxIDLen     = 1 << 10
 	maxWidth     = 1 << 8
-	maxStages    = 1 << 12
+	maxStages    = core.MaxStages
 	maxUsedWords = 1 << 28
 )
 

@@ -3,6 +3,7 @@ package registry
 import (
 	"hash/crc32"
 	"os"
+	"strings"
 	"testing"
 
 	"xorpuf/internal/core"
@@ -205,6 +206,37 @@ func TestReplaceErrors(t *testing.T) {
 	}
 	if err := r.Replace("c", nil, 0); err == nil {
 		t.Error("Replace with nil model succeeded")
+	}
+}
+
+// TestModelGeometryBeyondSelector checks that Register and Replace refuse
+// models the selector cannot serve (more than 64 stages, or members of
+// differing length) with the geometry error instead of panicking, and
+// leave the registry unchanged.
+func TestModelGeometryBeyondSelector(t *testing.T) {
+	r, err := Open("", Options{Seed: 48})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	mixed := syntheticModel(2, 32)
+	mixed.PUFs[1] = syntheticModel(1, 31).PUFs[0]
+	for name, m := range map[string]*core.ChipModel{"65 stages": syntheticModel(2, 65), "mixed lengths": mixed} {
+		if err := r.Register("wide", m, 0); err == nil || !strings.Contains(err.Error(), "unsupported model geometry") {
+			t.Errorf("Register(%s) err = %v, want unsupported model geometry", name, err)
+		}
+	}
+	if r.Lookup("wide") != nil {
+		t.Fatal("rejected model was registered")
+	}
+	if err := r.Register("c", syntheticModel(2, 64), 0); err != nil {
+		t.Fatalf("Register(64 stages): %v", err)
+	}
+	if err := r.Replace("c", syntheticModel(2, 65), 0); err == nil || !strings.Contains(err.Error(), "unsupported model geometry") {
+		t.Errorf("Replace(65 stages) err = %v, want unsupported model geometry", err)
+	}
+	if got := r.Lookup("c").Model().Stages(); got != 64 {
+		t.Errorf("after rejected Replace the model has %d stages, want 64", got)
 	}
 }
 

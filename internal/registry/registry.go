@@ -177,16 +177,32 @@ func (r *Registry) newSelector(id string, model *core.ChipModel) *core.Selector 
 	return core.NewSelector(model, rng.New(r.opts.Seed).Split("chip-"+id))
 }
 
+// checkModel rejects a model the selector cannot serve: no members, more
+// than maxWidth of them, or members whose stage counts differ or fall
+// outside 1..maxStages.
+func checkModel(model *core.ChipModel) error {
+	if model == nil || model.Width() == 0 || model.PUFs[0] == nil {
+		return errors.New("registry: nil or empty model")
+	}
+	k := model.Stages()
+	bad := model.Width() > maxWidth || k < 1 || k > maxStages
+	for _, m := range model.PUFs {
+		bad = bad || m == nil || m.Stages() != k
+	}
+	if bad {
+		return fmt.Errorf("registry: unsupported model geometry %d×%d", model.Width(), k)
+	}
+	return nil
+}
+
 // Register adds an enrolled chip model under id with a lifetime challenge
 // budget (0 = unlimited), durably journaling the registration.
 func (r *Registry) Register(id string, model *core.ChipModel, budget int) error {
-	switch {
-	case id == "" || len(id) > maxIDLen:
+	if id == "" || len(id) > maxIDLen {
 		return fmt.Errorf("registry: invalid chip ID %q", id)
-	case model == nil || model.Width() == 0:
-		return errors.New("registry: nil or empty model")
-	case model.Width() > maxWidth || model.Stages() < 1 || model.Stages() > maxStages:
-		return fmt.Errorf("registry: unsupported model geometry %d×%d", model.Width(), model.Stages())
+	}
+	if err := checkModel(model); err != nil {
+		return err
 	}
 	if r.closed.Load() {
 		return ErrClosed
@@ -573,11 +589,8 @@ func (e *Entry) ForceHealth(s health.State) (health.Event, bool) {
 // is journaled (recReenroll) before it is acknowledged; on journal failure
 // the old enrollment is restored and the error returned.
 func (r *Registry) Replace(id string, model *core.ChipModel, budget int) error {
-	switch {
-	case model == nil || model.Width() == 0:
-		return errors.New("registry: nil or empty model")
-	case model.Width() > maxWidth || model.Stages() < 1 || model.Stages() > maxStages:
-		return fmt.Errorf("registry: unsupported model geometry %d×%d", model.Width(), model.Stages())
+	if err := checkModel(model); err != nil {
+		return err
 	}
 	if r.closed.Load() {
 		return ErrClosed
