@@ -1,9 +1,9 @@
-// Binary serialization of registry state, extending the crpstore format
-// family (compact little-endian records behind a 4-byte magic).  The unit of
-// serialization is one enrolled chip: its core.ChipModel (per-member θ
-// vectors, raw thresholds, chip-wide β pair), its core.SelectorState (budget
-// plus the used-challenge words that carry the never-reuse guarantee), and
-// its abuse-control state (denial streak, lockout flag).
+// Binary serialization of registry state: compact little-endian records
+// behind a 4-byte magic.  The unit of serialization is one enrolled chip:
+// its core.ChipModel (per-member θ vectors, raw thresholds, chip-wide β
+// pair), its core.SelectorState (budget plus the used-challenge words that
+// carry the never-reuse guarantee), and its abuse-control state (denial
+// streak, lockout flag).
 //
 // A 6-XOR 32-stage model costs 6×(33+2)×8 + 2×8 + 4 ≈ 1.7 KiB — the paper's
 // §1 storage argument in code: delay parameters, not CRP tables.
@@ -24,7 +24,7 @@ import (
 var ErrCorrupt = errors.New("registry: corrupt record")
 
 // Decode-side sanity bounds: a corrupted length field must not trigger an
-// absurd allocation (same defensive posture as crpstore's maxCount).
+// absurd allocation.
 // maxStages is the widest challenge core.Selector serves.
 const (
 	maxIDLen     = 1 << 10

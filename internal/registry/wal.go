@@ -1,6 +1,6 @@
 // Durability layer: an append-only write-ahead log of registry mutations
-// plus periodically compacted snapshots, in the crpstore binary format
-// family.
+// plus periodically compacted snapshots, both in the codec.go binary
+// format family.
 //
 // WAL file ("registry.wal"):
 //

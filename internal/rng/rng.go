@@ -49,6 +49,16 @@ func (s *Source) Uint64() uint64 {
 	return mix64(s.state)
 }
 
+// Unread steps the stream back by n draws, so the next n calls to Uint64
+// repeat the last n values in order.  SplitMix64's state is a counter
+// (each draw adds golden), so this is one subtraction.  It panics if n < 0.
+func (s *Source) Unread(n int) {
+	if n < 0 {
+		panic("rng: Unread called with negative n")
+	}
+	s.state -= uint64(n) * golden
+}
+
 // Split derives an independent child stream from a string label.  Calling
 // Split with the same label on sources in the same state yields identical
 // children; distinct labels yield streams that are independent for all

@@ -16,6 +16,37 @@ func TestDeterminism(t *testing.T) {
 	}
 }
 
+// TestUnread checks that Unread(n) followed by n draws repeats the last n
+// values in order and leaves the stream where it was, and that Unread(0)
+// changes nothing.
+func TestUnread(t *testing.T) {
+	s, ref := New(99), New(99)
+	for _, n := range []int{0, 1, 2, 7, 128, 1000} {
+		last := make([]uint64, n)
+		for i := range last {
+			last[i] = s.Uint64()
+			if want := ref.Uint64(); last[i] != want {
+				t.Fatalf("draw %d before Unread(%d): %#x, reference %#x", i, n, last[i], want)
+			}
+		}
+		s.Unread(n)
+		for i, want := range last {
+			if got := s.Uint64(); got != want {
+				t.Fatalf("Unread(%d): draw %d repeated as %#x, want %#x", n, i, got, want)
+			}
+		}
+		if got, want := s.Uint64(), ref.Uint64(); got != want {
+			t.Fatalf("after Unread(%d) and its repeats: next draw %#x, reference %#x", n, got, want)
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("Unread(-1) did not panic")
+		}
+	}()
+	s.Unread(-1)
+}
+
 func TestSplitIndependence(t *testing.T) {
 	root := New(7)
 	c1 := root.Split("chips")
