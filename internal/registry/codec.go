@@ -72,6 +72,33 @@ func appendSelectorState(b []byte, st core.SelectorState) []byte {
 	return b
 }
 
+// appendAbuse encodes the abuse-control state: denial streak, lockout flag.
+func appendAbuse(b []byte, denials int, locked bool) []byte {
+	b = appendU32(b, uint32(denials))
+	if locked {
+		return append(b, 1)
+	}
+	return append(b, 0)
+}
+
+// appendEntry encodes one chip's whole state from rec, the layout readEntry
+// decodes.
+func appendEntry(b []byte, rec record) []byte {
+	b = appendString(b, rec.id)
+	b = appendSelectorState(b, core.SelectorState{Budget: rec.budget, Used: rec.words})
+	b = appendModel(b, rec.model)
+	b = appendAbuse(b, rec.denials, rec.locked)
+	return appendTrackerState(b, rec.health)
+}
+
+// appendEntryState encodes a live entry's whole state.  The caller must hold
+// the entry lock or have quiesced the store.
+func appendEntryState(b []byte, e *Entry) []byte {
+	st := e.selector.ExportState()
+	return appendEntry(b, record{id: e.id, budget: st.Budget, words: st.Used, model: e.model,
+		denials: e.denials, locked: e.locked, health: e.tracker.Snapshot()})
+}
+
 // appendTrackerState encodes one chip's drift-detector state.
 func appendTrackerState(b []byte, st health.TrackerState) []byte {
 	b = append(b, byte(st.State))
@@ -214,21 +241,42 @@ func (r *reader) readTrackerState() health.TrackerState {
 // readSelectorState decodes one selector state.
 func (r *reader) readSelectorState() core.SelectorState {
 	budget := int(r.u32())
+	return core.SelectorState{Budget: budget, Used: r.readWords()}
+}
+
+// readWords decodes a count and that many challenge words: the words an
+// issuance record burned, or a selector's used set.
+func (r *reader) readWords() []uint64 {
 	count := int(r.u32())
 	if r.err == nil && count > maxUsedWords {
-		r.fail("implausible used-word count %d", count)
+		r.fail("implausible word count %d", count)
 	}
 	// Same defensive posture as readModel: the words must actually be in
 	// the payload before a count-sized slice is allocated.
 	if r.err == nil && count*8 > len(r.b) {
-		r.fail("used-word count %d needs %d bytes, have %d", count, count*8, len(r.b))
+		r.fail("word count %d needs %d bytes, have %d", count, count*8, len(r.b))
 	}
 	if r.err != nil {
-		return core.SelectorState{}
+		return nil
 	}
-	st := core.SelectorState{Budget: budget, Used: make([]uint64, count)}
-	for i := range st.Used {
-		st.Used[i] = r.u64()
+	words := make([]uint64, count)
+	for i := range words {
+		words[i] = r.u64()
 	}
-	return st
+	return words
+}
+
+// readEntry decodes one chip's whole state into rec: the per-chip layout of
+// snapshot bodies, range snapshots and migrate-in records.  XPS1 snapshot
+// entries predate the drift detectors and carry no tracker state.
+func (r *reader) readEntry(rec *record, withHealth bool) {
+	rec.id = r.str()
+	st := r.readSelectorState()
+	rec.budget, rec.words = st.Budget, st.Used
+	rec.model = r.readModel()
+	rec.denials = int(r.u32())
+	rec.locked = r.u8() == 1
+	if withHealth {
+		rec.health = r.readTrackerState()
+	}
 }

@@ -20,18 +20,36 @@ func fuzzModel() *core.ChipModel {
 	}
 }
 
-// FuzzWALRecord drives the journal replay decoder with adversarial record
-// payloads of every type.  The invariant is the recovery contract: a corrupt
-// record must surface as an error (or be a harmless no-op for unknown IDs),
-// never as a panic or a giant allocation.
+// FuzzWALRecord drives the one record decoder with adversarial payloads of
+// every type, differentially against the follower path: a payload
+// decodeRecord refuses must also be refused by ApplyReplicated at Seq()+1
+// with Seq unchanged (a malformed record never enters the log), one it
+// accepts must journal and apply, and nothing may panic.
 func FuzzWALRecord(f *testing.F) {
 	model := fuzzModel()
+	burn := burnPayload("chip-0", 7, 9)
+	arriving := record{typ: recMigrateIn, id: "chip-1", budget: 64, words: []uint64{3, 5}, model: model,
+		denials: 1, health: health.TrackerState{State: health.Degraded, Sessions: 4},
+		mig: "mig-0", lo: "chip-1", hi: "chip-2"}
+	fence := record{typ: recRangeFence, mig: "mig-0", lo: "chip-0", hi: "chip-1", mode: fenceSet}
+	cutover := record{typ: recCutover, mig: "mig-0", epoch: 3, lo: "chip-0", hi: "chip-1",
+		mode: cutoverSource, redirect: "10.0.0.2:7413"}
 	f.Add(recRegister, registerPayload("chip-0", 64, model))
-	f.Add(recIssued, appendU64(appendU32(appendString(nil, "chip-0"), 2), 7))
+	f.Add(recIssued, burn)
 	f.Add(recAbuse, abusePayload("chip-0", 3, true))
 	f.Add(recDeregister, appendString(nil, "chip-0"))
 	f.Add(recHealth, healthPayload("chip-0", health.TrackerState{State: health.Degraded, FailEWMA: 0.5}))
 	f.Add(recReenroll, registerPayload("chip-0", 64, model))
+	f.Add(recKeyIssued, burn)
+	f.Add(recRangeFence, fencePayload(fence))
+	fence.mode = fenceClear
+	f.Add(recRangeFence, fencePayload(fence))
+	f.Add(recMigrateIn, migrateInPayload(arriving))
+	f.Add(recCutover, cutoverPayload(cutover))
+	cutover.mode, cutover.redirect = cutoverTarget, ""
+	f.Add(recCutover, cutoverPayload(cutover))
+	f.Add(recMigrateAbort, appendString(nil, "mig-0"))
+	f.Add(recMigratedBurn, burn)
 	f.Add(byte(0), []byte{})
 	f.Add(byte(255), bytes.Repeat([]byte{0xff}, 64))
 	// A register record claiming an enormous geometry on a short payload.
@@ -48,7 +66,17 @@ func FuzzWALRecord(f *testing.F) {
 		if err := reg.Register("chip-0", fuzzModel(), 64); err != nil {
 			t.Fatal(err)
 		}
-		_ = reg.applyRecord(typ, payload) // must not panic
+		_, derr := decodeRecord(typ, payload)
+		seq := reg.Seq()
+		aerr := reg.ApplyReplicated(seq+1, typ, payload)
+		switch {
+		case derr != nil && aerr == nil:
+			t.Fatalf("decoder refused type %d (%v), ApplyReplicated accepted it", typ, derr)
+		case derr != nil && reg.Seq() != seq:
+			t.Fatalf("refused type %d record moved Seq from %d to %d", typ, seq, reg.Seq())
+		case derr == nil && aerr != nil:
+			t.Fatalf("decoder accepted type %d, ApplyReplicated refused it: %v", typ, aerr)
+		}
 	})
 }
 

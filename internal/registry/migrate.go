@@ -3,7 +3,11 @@
 // rule (Fig 7).  The rebalance engine (internal/registry/rebalance) drives
 // these APIs; everything here is journaled through the same WAL as normal
 // mutations, so ownership — like the burned-challenge history — survives
-// kill -9 on either side of a migration.
+// kill -9 on either side of a migration.  Migration records are decoded and
+// applied by the same decodeRecord and apply as every other record
+// (record.go); ApplyMigrated adds only what is specific to a migration
+// target: the arrival and range checks and the rewrite of a source's delta
+// into the target's own record.
 //
 // The ownership model:
 //
@@ -31,17 +35,7 @@ package registry
 import (
 	"errors"
 	"fmt"
-	"os"
-
-	"xorpuf/internal/health"
 )
-
-// newTrackerFrom builds a drift tracker pre-loaded with persisted state.
-func newTrackerFrom(r *Registry, st health.TrackerState) *health.Tracker {
-	t := health.NewTracker(r.opts.Health)
-	t.Restore(st)
-	return t
-}
 
 // ErrMigrating is returned by issuance for a chip whose range is fenced for
 // an in-flight migration (on the source), still arriving (on the target),
@@ -230,98 +224,6 @@ func (r *Registry) issueAllowed(id, arriving string) error {
 	return nil
 }
 
-// --- record payload codecs -------------------------------------------------
-
-const (
-	fenceSet   byte = 1
-	fenceClear byte = 0
-
-	cutoverSource byte = 1
-	cutoverTarget byte = 2
-)
-
-func fencePayload(migID, lo, hi string, mode byte) []byte {
-	b := appendString(nil, migID)
-	b = appendString(b, lo)
-	b = appendString(b, hi)
-	return append(b, mode)
-}
-
-func (rd *reader) readFence() (migID, lo, hi string, mode byte) {
-	migID = rd.str()
-	lo = rd.str()
-	hi = rd.str()
-	mode = rd.u8()
-	if rd.err == nil && mode != fenceSet && mode != fenceClear {
-		rd.fail("invalid fence mode %d", mode)
-	}
-	return
-}
-
-func cutoverPayload(migID string, epoch uint64, lo, hi string, role byte, redirect string) []byte {
-	b := appendString(nil, migID)
-	b = appendU64(b, epoch)
-	b = appendString(b, lo)
-	b = appendString(b, hi)
-	b = append(b, role)
-	return appendString(b, redirect)
-}
-
-func (rd *reader) readCutover() (migID string, epoch uint64, lo, hi string, role byte, redirect string) {
-	migID = rd.str()
-	epoch = rd.u64()
-	lo = rd.str()
-	hi = rd.str()
-	role = rd.u8()
-	redirect = rd.str()
-	if rd.err == nil && role != cutoverSource && role != cutoverTarget {
-		rd.fail("invalid cutover role %d", role)
-	}
-	return
-}
-
-func migrateInPayload(migID, lo, hi string, entryBlob []byte) []byte {
-	b := appendString(nil, migID)
-	b = appendString(b, lo)
-	b = appendString(b, hi)
-	return append(b, entryBlob...)
-}
-
-// appendEntryState serializes one entry's full per-chip state — the same
-// layout the snapshot body uses per chip.  The caller must hold the entry
-// lock or have quiesced the store.
-func appendEntryState(b []byte, e *Entry) []byte {
-	b = appendString(b, e.id)
-	b = appendSelectorState(b, e.selector.ExportState())
-	b = appendModel(b, e.model)
-	b = appendU32(b, uint32(e.denials))
-	if e.locked {
-		b = append(b, 1)
-	} else {
-		b = append(b, 0)
-	}
-	return appendTrackerState(b, e.tracker.Snapshot())
-}
-
-// readEntryState decodes one per-chip state blob into a fresh entry owned by
-// r.  Returns nil with rd.err set on malformed input.
-func (r *Registry) readEntryState(rd *reader) *Entry {
-	id := rd.str()
-	st := rd.readSelectorState()
-	model := rd.readModel()
-	denials := int(rd.u32())
-	locked := rd.u8() == 1
-	trackerState := rd.readTrackerState()
-	if rd.err != nil {
-		return nil
-	}
-	sel := r.newSelector(id, model)
-	sel.ImportState(st)
-	tracker := newTrackerFrom(r, trackerState)
-	return &Entry{id: id, reg: r, model: model, selector: sel,
-		denials: denials, locked: locked, tracker: tracker}
-}
-
 // --- range snapshot (XPR1) -------------------------------------------------
 
 var rangeSnapMagic = [4]byte{'X', 'P', 'R', '1'}
@@ -358,29 +260,28 @@ func (r *Registry) RangeSnapshot(lo, hi string) (data []byte, cutSeq uint64, cou
 	return sealBlob(rangeSnapMagic, body), cutSeq, len(matched), nil
 }
 
-// decodeRangeSnapshot validates an XPR1 blob and materializes its entries
-// without installing them.
-func (r *Registry) decodeRangeSnapshot(data []byte) ([]*Entry, uint64, error) {
+// decodeRangeSnapshot validates an XPR1 blob and decodes its chips' states.
+func decodeRangeSnapshot(data []byte) ([]record, error) {
 	_, body, err := openBlob(data, "range-snapshot", rangeSnapMagic)
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
 	rd := &reader{b: body}
-	cutSeq := rd.u64()
+	rd.u64() // the source's cut sequence
 	count := int(rd.u32())
 	if rd.err == nil && count > maxUsedWords {
 		rd.fail("implausible chip count %d", count)
 	}
-	var entries []*Entry
+	var recs []record
 	for i := 0; i < count && rd.err == nil; i++ {
-		if e := r.readEntryState(rd); e != nil {
-			entries = append(entries, e)
-		}
+		var rec record
+		rd.readEntry(&rec, true)
+		recs = append(recs, rec)
 	}
 	if rd.err != nil {
-		return nil, 0, fmt.Errorf("range-snapshot decode: %w", rd.err)
+		return nil, fmt.Errorf("range-snapshot decode: %w", rd.err)
 	}
-	return entries, cutSeq, nil
+	return recs, nil
 }
 
 // --- source-side APIs ------------------------------------------------------
@@ -407,14 +308,8 @@ func (r *Registry) SetRangeFence(migID, lo, hi string) (uint64, error) {
 		}
 	}
 	r.ownMu.Unlock()
-	seq, err := r.appendRecordSeq(recRangeFence, fencePayload(migID, lo, hi, fenceSet))
-	if err != nil {
-		return 0, err
-	}
-	r.ownMu.Lock()
-	r.own.fences = append(r.own.fences, MigRange{ID: migID, Lo: lo, Hi: hi})
-	r.ownMu.Unlock()
-	return seq, nil
+	rec := record{typ: recRangeFence, mig: migID, lo: lo, hi: hi, mode: fenceSet}
+	return r.commit(rec, fencePayload(rec))
 }
 
 // ClearRangeFence closes the handoff window without cutting over (the
@@ -427,25 +322,20 @@ func (r *Registry) ClearRangeFence(migID string) error {
 	r.opmu.RLock()
 	defer r.opmu.RUnlock()
 	r.ownMu.Lock()
-	idx := -1
-	var f MigRange
-	for i := range r.own.fences {
-		if r.own.fences[i].ID == migID {
-			idx, f = i, r.own.fences[i]
+	rec := record{typ: recRangeFence, mig: migID, mode: fenceClear}
+	found := false
+	for _, f := range r.own.fences {
+		if f.ID == migID {
+			rec.lo, rec.hi, found = f.Lo, f.Hi, true
 			break
 		}
 	}
 	r.ownMu.Unlock()
-	if idx < 0 {
+	if !found {
 		return nil
 	}
-	if err := r.appendRecord(recRangeFence, fencePayload(migID, f.Lo, f.Hi, fenceClear)); err != nil {
-		return err
-	}
-	r.ownMu.Lock()
-	r.own.fences = deleteFence(r.own.fences, migID)
-	r.ownMu.Unlock()
-	return nil
+	_, err := r.commit(rec, fencePayload(rec))
+	return err
 }
 
 func deleteFence(fences []MigRange, migID string) []MigRange {
@@ -477,35 +367,10 @@ func (r *Registry) CutoverSource(migID string, epoch uint64, lo, hi, redirect st
 		}
 	}
 	r.ownMu.Unlock()
-	if _, err := r.appendRecordSeq(recCutover, cutoverPayload(migID, epoch, lo, hi, cutoverSource, redirect)); err != nil {
-		return err
-	}
-	r.applyCutoverSource(migID, epoch, lo, hi, redirect)
-	return nil
-}
-
-// applyCutoverSource mutates live state for a source-side cutover.  Callers
-// hold opmu (either mode) — replay runs single-threaded.
-func (r *Registry) applyCutoverSource(migID string, epoch uint64, lo, hi, redirect string) {
-	rng := MigRange{Lo: lo, Hi: hi}
-	for i := range r.shards {
-		sh := &r.shards[i]
-		sh.mu.Lock()
-		for id := range sh.m {
-			if rng.Contains(id) {
-				delete(sh.m, id)
-				chipsGauge.Dec()
-			}
-		}
-		sh.mu.Unlock()
-	}
-	r.ownMu.Lock()
-	r.own.fences = deleteFence(r.own.fences, migID)
-	r.own.departed = append(r.own.departed, DepartedRange{Lo: lo, Hi: hi, Epoch: epoch, Redirect: redirect})
-	if epoch > r.own.epoch {
-		r.own.epoch = epoch
-	}
-	r.ownMu.Unlock()
+	rec := record{typ: recCutover, mig: migID, epoch: epoch, lo: lo, hi: hi,
+		mode: cutoverSource, redirect: redirect}
+	_, err := r.commit(rec, cutoverPayload(rec))
+	return err
 }
 
 // --- target-side APIs ------------------------------------------------------
@@ -524,14 +389,14 @@ func (r *Registry) InstallMigrating(migID, lo, hi string, data []byte) (int, err
 	if r.closed.Load() {
 		return 0, ErrClosed
 	}
-	entries, _, err := r.decodeRangeSnapshot(data)
+	recs, err := decodeRangeSnapshot(data)
 	if err != nil {
 		return 0, err
 	}
 	rng := MigRange{Lo: lo, Hi: hi}
-	for _, e := range entries {
-		if !rng.Contains(e.id) {
-			return 0, fmt.Errorf("registry: migrating chip %q outside range [%q,%q)", e.id, lo, hi)
+	for _, rec := range recs {
+		if !rng.Contains(rec.id) {
+			return 0, fmt.Errorf("registry: migrating chip %q outside range [%q,%q)", rec.id, lo, hi)
 		}
 	}
 	r.opmu.RLock()
@@ -541,60 +406,45 @@ func (r *Registry) InstallMigrating(migID, lo, hi string, data []byte) (int, err
 	}
 	// Dual-owner detection before any mutation: a live (non-arriving) chip
 	// in the range means two registries both believe they own it.  Refuse.
-	for _, e := range entries {
-		if cur := r.Lookup(e.id); cur != nil {
-			cur.mu.Lock()
-			live := cur.arriving == ""
-			cur.mu.Unlock()
-			if live {
-				return 0, fmt.Errorf("registry: chip %q already live here; refusing dual-owner install", e.id)
-			}
+	for _, rec := range recs {
+		if cur := r.Lookup(rec.id); cur != nil && cur.arrivingIn() == "" {
+			return 0, fmt.Errorf("registry: chip %q already live here; refusing dual-owner install", rec.id)
 		}
 	}
 	r.ownMu.Lock()
+	r.arrivalLocked(migID, lo, hi)
+	r.ownMu.Unlock()
+	for i, rec := range recs {
+		rec.typ, rec.mig, rec.lo, rec.hi = recMigrateIn, migID, lo, hi
+		if _, err := r.commit(rec, migrateInPayload(rec)); err != nil {
+			return i, err
+		}
+	}
+	return len(recs), nil
+}
+
+// arrivalLocked returns migID's arrival, creating it, and sets its range
+// (ownMu held).
+func (r *Registry) arrivalLocked(migID, lo, hi string) *arrival {
 	a := r.own.arrivals[migID]
 	if a == nil {
-		a = &arrival{lo: lo, hi: hi, chips: make(map[string]struct{})}
+		a = &arrival{chips: make(map[string]struct{})}
 		r.own.arrivals[migID] = a
 	}
 	a.lo, a.hi = lo, hi
-	r.ownMu.Unlock()
-	installed := 0
-	for _, e := range entries {
-		e.arriving = migID
-		if err := r.appendRecord(recMigrateIn, migrateInPayload(migID, lo, hi, entryBlob(e))); err != nil {
-			return installed, err
-		}
-		r.installArriving(e)
-		r.ownMu.Lock()
-		a.chips[e.id] = struct{}{}
-		r.ownMu.Unlock()
-		installed++
-	}
-	return installed, nil
-}
-
-// entryBlob serializes a fresh (not yet installed) entry — no locks needed.
-func entryBlob(e *Entry) []byte { return appendEntryState(nil, e) }
-
-// installArriving places (or replaces) an arriving entry in its shard.
-func (r *Registry) installArriving(e *Entry) {
-	sh := r.shard(e.id)
-	sh.mu.Lock()
-	if _, had := sh.m[e.id]; !had {
-		chipsGauge.Inc()
-	}
-	sh.m[e.id] = e
-	sh.mu.Unlock()
+	return a
 }
 
 // ApplyMigrated applies one live WAL delta shipped from the migration
-// source: the record is re-journaled under the target's own sequence (burns
-// under the distinct recMigratedBurn type, so the local WAL stays auditable:
-// fresh issuance vs migrated copy), then applied to the arriving entry.  The
-// returned sequence is the local one; cutover quorum-waits on its high-water
-// mark.  Only per-chip record types are accepted, and only for chips inside
-// the migration's range.
+// source.  Only per-chip records for chips inside the migration's range are
+// accepted.  The delta is rewritten to the target's own record — burns to
+// recMigratedBurn, so the local WAL stays auditable (fresh issuance vs
+// migrated copy), and a registration to recMigrateIn with the chip's whole
+// state, so it arrives like a snapshot chip — then journaled under the
+// target's own sequence and applied.  A burn or a re-enrollment whose chip
+// is not arriving in this migration is refused with nothing journaled.  The
+// returned sequence is the local one; cutover quorum-waits on its
+// high-water mark.
 func (r *Registry) ApplyMigrated(migID string, rectype byte, payload []byte) (uint64, error) {
 	if r.closed.Load() {
 		return 0, ErrClosed
@@ -607,139 +457,29 @@ func (r *Registry) ApplyMigrated(migID string, rectype byte, payload []byte) (ui
 	if a == nil {
 		return 0, fmt.Errorf("registry: no arriving migration %q", migID)
 	}
-	id := RecordChipID(rectype, payload)
-	if id == "" {
+	if !chipScoped(rectype) {
 		return 0, fmt.Errorf("registry: record type %d is not a per-chip migration delta", rectype)
 	}
-	if !(MigRange{Lo: a.lo, Hi: a.hi}).Contains(id) {
-		return 0, fmt.Errorf("registry: delta for chip %q outside migration range", id)
+	rec, err := decodeRecord(rectype, payload)
+	if err != nil {
+		return 0, err
 	}
-	rd := &reader{b: payload}
+	if !(MigRange{Lo: a.lo, Hi: a.hi}).Contains(rec.id) {
+		return 0, fmt.Errorf("registry: delta for chip %q outside migration range", rec.id)
+	}
 	switch rectype {
-	case recIssued, recKeyIssued, recMigratedBurn:
-		_ = rd.str()
-		n := int(rd.u32())
-		if rd.err == nil && n > maxUsedWords {
-			rd.fail("implausible issued count %d", n)
+	case recIssued, recKeyIssued, recMigratedBurn, recReenroll:
+		if e := r.Lookup(rec.id); e == nil || e.arrivingIn() != migID {
+			return 0, fmt.Errorf("registry: delta for chip %q, which is not arriving in migration %q", rec.id, migID)
 		}
-		if rd.err != nil {
-			return 0, fmt.Errorf("issued delta: %w", rd.err)
+		if rectype != recReenroll {
+			rec.typ = recMigratedBurn
 		}
-		words := make([]uint64, n)
-		for i := range words {
-			words[i] = rd.u64()
-		}
-		if rd.err != nil {
-			return 0, fmt.Errorf("issued delta: %w", rd.err)
-		}
-		e := r.Lookup(id)
-		if e == nil {
-			return 0, fmt.Errorf("registry: burn delta for unknown arriving chip %q", id)
-		}
-		seq, err := r.appendRecordSeq(recMigratedBurn, payload)
-		if err != nil {
-			return 0, err
-		}
-		e.mu.Lock()
-		e.selector.MarkUsed(words...)
-		e.mu.Unlock()
-		return seq, nil
 	case recRegister:
-		_ = rd.str()
-		budget := int(rd.u32())
-		model := rd.readModel()
-		if rd.err != nil {
-			return 0, fmt.Errorf("register delta: %w", rd.err)
-		}
-		sel := r.newSelector(id, model)
-		sel.SetBudget(budget)
-		e := &Entry{id: id, reg: r, model: model, selector: sel,
-			tracker: health.NewTracker(r.opts.Health), arriving: migID}
-		seq, err := r.appendRecordSeq(recMigrateIn, migrateInPayload(migID, a.lo, a.hi, entryBlob(e)))
-		if err != nil {
-			return 0, err
-		}
-		r.installArriving(e)
-		r.ownMu.Lock()
-		a.chips[id] = struct{}{}
-		r.ownMu.Unlock()
-		return seq, nil
-	case recReenroll:
-		_ = rd.str()
-		budget := int(rd.u32())
-		model := rd.readModel()
-		if rd.err != nil {
-			return 0, fmt.Errorf("reenroll delta: %w", rd.err)
-		}
-		seq, err := r.appendRecordSeq(recReenroll, payload)
-		if err != nil {
-			return 0, err
-		}
-		if e := r.Lookup(id); e != nil {
-			sel := r.newSelector(id, model)
-			sel.SetBudget(budget)
-			e.mu.Lock()
-			sel.MarkUsed(e.selector.ExportState().Used...)
-			e.model, e.selector = model, sel
-			e.denials, e.locked = 0, false
-			e.tracker.Reset()
-			e.mu.Unlock()
-		}
-		return seq, nil
-	case recAbuse:
-		_ = rd.str()
-		denials := int(rd.u32())
-		locked := rd.u8() == 1
-		if rd.err != nil {
-			return 0, fmt.Errorf("abuse delta: %w", rd.err)
-		}
-		seq, err := r.appendRecordSeq(recAbuse, payload)
-		if err != nil {
-			return 0, err
-		}
-		if e := r.Lookup(id); e != nil {
-			e.mu.Lock()
-			e.denials, e.locked = denials, locked
-			e.mu.Unlock()
-		}
-		return seq, nil
-	case recHealth:
-		_ = rd.str()
-		st := rd.readTrackerState()
-		if rd.err != nil {
-			return 0, fmt.Errorf("health delta: %w", rd.err)
-		}
-		seq, err := r.appendRecordSeq(recHealth, payload)
-		if err != nil {
-			return 0, err
-		}
-		if e := r.Lookup(id); e != nil {
-			e.mu.Lock()
-			e.tracker.Restore(st)
-			e.mu.Unlock()
-		}
-		return seq, nil
-	case recDeregister:
-		if rd.str(); rd.err != nil {
-			return 0, fmt.Errorf("deregister delta: %w", rd.err)
-		}
-		seq, err := r.appendRecordSeq(recDeregister, payload)
-		if err != nil {
-			return 0, err
-		}
-		sh := r.shard(id)
-		sh.mu.Lock()
-		if _, ok := sh.m[id]; ok {
-			delete(sh.m, id)
-			chipsGauge.Dec()
-		}
-		sh.mu.Unlock()
-		r.ownMu.Lock()
-		delete(a.chips, id)
-		r.ownMu.Unlock()
-		return seq, nil
+		rec.typ, rec.mig, rec.lo, rec.hi = recMigrateIn, migID, a.lo, a.hi
+		payload = migrateInPayload(rec)
 	}
-	return 0, fmt.Errorf("registry: record type %d cannot be migrated", rectype)
+	return r.commit(rec, payload)
 }
 
 // CutoverTarget makes an inbound migration's arriving chips live: the
@@ -763,43 +503,8 @@ func (r *Registry) CutoverTarget(migID string, epoch uint64) (uint64, error) {
 	if a == nil {
 		return 0, fmt.Errorf("registry: no arriving migration %q to cut over", migID)
 	}
-	seq, err := r.appendRecordSeq(recCutover, cutoverPayload(migID, epoch, a.lo, a.hi, cutoverTarget, ""))
-	if err != nil {
-		return 0, err
-	}
-	r.applyCutoverTarget(migID, epoch, a.lo, a.hi)
-	return seq, nil
-}
-
-// applyCutoverTarget mutates live state for a target-side cutover.
-func (r *Registry) applyCutoverTarget(migID string, epoch uint64, lo, hi string) {
-	r.ownMu.Lock()
-	a := r.own.arrivals[migID]
-	delete(r.own.arrivals, migID)
-	r.own.completed[migID] = epoch
-	if epoch > r.own.epoch {
-		r.own.epoch = epoch
-	}
-	kept := r.own.departed[:0]
-	for _, d := range r.own.departed {
-		if !(MigRange{Lo: d.Lo, Hi: d.Hi}).overlaps(lo, hi) {
-			kept = append(kept, d)
-		}
-	}
-	r.own.departed = kept
-	r.ownMu.Unlock()
-	if a == nil {
-		return
-	}
-	for id := range a.chips {
-		if e := r.Lookup(id); e != nil {
-			e.mu.Lock()
-			if e.arriving == migID {
-				e.arriving = ""
-			}
-			e.mu.Unlock()
-		}
-	}
+	rec := record{typ: recCutover, mig: migID, epoch: epoch, lo: a.lo, hi: a.hi, mode: cutoverTarget}
+	return r.commit(rec, cutoverPayload(rec))
 }
 
 // AbortMigrationIn drops an inbound migration's arriving chips (journaled).
@@ -820,91 +525,6 @@ func (r *Registry) AbortMigrationIn(migID string) error {
 	if a == nil {
 		return nil
 	}
-	if err := r.appendRecord(recMigrateAbort, appendString(nil, migID)); err != nil {
-		return err
-	}
-	r.applyMigrateAbort(migID)
-	return nil
-}
-
-// applyMigrateAbort drops all arriving entries for migID.
-func (r *Registry) applyMigrateAbort(migID string) {
-	r.ownMu.Lock()
-	a := r.own.arrivals[migID]
-	delete(r.own.arrivals, migID)
-	r.ownMu.Unlock()
-	if a == nil {
-		return
-	}
-	for id := range a.chips {
-		sh := r.shard(id)
-		sh.mu.Lock()
-		if e, ok := sh.m[id]; ok && e.arriving == migID {
-			delete(sh.m, id)
-			chipsGauge.Dec()
-		}
-		sh.mu.Unlock()
-	}
-}
-
-// --- WAL tooling -----------------------------------------------------------
-
-// RecordChipID returns the chip ID a per-chip WAL record pertains to, or ""
-// for record types that are not chip-scoped (fences, cutovers, aborts) or a
-// malformed payload.  This is how range-scoped shipping filters the live
-// delta without the shipping layer knowing payload layouts.
-func RecordChipID(typ byte, payload []byte) string {
-	switch typ {
-	case recRegister, recIssued, recAbuse, recDeregister, recHealth,
-		recReenroll, recKeyIssued, recMigratedBurn:
-		rd := &reader{b: payload}
-		id := rd.str()
-		if rd.err != nil {
-			return ""
-		}
-		return id
-	}
-	return ""
-}
-
-// RecordIssuedWords decodes the challenge words a WAL record burned.  fresh
-// is true for records representing challenges that left THIS server
-// (recIssued, recKeyIssued) and false for migrated copies (recMigratedBurn),
-// which an audit must count once — at the server that issued them — not
-// twice.  ok is false for non-burn records.
-func RecordIssuedWords(typ byte, payload []byte) (id string, words []uint64, fresh, ok bool) {
-	switch typ {
-	case recIssued, recKeyIssued:
-		fresh = true
-	case recMigratedBurn:
-	default:
-		return "", nil, false, false
-	}
-	rd := &reader{b: payload}
-	id = rd.str()
-	n := int(rd.u32())
-	if rd.err != nil || n > maxUsedWords {
-		return "", nil, false, false
-	}
-	words = make([]uint64, n)
-	for i := range words {
-		words[i] = rd.u64()
-	}
-	if rd.err != nil {
-		return "", nil, false, false
-	}
-	return id, words, fresh, true
-}
-
-// IterateWAL streams every intact record of a WAL file to fn in order,
-// stopping at the first torn or corrupt record (the same tolerance recovery
-// applies) or when fn returns an error.  Offline tooling — the never-reuse
-// audit — reads journals this way without opening a registry.
-func IterateWAL(path string, fn func(seq uint64, typ byte, payload []byte) error) error {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return err
-	}
-	_, err = walkWAL(data, fn)
+	_, err := r.commit(record{typ: recMigrateAbort, mig: migID}, appendString(nil, migID))
 	return err
 }

@@ -221,10 +221,7 @@ func (r *Registry) Register(id string, model *core.ChipModel, budget int) error 
 		// migration's final delta drain and never reach the new owner.
 		return ErrMigrating
 	}
-	sel := r.newSelector(id, model)
-	sel.SetBudget(budget)
-	e := &Entry{id: id, reg: r, model: model, selector: sel,
-		tracker: health.NewTracker(r.opts.Health)}
+	e := r.newEntry(record{id: id, budget: budget, model: model})
 	sh := r.shard(id)
 	sh.mu.Lock()
 	if _, dup := sh.m[id]; dup {
@@ -270,16 +267,33 @@ func (r *Registry) Deregister(id string) bool {
 	}
 	r.opmu.RLock()
 	defer r.opmu.RUnlock()
+	if !r.drop(id) {
+		return false
+	}
+	_ = r.appendRecord(recDeregister, appendString(nil, id))
+	return true
+}
+
+// drop removes id's entry from the store, and from the arrival set of the
+// migration it was arriving in, reporting whether it was there.
+func (r *Registry) drop(id string) bool {
 	sh := r.shard(id)
 	sh.mu.Lock()
-	_, ok := sh.m[id]
+	e, ok := sh.m[id]
 	delete(sh.m, id)
 	sh.mu.Unlock()
-	if ok {
-		_ = r.appendRecord(recDeregister, appendString(nil, id))
-		chipsGauge.Dec()
+	if !ok {
+		return false
 	}
-	return ok
+	chipsGauge.Dec()
+	if migID := e.arrivingIn(); migID != "" {
+		r.ownMu.Lock()
+		if a := r.own.arrivals[migID]; a != nil {
+			delete(a.chips, id)
+		}
+		r.ownMu.Unlock()
+	}
+	return true
 }
 
 // Len returns the number of registered chips.
@@ -362,8 +376,27 @@ type Entry struct {
 	arriving string
 }
 
+// newEntry builds an entry from a record's chip state: id, budget and model,
+// plus, for a migrate-in record, the used set, abuse counters and drift
+// detectors.
+func (r *Registry) newEntry(rec record) *Entry {
+	sel := r.newSelector(rec.id, rec.model)
+	sel.ImportState(core.SelectorState{Budget: rec.budget, Used: rec.words})
+	tracker := health.NewTracker(r.opts.Health)
+	tracker.Restore(rec.health)
+	return &Entry{id: rec.id, reg: r, model: rec.model, selector: sel,
+		denials: rec.denials, locked: rec.locked, tracker: tracker}
+}
+
 // ID returns the chip identifier.
 func (e *Entry) ID() string { return e.id }
+
+// arrivingIn returns the migration the chip is arriving in ("" once live).
+func (e *Entry) arrivingIn() string {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return e.arriving
+}
 
 // Model returns the chip's current enrolled model.  Individual models are
 // immutable, but Replace swaps which model an entry holds, so the pointer
@@ -586,8 +619,8 @@ func (e *Entry) ForceHealth(s health.State) (health.Event, bool) {
 // counters reset, and — security-critical — every challenge the retired
 // model ever issued stays burned in the new selector, so re-enrollment can
 // never resurrect a challenge an eavesdropper has already seen.  The swap
-// is journaled (recReenroll) before it is acknowledged; on journal failure
-// the old enrollment is restored and the error returned.
+// is journaled (recReenroll) before it takes effect; on journal failure the
+// old enrollment stays and the error is returned.
 func (r *Registry) Replace(id string, model *core.ChipModel, budget int) error {
 	if err := checkModel(model); err != nil {
 		return err
@@ -603,25 +636,22 @@ func (r *Registry) Replace(id string, model *core.ChipModel, budget int) error {
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	sel := r.newSelector(id, model)
-	sel.SetBudget(budget)
-	sel.MarkUsed(e.selector.ExportState().Used...)
+	if err := r.appendRecord(recReenroll, registerPayload(id, budget, model)); err != nil {
+		return err
+	}
+	e.reenroll(model, budget)
+	return nil
+}
 
-	prevModel, prevSel := e.model, e.selector
-	prevDenials, prevLocked := e.denials, e.locked
-	prevTracker := e.tracker.Snapshot()
+// reenroll swaps in a re-enrolled model and budget (e.mu held): every
+// challenge the retired model issued stays burned in the new selector, and
+// the abuse counters and drift detectors reset.
+func (e *Entry) reenroll(model *core.ChipModel, budget int) {
+	sel := e.reg.newSelector(e.id, model)
+	sel.ImportState(core.SelectorState{Budget: budget, Used: e.selector.ExportState().Used})
 	e.model, e.selector = model, sel
 	e.denials, e.locked = 0, false
 	e.tracker.Reset()
-	if err := r.appendRecord(recReenroll, registerPayload(id, budget, model)); err != nil {
-		// Not durable — a crash now would recover the old enrollment, so
-		// don't let the new one serve.
-		e.model, e.selector = prevModel, prevSel
-		e.denials, e.locked = prevDenials, prevLocked
-		e.tracker.Restore(prevTracker)
-		return err
-	}
-	return nil
 }
 
 // Range calls fn for every registered chip until fn returns false.  The
@@ -646,33 +676,13 @@ func (r *Registry) Range(fn func(*Entry) bool) {
 	}
 }
 
-func registerPayload(id string, budget int, model *core.ChipModel) []byte {
-	b := appendString(nil, id)
-	b = appendU32(b, uint32(budget))
-	return appendModel(b, model)
-}
-
-func healthPayload(id string, st health.TrackerState) []byte {
-	return appendTrackerState(appendString(nil, id), st)
-}
-
-func abusePayload(id string, denials int, locked bool) []byte {
-	b := appendString(nil, id)
-	b = appendU32(b, uint32(denials))
-	if locked {
-		b = append(b, 1)
-	} else {
-		b = append(b, 0)
-	}
-	return b
-}
-
-// install places a recovered entry into its shard (recovery is
-// single-threaded; no locks needed, but take them for uniformity).
+// install places (or replaces) an entry in its shard.
 func (r *Registry) install(e *Entry) {
 	sh := r.shard(e.id)
 	sh.mu.Lock()
+	if _, had := sh.m[e.id]; !had {
+		chipsGauge.Inc()
+	}
 	sh.m[e.id] = e
 	sh.mu.Unlock()
-	chipsGauge.Inc()
 }

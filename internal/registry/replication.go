@@ -7,13 +7,15 @@
 // acknowledged the recIssued record, so a challenge never leaves the server
 // before the burn is replicated.
 //
-// Follower side: ApplyReplicated journals a record from the primary at the
-// primary's sequence number — refusing gaps, so the log can degrade but never
-// fork — and then applies it to the live store under the normal entry/shard
-// locking.  InstallSnapshot bootstraps a new or lagging follower from a full
-// XPS2 snapshot.  A follower registry must not take local mutations while it
-// is replicating; promotion simply stops feeding ApplyReplicated and starts
-// serving, since the store is already a sequence-exact copy.
+// Follower side: ApplyReplicated decodes a record from the primary, journals
+// it at the primary's sequence number — refusing gaps, so the log can degrade
+// but never fork — and then applies it through the same decode and apply
+// that crash recovery uses (record.go), so a follower rebuilds exactly the
+// state its primary holds.  InstallSnapshot bootstraps a new or lagging
+// follower from a full XPS3 snapshot.  A follower registry must not take
+// local mutations while it is replicating; promotion simply stops feeding
+// ApplyReplicated and starts serving, since the store is already a
+// sequence-exact copy.
 package registry
 
 import (
@@ -21,8 +23,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-
-	"xorpuf/internal/health"
 )
 
 // ErrSeqGap is returned by ApplyReplicated when a record does not directly
@@ -150,14 +150,15 @@ func (r *Registry) ApplyReplicated(seq uint64, typ byte, payload []byte) error {
 	}
 	r.opmu.RLock()
 	defer r.opmu.RUnlock()
-	apply, err := r.decodeReplicated(typ, payload)
+	// Decoding before journaling keeps a malformed record out of the log.
+	rec, err := decodeRecord(typ, payload)
 	if err != nil {
 		return err
 	}
 	if err := r.journalReplicated(seq, typ, payload); err != nil {
 		return err
 	}
-	apply()
+	r.apply(rec)
 	return nil
 }
 
@@ -181,187 +182,6 @@ func (r *Registry) journalReplicated(seq uint64, typ byte, payload []byte) error
 	r.pmu.Unlock()
 	r.maybeCompactAsync(needCompact)
 	return err
-}
-
-// decodeReplicated validates a record payload and returns a closure that
-// applies it under the normal shard/entry locking.  Decoding before
-// journaling keeps a malformed record from entering the local log.
-func (r *Registry) decodeReplicated(typ byte, payload []byte) (func(), error) {
-	rd := &reader{b: payload}
-	switch typ {
-	case recRegister, recReenroll:
-		id := rd.str()
-		budget := int(rd.u32())
-		model := rd.readModel()
-		if rd.err != nil {
-			return nil, fmt.Errorf("register/reenroll record: %w", rd.err)
-		}
-		return func() {
-			e := r.Lookup(id)
-			if e == nil {
-				sel := r.newSelector(id, model)
-				sel.SetBudget(budget)
-				r.install(&Entry{id: id, reg: r, model: model, selector: sel,
-					tracker: health.NewTracker(r.opts.Health)})
-				return
-			}
-			if typ == recRegister {
-				return // duplicate registration: primary already rejected it
-			}
-			// Mirror Replace: new model goes live, every previously issued
-			// challenge stays burned, abuse counters and detectors reset.
-			sel := r.newSelector(id, model)
-			sel.SetBudget(budget)
-			e.mu.Lock()
-			sel.MarkUsed(e.selector.ExportState().Used...)
-			e.model, e.selector = model, sel
-			e.denials, e.locked = 0, false
-			e.tracker.Reset()
-			e.mu.Unlock()
-		}, nil
-	case recIssued, recKeyIssued:
-		id := rd.str()
-		n := int(rd.u32())
-		if rd.err == nil && n > maxUsedWords {
-			rd.fail("implausible issued count %d", n)
-		}
-		if rd.err != nil {
-			return nil, fmt.Errorf("issued record: %w", rd.err)
-		}
-		words := make([]uint64, n)
-		for i := range words {
-			words[i] = rd.u64()
-		}
-		if rd.err != nil {
-			return nil, fmt.Errorf("issued record: %w", rd.err)
-		}
-		return func() {
-			if e := r.Lookup(id); e != nil {
-				e.mu.Lock()
-				e.selector.MarkUsed(words...)
-				e.mu.Unlock()
-			}
-		}, nil
-	case recAbuse:
-		id := rd.str()
-		denials := int(rd.u32())
-		locked := rd.u8() == 1
-		if rd.err != nil {
-			return nil, fmt.Errorf("abuse record: %w", rd.err)
-		}
-		return func() {
-			if e := r.Lookup(id); e != nil {
-				e.mu.Lock()
-				e.denials, e.locked = denials, locked
-				e.mu.Unlock()
-			}
-		}, nil
-	case recDeregister:
-		id := rd.str()
-		if rd.err != nil {
-			return nil, fmt.Errorf("deregister record: %w", rd.err)
-		}
-		return func() {
-			sh := r.shard(id)
-			sh.mu.Lock()
-			_, ok := sh.m[id]
-			delete(sh.m, id)
-			sh.mu.Unlock()
-			if ok {
-				chipsGauge.Dec()
-			}
-		}, nil
-	case recHealth:
-		id := rd.str()
-		st := rd.readTrackerState()
-		if rd.err != nil {
-			return nil, fmt.Errorf("health record: %w", rd.err)
-		}
-		return func() {
-			if e := r.Lookup(id); e != nil {
-				e.mu.Lock()
-				e.tracker.Restore(st)
-				e.mu.Unlock()
-			}
-		}, nil
-	case recMigratedBurn:
-		id := rd.str()
-		n := int(rd.u32())
-		if rd.err == nil && n > maxUsedWords {
-			rd.fail("implausible issued count %d", n)
-		}
-		if rd.err != nil {
-			return nil, fmt.Errorf("migrated-burn record: %w", rd.err)
-		}
-		words := make([]uint64, n)
-		for i := range words {
-			words[i] = rd.u64()
-		}
-		if rd.err != nil {
-			return nil, fmt.Errorf("migrated-burn record: %w", rd.err)
-		}
-		return func() {
-			if e := r.Lookup(id); e != nil {
-				e.mu.Lock()
-				e.selector.MarkUsed(words...)
-				e.mu.Unlock()
-			}
-		}, nil
-	case recRangeFence:
-		migID, lo, hi, mode := rd.readFence()
-		if rd.err != nil {
-			return nil, fmt.Errorf("fence record: %w", rd.err)
-		}
-		return func() {
-			r.ownMu.Lock()
-			r.own.fences = deleteFence(r.own.fences, migID)
-			if mode == fenceSet {
-				r.own.fences = append(r.own.fences, MigRange{ID: migID, Lo: lo, Hi: hi})
-			}
-			r.ownMu.Unlock()
-		}, nil
-	case recMigrateIn:
-		migID := rd.str()
-		lo := rd.str()
-		hi := rd.str()
-		e := r.readEntryState(rd)
-		if rd.err != nil {
-			return nil, fmt.Errorf("migrate-in record: %w", rd.err)
-		}
-		return func() {
-			e.arriving = migID
-			r.installArriving(e)
-			r.ownMu.Lock()
-			a := r.own.arrivals[migID]
-			if a == nil {
-				a = &arrival{lo: lo, hi: hi, chips: make(map[string]struct{})}
-				r.own.arrivals[migID] = a
-			}
-			a.lo, a.hi = lo, hi
-			a.chips[e.id] = struct{}{}
-			r.ownMu.Unlock()
-		}, nil
-	case recCutover:
-		migID, epoch, lo, hi, role, redirect := rd.readCutover()
-		if rd.err != nil {
-			return nil, fmt.Errorf("cutover record: %w", rd.err)
-		}
-		return func() {
-			if role == cutoverSource {
-				r.applyCutoverSource(migID, epoch, lo, hi, redirect)
-			} else {
-				r.applyCutoverTarget(migID, epoch, lo, hi)
-			}
-		}, nil
-	case recMigrateAbort:
-		migID := rd.str()
-		if rd.err != nil {
-			return nil, fmt.Errorf("migrate-abort record: %w", rd.err)
-		}
-		return func() { r.applyMigrateAbort(migID) }, nil
-	default:
-		return nil, fmt.Errorf("%w: unknown record type %d", ErrCorrupt, typ)
-	}
 }
 
 // SnapshotBytes returns a full XPS2-framed snapshot of the store and the

@@ -4,6 +4,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io/fs"
+	"os"
+	"path/filepath"
+	"sort"
 	"sync"
 	"testing"
 
@@ -22,8 +26,107 @@ func replayInto(t *testing.T, src, dst *Registry) {
 	})
 }
 
+// canonicalState renders a registry's whole state in an order-independent
+// form: entries sorted by ID as appendEntryState blobs with their arriving
+// flag, then the ownership state with its maps sorted by key.  Snapshot bytes
+// are not comparable because the snapshot body iterates maps.
+func canonicalState(r *Registry) []string {
+	r.opmu.Lock()
+	defer r.opmu.Unlock()
+	var out []string
+	for i := range r.shards {
+		for id, e := range r.shards[i].m {
+			out = append(out, fmt.Sprintf("chip %s arriving=%q %x", id, e.arriving, appendEntryState(nil, e)))
+		}
+	}
+	sort.Strings(out)
+	r.ownMu.Lock()
+	defer r.ownMu.Unlock()
+	o := &r.own
+	out = append(out, fmt.Sprintf("epoch %d fences %v departed %v", o.epoch, o.fences, o.departed))
+	var owned []string
+	for migID, a := range o.arrivals {
+		chips := make([]string, 0, len(a.chips))
+		for id := range a.chips {
+			chips = append(chips, id)
+		}
+		sort.Strings(chips)
+		owned = append(owned, fmt.Sprintf("arrival %s [%q,%q) epoch %d chips %v", migID, a.lo, a.hi, a.epoch, chips))
+	}
+	for migID, epoch := range o.completed {
+		owned = append(owned, fmt.Sprintf("completed %s epoch %d", migID, epoch))
+	}
+	sort.Strings(owned)
+	return append(out, owned...)
+}
+
+// checkReplayMatches compares the live registry with its follower and with a
+// registry recovered from a copy of the live one's WAL directory: a replay,
+// through either path, must rebuild exactly the live state.
+func checkReplayMatches(t *testing.T, when, dir string, live, follower *Registry) {
+	t.Helper()
+	copyDir := t.TempDir()
+	for _, name := range []string{walName, snapName} {
+		data, err := os.ReadFile(filepath.Join(dir, name))
+		if errors.Is(err, fs.ErrNotExist) {
+			continue
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(copyDir, name), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	recovered, err := Open(copyDir, Options{Seed: live.opts.Seed})
+	if err != nil {
+		t.Fatalf("%s: recovering the live WAL: %v", when, err)
+	}
+	defer recovered.Close()
+	want := canonicalState(live)
+	for _, replay := range []struct {
+		name string
+		reg  *Registry
+	}{{"follower", follower}, {"recovered", recovered}} {
+		if got := replay.reg.Seq(); got != live.Seq() {
+			t.Errorf("%s: %s at seq %d, live at %d", when, replay.name, got, live.Seq())
+		}
+		got := canonicalState(replay.reg)
+		for _, d := range []struct {
+			what     string
+			from, in []string
+		}{{"missing", want, got}, {"extra", got, want}} {
+			have := make(map[string]bool, len(d.in))
+			for _, line := range d.in {
+				have[line] = true
+			}
+			for _, line := range d.from {
+				if !have[line] {
+					t.Errorf("%s: %s %s: %.160s", when, replay.name, d.what, line)
+				}
+			}
+		}
+	}
+}
+
+// burnPayload encodes an issuance record's payload by hand.
+func burnPayload(id string, words ...uint64) []byte {
+	b := appendU32(appendString(nil, id), uint32(len(words)))
+	for _, w := range words {
+		b = appendU64(b, w)
+	}
+	return b
+}
+
+// TestApplyReplicatedMirrorsEveryRecordType drives all twelve record types
+// through the public paths (issuance, abuse, health, re-enrollment, a
+// source-side migration and two inbound ones) and checks that a follower fed
+// through ApplyReplicated and a registry recovered from the WAL both rebuild
+// the live state, at a point inside an inbound migration and at the end.
 func TestApplyReplicatedMirrorsEveryRecordType(t *testing.T) {
-	src, err := Open("", Options{Seed: 3})
+	dir := t.TempDir()
+	// Never auto-compact, so the WAL holds the whole history.
+	src, err := Open(dir, Options{Seed: 3, SnapshotEvery: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,9 +134,16 @@ func TestApplyReplicatedMirrorsEveryRecordType(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	peer, err := Open("", Options{Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
 	defer src.Close()
 	defer dst.Close()
+	defer peer.Close()
 	replayInto(t, src, dst)
+	seen := make(map[byte]bool)
+	src.AddAppendObserver(func(_ uint64, typ byte, _ []byte) { seen[typ] = true })
 
 	model := syntheticModel(2, 16)
 	if err := src.Register("chip-a", model, 100); err != nil {
@@ -44,6 +154,9 @@ func TestApplyReplicatedMirrorsEveryRecordType(t *testing.T) {
 	}
 	e := src.Lookup("chip-a")
 	wantWords := issueWords(t, e, 6)
+	if _, _, err := e.IssueKey(2, 0); err != nil {
+		t.Fatal(err)
+	}
 	e.Verdict(false, 3)
 	e.Verdict(false, 3)
 	e.RecordAuth(health.Outcome{Challenges: 5, Mismatches: 1})
@@ -52,12 +165,86 @@ func TestApplyReplicatedMirrorsEveryRecordType(t *testing.T) {
 	}
 	src.Deregister("chip-b")
 
-	if got, want := dst.Seq(), src.Seq(); got != want {
-		t.Fatalf("follower at seq %d, primary at %d", got, want)
+	// Outbound migration: fence set, cleared, set again, then the source's
+	// cutover drops the range.
+	if err := src.Register("x-1", model, 0); err != nil {
+		t.Fatal(err)
 	}
-	if dst.Lookup("chip-b") != nil {
-		t.Fatal("deregister did not replicate")
+	if _, err := src.SetRangeFence("mig-out", "x-", "y"); err != nil {
+		t.Fatal(err)
 	}
+	if err := src.ClearRangeFence("mig-out"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := src.SetRangeFence("mig-out", "x-", "y"); err != nil {
+		t.Fatal(err)
+	}
+	if err := src.CutoverSource("mig-out", 1, "x-", "y", "peer:7413"); err != nil {
+		t.Fatal(err)
+	}
+
+	// Inbound migration: two snapshot chips arrive, then deltas burn,
+	// register, re-enroll and deregister arriving chips.
+	for _, id := range []string{"m-1", "m-2", "p-1"} {
+		if err := peer.Register(id, model, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	issueWords(t, peer.Lookup("m-1"), 3)
+	snap, _, _, err := peer.RangeSnapshot("m-", "n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n, err := src.InstallMigrating("mig-in", "m-", "n", snap); err != nil || n != 2 {
+		t.Fatalf("InstallMigrating = %d, %v; want 2 chips", n, err)
+	}
+	for _, d := range []struct {
+		typ     byte
+		payload []byte
+	}{
+		{recIssued, burnPayload("m-1", 0x1234, 0x5678)},
+		{recRegister, registerPayload("m-3", 10, model)},
+		{recReenroll, registerPayload("m-1", 40, syntheticModel(2, 16))},
+		{recDeregister, appendString(nil, "m-2")},
+	} {
+		if _, err := src.ApplyMigrated("mig-in", d.typ, d.payload); err != nil {
+			t.Fatalf("ApplyMigrated(type %d): %v", d.typ, err)
+		}
+	}
+	// A re-enrollment delta for an in-range chip that is not arriving here
+	// must be refused with nothing journaled: replayed, it would install a
+	// live second owner with an empty used set.
+	before := src.Seq()
+	if _, err := src.ApplyMigrated("mig-in", recReenroll, registerPayload("m-9", 0, model)); err == nil {
+		t.Error("re-enrollment delta for a chip not arriving here was accepted")
+	}
+	if got := src.Seq(); got != before {
+		t.Errorf("refused delta moved seq from %d to %d", before, got)
+	}
+	checkReplayMatches(t, "mid-migration", dir, src, dst)
+
+	if _, err := src.CutoverTarget("mig-in", 2); err != nil {
+		t.Fatal(err)
+	}
+	// A second inbound migration is aborted before cutover.
+	snap, _, _, err = peer.RangeSnapshot("p-", "q")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := src.InstallMigrating("mig-ab", "p-", "q", snap); err != nil {
+		t.Fatal(err)
+	}
+	if err := src.AbortMigrationIn("mig-ab"); err != nil {
+		t.Fatal(err)
+	}
+
+	for typ := recRegister; typ <= recMigratedBurn; typ++ {
+		if !seen[typ] {
+			t.Errorf("record type %d never journaled", typ)
+		}
+	}
+	checkReplayMatches(t, "end", dir, src, dst)
+
 	de := dst.Lookup("chip-a")
 	if de == nil {
 		t.Fatal("chip-a missing on follower")
@@ -104,6 +291,15 @@ func TestApplyReplicatedRefusesGapsAndGarbage(t *testing.T) {
 	}
 	if reg.Lookup("chip-a") == nil {
 		t.Fatal("valid replicated register missing")
+	}
+	// A re-enrollment record for a chip the store does not hold (a Replace
+	// that raced a Deregister journals one) changed nothing live, so its
+	// replay must not install the chip with an empty used set.
+	if err := reg.ApplyReplicated(2, recReenroll, registerPayload("chip-z", 0, syntheticModel(2, 16))); err != nil {
+		t.Fatal(err)
+	}
+	if reg.Lookup("chip-z") != nil {
+		t.Fatal("re-enrollment record for an absent chip installed it")
 	}
 }
 

@@ -32,12 +32,12 @@
 // after its last compaction.
 //
 // Recovery loads the snapshot (if any), then replays WAL records with
-// seq > snapshot seq.  Compaction writes the snapshot to a temp file,
-// fsyncs, renames it into place, and only then truncates the WAL; a crash
-// anywhere in that window leaves records whose seq the snapshot already
-// covers, which replay skips.  A torn final record (crash mid-append) is
-// detected by length/CRC and truncated away so the log can be appended to
-// again.
+// seq > snapshot seq through the one record decode and apply (record.go).
+// Compaction writes the snapshot to a temp file, fsyncs, renames it into
+// place, and only then truncates the WAL; a crash anywhere in that window
+// leaves records whose seq the snapshot already covers, which replay skips.
+// A torn final record (crash mid-append) is detected by length/CRC and
+// truncated away so the log can be appended to again.
 package registry
 
 import (
@@ -50,7 +50,6 @@ import (
 	"path/filepath"
 	"time"
 
-	"xorpuf/internal/health"
 	"xorpuf/internal/telemetry"
 )
 
@@ -78,34 +77,6 @@ var (
 const (
 	walName  = "registry.wal"
 	snapName = "registry.snap"
-
-	recRegister   byte = 1
-	recIssued     byte = 2
-	recAbuse      byte = 3
-	recDeregister byte = 4
-	recHealth     byte = 5
-	recReenroll   byte = 6
-	// recKeyIssued burns challenges issued for key derivation.  The payload
-	// and replay semantics are identical to recIssued — one never-reuse
-	// budget covers both workloads (chosen-challenge attacks do not care why
-	// a challenge left the server) — but the distinct type keeps the journal
-	// auditable by workload.
-	recKeyIssued byte = 7
-
-	// Migration record types (see migrate.go).  recRangeFence opens/closes
-	// an outbound handoff window; recMigrateIn installs one arriving chip on
-	// the target; recCutover is the two-phase ownership transfer journaled on
-	// both sides; recMigrateAbort drops an inbound migration's arriving
-	// chips.  recMigratedBurn is how the target re-journals a source's
-	// recIssued/recKeyIssued delta under its own sequence: the burn semantics
-	// are identical, but the distinct type keeps the WAL auditable — a
-	// never-reuse audit counts fresh issuance once, at the server that
-	// issued it, and recognizes migrated copies as copies.
-	recRangeFence   byte = 8
-	recMigrateIn    byte = 9
-	recCutover      byte = 10
-	recMigrateAbort byte = 11
-	recMigratedBurn byte = 12
 
 	// recHeaderLen is seq(8) + type(1) + len(4); recTrailerLen the crc.
 	recHeaderLen  = 13
@@ -463,26 +434,10 @@ func (r *Registry) decodeSnapshot(data []byte) ([]*Entry, ownState, uint64, erro
 	count := int(rd.u32())
 	var entries []*Entry
 	for i := 0; i < count && rd.err == nil; i++ {
-		var e *Entry
-		if hasHealth {
-			e = r.readEntryState(rd)
-		} else {
-			id := rd.str()
-			st := rd.readSelectorState()
-			model := rd.readModel()
-			denials := int(rd.u32())
-			locked := rd.u8() == 1
-			if rd.err != nil {
-				break
-			}
-			sel := r.newSelector(id, model)
-			sel.ImportState(st)
-			e = &Entry{id: id, reg: r, model: model, selector: sel,
-				denials: denials, locked: locked,
-				tracker: health.NewTracker(r.opts.Health)}
-		}
-		if e != nil {
-			entries = append(entries, e)
+		var rec record
+		rd.readEntry(&rec, hasHealth)
+		if rd.err == nil {
+			entries = append(entries, r.newEntry(rec))
 		}
 	}
 	if rd.err == nil && hasOwnership {
@@ -516,9 +471,11 @@ func (r *Registry) replayWAL(snapSeq uint64) error {
 	records := 0
 	good, err := walkWAL(data, func(seq uint64, typ byte, payload []byte) error {
 		if seq > snapSeq {
-			if err := r.applyRecord(typ, payload); err != nil {
+			rec, err := decodeRecord(typ, payload)
+			if err != nil {
 				return err
 			}
+			r.apply(rec)
 		}
 		if seq > r.seq {
 			r.seq = seq
@@ -596,165 +553,15 @@ func (r *Registry) createWAL() error {
 	return nil
 }
 
-// applyRecord replays one journal record during recovery (single-threaded).
-func (r *Registry) applyRecord(typ byte, payload []byte) error {
-	rd := &reader{b: payload}
-	switch typ {
-	case recRegister:
-		id := rd.str()
-		budget := int(rd.u32())
-		model := rd.readModel()
-		if rd.err != nil {
-			return fmt.Errorf("register record: %w", rd.err)
-		}
-		if r.Lookup(id) != nil {
-			return nil // snapshot already covers it
-		}
-		sel := r.newSelector(id, model)
-		sel.SetBudget(budget)
-		r.install(&Entry{id: id, reg: r, model: model, selector: sel,
-			tracker: health.NewTracker(r.opts.Health)})
-	case recIssued, recKeyIssued:
-		id := rd.str()
-		n := int(rd.u32())
-		if rd.err == nil && n > maxUsedWords {
-			rd.fail("implausible issued count %d", n)
-		}
-		if rd.err != nil {
-			return fmt.Errorf("issued record: %w", rd.err)
-		}
-		words := make([]uint64, n)
-		for i := range words {
-			words[i] = rd.u64()
-		}
-		if rd.err != nil {
-			return fmt.Errorf("issued record: %w", rd.err)
-		}
-		if e := r.Lookup(id); e != nil {
-			e.selector.MarkUsed(words...)
-		}
-	case recAbuse:
-		id := rd.str()
-		denials := int(rd.u32())
-		locked := rd.u8() == 1
-		if rd.err != nil {
-			return fmt.Errorf("abuse record: %w", rd.err)
-		}
-		if e := r.Lookup(id); e != nil {
-			e.denials = denials
-			e.locked = locked
-		}
-	case recDeregister:
-		id := rd.str()
-		if rd.err != nil {
-			return fmt.Errorf("deregister record: %w", rd.err)
-		}
-		sh := r.shard(id)
-		if _, ok := sh.m[id]; ok {
-			delete(sh.m, id)
-			chipsGauge.Dec()
-		}
-	case recHealth:
-		id := rd.str()
-		st := rd.readTrackerState()
-		if rd.err != nil {
-			return fmt.Errorf("health record: %w", rd.err)
-		}
-		if e := r.Lookup(id); e != nil {
-			e.tracker.Restore(st)
-		}
-	case recReenroll:
-		id := rd.str()
-		budget := int(rd.u32())
-		model := rd.readModel()
-		if rd.err != nil {
-			return fmt.Errorf("reenroll record: %w", rd.err)
-		}
-		e := r.Lookup(id)
-		if e == nil {
-			// The registration this replaces was dropped (e.g. deregistered
-			// before the snapshot cut); treat as a fresh registration.
-			sel := r.newSelector(id, model)
-			sel.SetBudget(budget)
-			r.install(&Entry{id: id, reg: r, model: model, selector: sel,
-				tracker: health.NewTracker(r.opts.Health)})
-			return nil
-		}
-		// Mirror Replace: swap the model, keep every previously issued
-		// challenge burned, reset abuse counters and drift detectors.
-		sel := r.newSelector(id, model)
-		sel.SetBudget(budget)
-		sel.MarkUsed(e.selector.ExportState().Used...)
-		e.model, e.selector = model, sel
-		e.denials, e.locked = 0, false
-		e.tracker.Reset()
-	case recMigratedBurn:
-		id := rd.str()
-		n := int(rd.u32())
-		if rd.err == nil && n > maxUsedWords {
-			rd.fail("implausible issued count %d", n)
-		}
-		if rd.err != nil {
-			return fmt.Errorf("migrated-burn record: %w", rd.err)
-		}
-		words := make([]uint64, n)
-		for i := range words {
-			words[i] = rd.u64()
-		}
-		if rd.err != nil {
-			return fmt.Errorf("migrated-burn record: %w", rd.err)
-		}
-		if e := r.Lookup(id); e != nil {
-			e.selector.MarkUsed(words...)
-		}
-	case recRangeFence:
-		migID, lo, hi, mode := rd.readFence()
-		if rd.err != nil {
-			return fmt.Errorf("fence record: %w", rd.err)
-		}
-		r.ownMu.Lock()
-		r.own.fences = deleteFence(r.own.fences, migID)
-		if mode == fenceSet {
-			r.own.fences = append(r.own.fences, MigRange{ID: migID, Lo: lo, Hi: hi})
-		}
-		r.ownMu.Unlock()
-	case recMigrateIn:
-		migID := rd.str()
-		lo := rd.str()
-		hi := rd.str()
-		e := r.readEntryState(rd)
-		if rd.err != nil {
-			return fmt.Errorf("migrate-in record: %w", rd.err)
-		}
-		e.arriving = migID
-		r.installArriving(e)
-		r.ownMu.Lock()
-		a := r.own.arrivals[migID]
-		if a == nil {
-			a = &arrival{lo: lo, hi: hi, chips: make(map[string]struct{})}
-			r.own.arrivals[migID] = a
-		}
-		a.lo, a.hi = lo, hi
-		a.chips[e.id] = struct{}{}
-		r.ownMu.Unlock()
-	case recCutover:
-		migID, epoch, lo, hi, role, redirect := rd.readCutover()
-		if rd.err != nil {
-			return fmt.Errorf("cutover record: %w", rd.err)
-		}
-		if role == cutoverSource {
-			r.applyCutoverSource(migID, epoch, lo, hi, redirect)
-		} else {
-			r.applyCutoverTarget(migID, epoch, lo, hi)
-		}
-	case recMigrateAbort:
-		migID := rd.str()
-		if rd.err != nil {
-			return fmt.Errorf("migrate-abort record: %w", rd.err)
-		}
-		r.applyMigrateAbort(migID)
-	default:
-		return fmt.Errorf("%w: unknown record type %d", ErrCorrupt, typ)
+// IterateWAL streams every intact record of a WAL file to fn in order,
+// stopping at the first torn or corrupt record (the same tolerance recovery
+// applies) or when fn returns an error.  Offline tooling — the never-reuse
+// audit — reads journals this way without opening a registry.
+func IterateWAL(path string, fn func(seq uint64, typ byte, payload []byte) error) error {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return err
 	}
-	return nil
+	_, err = walkWAL(data, fn)
+	return err
 }
