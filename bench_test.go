@@ -557,8 +557,8 @@ func BenchmarkFleetKeyDerivation(b *testing.B) {
 			b.Fatal(err)
 		}
 		reads := make([]uint8, len(cs))
-		for j, c := range cs {
-			reads[j] = devices[i%chips].ReadXOR(c, corner)
+		for j, w := range cs {
+			reads[j] = devices[i%chips].ReadXOR(challenge.FromWord(w, entry.Model().Stages()), corner)
 		}
 		key, corrected, err := keyex.Reproduce(kcfg, reads, helper)
 		if err != nil || key != master {

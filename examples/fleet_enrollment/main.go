@@ -58,8 +58,8 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	for _, c := range cs {
-		before[c.Word()] = true
+	for _, w := range cs {
+		before[w] = true
 	}
 	st := reg.Lookup("chip-57").Status()
 	fmt.Printf("chip-57: issued %d challenges, %d of budget remaining\n", st.Issued, st.Remaining)
@@ -86,8 +86,8 @@ func main() {
 		log.Fatal(err)
 	}
 	reused := 0
-	for _, c := range cs {
-		if before[c.Word()] {
+	for _, w := range cs {
+		if before[w] {
 			reused++
 		}
 	}

@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"log"
 
+	"xorpuf/internal/challenge"
 	"xorpuf/internal/core"
 	"xorpuf/internal/health"
 	"xorpuf/internal/registry"
@@ -39,8 +40,9 @@ func authenticate(e *registry.Entry, dev core.Device) (approved bool, mismatches
 	if err != nil {
 		log.Fatal(err)
 	}
-	for i, c := range cs {
-		if dev.ReadXOR(c, silicon.Nominal) != predicted[i] {
+	k := e.Model().Stages()
+	for i, w := range cs {
+		if dev.ReadXOR(challenge.FromWord(w, k), silicon.Nominal) != predicted[i] {
 			mismatches++
 		}
 	}

@@ -48,8 +48,8 @@ func main() {
 	src := xorpuf.NewSource(13)
 	for _, cond := range xorpuf.Corners() {
 		selFlips, rndFlips := 0, 0
-		for i, c := range selected {
-			if x.Eval(src, c, cond) != predicted[i] {
+		for i, w := range selected {
+			if x.Eval(src, xorpuf.ChallengeFromWord(w, chip.Stages()), cond) != predicted[i] {
 				selFlips++
 			}
 		}

@@ -97,7 +97,7 @@ func TestModelAssistedSelectionDoesNotWeakenAttackResistance(t *testing.T) {
 	}
 	observed := make([]xorpuf.CRP, len(cs))
 	for i := range cs {
-		observed[i] = xorpuf.CRP{Challenge: cs[i], Response: predicted[i]}
+		observed[i] = xorpuf.CRP{Challenge: challenge.FromWord(cs[i], p.Model.Stages()), Response: predicted[i]}
 	}
 	acc := attackAccuracy(t, observed, chip, width)
 	if acc > 0.70 {
@@ -121,8 +121,8 @@ func TestSelectedChallengesNotLowEntropy(t *testing.T) {
 	}
 	seen := map[uint64]bool{}
 	ones := make([]int, chip.Stages())
-	for _, c := range cs {
-		w := challenge.Challenge(c).Word()
+	for _, w := range cs {
+		c := challenge.FromWord(w, chip.Stages())
 		if seen[w] {
 			t.Fatal("duplicate selected challenge in a 4000 sample")
 		}

@@ -68,10 +68,16 @@ func (c Challenge) Word() uint64 {
 // k ≤ 64).
 func FromWord(w uint64, k int) Challenge {
 	c := make(Challenge, k)
-	for i := 0; i < k && i < 64; i++ {
-		c[i] = uint8((w >> uint(i)) & 1)
-	}
+	WordInto(w, c)
 	return c
+}
+
+// WordInto unpacks w into the first min(len(c), 64) stages of c, stage i
+// from bit i, without allocating.
+func WordInto(w uint64, c Challenge) {
+	for i := range c[:min(len(c), 64)] {
+		c[i] = uint8(w >> uint(i) & 1)
+	}
 }
 
 // Random returns a uniformly random k-bit challenge drawn from src.

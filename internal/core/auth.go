@@ -67,13 +67,13 @@ func Authenticate(cm *ChipModel, dev Device, src *rng.Source, count int, cond si
 		return AuthResult{}, fmt.Errorf("core: Authenticate on %d stages, the selector serves at most %d", k, MaxStages)
 	}
 	sel := NewSelector(cm, src)
-	cs, predicted, err := sel.Next(count, 0)
+	words, predicted, err := sel.Next(count, 0)
 	if err != nil {
 		return AuthResult{Examined: sel.Examined()}, err
 	}
 	res := AuthResult{Challenges: count, Examined: sel.Examined()}
-	for i, c := range cs {
-		if dev.ReadXOR(c, cond) != predicted[i] {
+	for i, w := range words {
+		if dev.ReadXOR(challenge.FromWord(w, cm.Stages()), cond) != predicted[i] {
 			res.Mismatches++
 		}
 	}

@@ -207,7 +207,7 @@ func TestSelectedChallengesAreTrulyStable(t *testing.T) {
 	bad := 0
 	for _, c := range cs {
 		// Exact per-window stability probability of the XOR output.
-		prob := chip.XORStabilityProbability(chip.NumPUFs(), c, silicon.Nominal)
+		prob := chip.XORStabilityProbability(chip.NumPUFs(), challenge.FromWord(c, enr.Model.Stages()), silicon.Nominal)
 		if prob < 0.9999 {
 			bad++
 		}
@@ -224,7 +224,8 @@ func TestPredictXORMatchesGroundTruth(t *testing.T) {
 		t.Fatal(err)
 	}
 	wrong := 0
-	for i, c := range cs {
+	for i, w := range cs {
+		c := challenge.FromWord(w, enr.Model.Stages())
 		var want uint8
 		for j := 0; j < chip.NumPUFs(); j++ {
 			if chip.PUF(j).Delay(c, silicon.Nominal) > 0 {
@@ -442,8 +443,7 @@ func TestSelectorNeverRepeats(t *testing.T) {
 		if len(cs) != 50 || len(bits) != 50 {
 			t.Fatalf("round %d: got %d/%d", round, len(cs), len(bits))
 		}
-		for _, c := range cs {
-			w := c.Word()
+		for _, w := range cs {
 			if seen[w] {
 				t.Fatalf("round %d: challenge reused", round)
 			}
@@ -462,8 +462,8 @@ func TestSelectorPredictionsMatchModel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, c := range cs {
-		bit, stable := enr.Model.PredictXOR(c)
+	for i, w := range cs {
+		bit, stable := enr.Model.PredictXOR(challenge.FromWord(w, sel.Stages()))
 		if !stable {
 			t.Fatal("selector issued an unstable challenge")
 		}

@@ -5,7 +5,6 @@ import (
 	"math"
 	"sort"
 
-	"xorpuf/internal/challenge"
 	"xorpuf/internal/rng"
 )
 
@@ -302,6 +301,9 @@ func (s *Selector) classify(w uint64) (bit uint8, stable bool) {
 	return bits[0], n == 1
 }
 
+// Stages returns the challenge width k the selector issues.
+func (s *Selector) Stages() int { return s.stages }
+
 // Issued returns how many distinct challenges have been handed out.
 func (s *Selector) Issued() int { return len(s.used) }
 
@@ -395,23 +397,25 @@ func (s *Selector) MarkUsed(words ...uint64) {
 	}
 }
 
-// Next returns count fresh predicted-stable challenges and their predicted
-// XOR bits.  Challenges issued by earlier calls are never repeated.
-// maxExamined bounds the search (0 = 10,000 × count); Next examines
-// exactly maxExamined candidates unless it finds count first.
-func (s *Selector) Next(count, maxExamined int) ([]challenge.Challenge, []uint8, error) {
+// Next returns the words of count fresh predicted-stable challenges, stage
+// 0 in bit 0 (the Challenge.Word layout; challenge.FromWord(w, Stages())
+// expands one), and their predicted XOR bits.  Challenges issued by earlier
+// calls are never repeated.  maxExamined bounds the search (0 = 10,000 ×
+// count); Next examines exactly maxExamined candidates unless it finds
+// count first.
+func (s *Selector) Next(count, maxExamined int) ([]uint64, []uint8, error) {
 	if s.budget > 0 && len(s.used)+count > s.budget {
 		return nil, nil, &ErrBudgetExhausted{Budget: s.budget, Issued: len(s.used), Wanted: count}
 	}
 	if maxExamined <= 0 {
 		maxExamined = 10000 * count
 	}
-	cs := make([]challenge.Challenge, 0, count)
+	words := make([]uint64, 0, count)
 	bits := make([]uint8, 0, count)
 	var p [sieveBlock]uint64
 	var idx, bit [sieveBlock]uint8
 	examined := 0
-	for len(cs) < count && examined < maxExamined {
+	for len(words) < count && examined < maxExamined {
 		b := min(sieveBlock, maxExamined-examined)
 		for j := range p[:b] {
 			p[j] = suffixParity(s.src.Uint64() & s.mask)
@@ -420,14 +424,17 @@ func (s *Selector) Next(count, maxExamined int) ([]challenge.Challenge, []uint8,
 		n := s.sieve(p[:b], idx[:], bit[:])
 		drawn := b // candidates of this block that count as examined
 		for _, j := range idx[:n] {
-			w := p[j] ^ p[j]>>1 // the word, back from its suffix parity
-			if _, dup := s.used[w]; dup {
+			// The word, back from its suffix parity.  One insert probes
+			// the used set: a word already there leaves its size unchanged.
+			w := p[j] ^ p[j]>>1
+			issued := len(s.used)
+			s.used[w] = struct{}{}
+			if len(s.used) == issued {
 				continue
 			}
-			s.used[w] = struct{}{}
-			cs = append(cs, challenge.FromWord(w, s.stages))
+			words = append(words, w)
 			bits = append(bits, bit[j])
-			if len(cs) == count {
+			if len(words) == count {
 				drawn = int(j) + 1
 				break
 			}
@@ -438,8 +445,8 @@ func (s *Selector) Next(count, maxExamined int) ([]challenge.Challenge, []uint8,
 		examined += drawn
 	}
 	s.examined += examined
-	if len(cs) < count {
-		return cs, bits, &ErrSelectionExhausted{Wanted: count, Found: len(cs), Examined: examined}
+	if len(words) < count {
+		return words, bits, &ErrSelectionExhausted{Wanted: count, Found: len(words), Examined: examined}
 	}
-	return cs, bits, nil
+	return words, bits, nil
 }

@@ -16,7 +16,7 @@ import (
 // refSelector is the per-candidate selection loop the table-driven kernel
 // replaced: one Challenge, one Word() pack, one used-set probe and one
 // feature vector per examined candidate.  It is the reference the kernel
-// must match word for word.
+// must match word for word, and it issues each challenge's Word().
 type refSelector struct {
 	model    *ChipModel
 	src      *rng.Source
@@ -26,14 +26,14 @@ type refSelector struct {
 	examined int
 }
 
-func (s *refSelector) Next(count, maxExamined int) ([]challenge.Challenge, []uint8, error) {
+func (s *refSelector) Next(count, maxExamined int) ([]uint64, []uint8, error) {
 	if s.budget > 0 && len(s.used)+count > s.budget {
 		return nil, nil, &ErrBudgetExhausted{Budget: s.budget, Issued: len(s.used), Wanted: count}
 	}
 	if maxExamined <= 0 {
 		maxExamined = 10000 * count
 	}
-	cs := make([]challenge.Challenge, 0, count)
+	cs := make([]uint64, 0, count)
 	bits := make([]uint8, 0, count)
 	if len(s.phi) != challenge.FeatureDim(s.model.Stages()) {
 		s.phi = make([]float64, challenge.FeatureDim(s.model.Stages()))
@@ -52,7 +52,7 @@ func (s *refSelector) Next(count, maxExamined int) ([]challenge.Challenge, []uin
 			continue
 		}
 		s.used[key] = struct{}{}
-		cs = append(cs, c)
+		cs = append(cs, key)
 		bits = append(bits, bit)
 	}
 	s.examined += examined
@@ -203,8 +203,8 @@ func compareNext(t *testing.T, cm *ChipModel, seed uint64) {
 			t.Fatalf("call %d: %d challenges, reference %d", i, len(cs), len(wantCs))
 		}
 		for j := range cs {
-			if cs[j].String() != wantCs[j].String() || bits[j] != wantBits[j] {
-				t.Fatalf("call %d challenge %d: %s/%d, reference %s/%d",
+			if cs[j] != wantCs[j] || bits[j] != wantBits[j] {
+				t.Fatalf("call %d challenge %d: %#x/%d, reference %#x/%d",
 					i, j, cs[j], bits[j], wantCs[j], wantBits[j])
 			}
 		}

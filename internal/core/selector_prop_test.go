@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"xorpuf/internal/challenge"
 	"xorpuf/internal/rng"
 )
 
@@ -72,13 +73,12 @@ func TestSelectorNeverReuseProperty(t *testing.T) {
 				t.Fatalf("iter %d: Next returned %d challenges, %d bits, want %d",
 					iter, len(cs), len(bits), count)
 			}
-			for _, c := range cs {
-				key := c.Word()
+			for _, key := range cs {
 				if _, dup := everIssued[key]; dup {
 					t.Fatalf("iter %d round %d: challenge %x issued twice", iter, round, key)
 				}
 				everIssued[key] = struct{}{}
-				bit, stable := model.PredictXOR(c)
+				bit, stable := model.PredictXOR(challenge.FromWord(key, model.Stages()))
 				if !stable {
 					t.Fatalf("iter %d: issued unstable challenge %x", iter, key)
 				}

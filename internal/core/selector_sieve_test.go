@@ -65,8 +65,8 @@ func (sp *sievePair) next(count, maxExamined int) (found, examined int) {
 		t.Fatalf("%s: %d challenges and %d bits, reference %d and %d", call, len(cs), len(bits), len(wantCs), len(wantBits))
 	}
 	for j := range cs {
-		if cs[j].Word() != wantCs[j].Word() || len(cs[j]) != len(wantCs[j]) || bits[j] != wantBits[j] {
-			t.Fatalf("%s: challenge %d is %s/%d, reference %s/%d", call, j, cs[j], bits[j], wantCs[j], wantBits[j])
+		if cs[j] != wantCs[j] || bits[j] != wantBits[j] {
+			t.Fatalf("%s: challenge %d is %#x/%d, reference %#x/%d", call, j, cs[j], bits[j], wantCs[j], wantBits[j])
 		}
 	}
 	if sp.sel.Examined() != sp.ref.examined || sp.sel.Issued() != len(sp.ref.used) {

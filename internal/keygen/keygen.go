@@ -89,11 +89,14 @@ func Enroll(dev core.Device, stages int, src *rng.Source, cond silicon.Condition
 	fe := ecc.NewFuzzyExtractor(code)
 	var cs []challenge.Challenge
 	if cfg.Selector != nil {
-		sel, _, err := cfg.Selector.Next(code.N, 0)
+		words, _, err := cfg.Selector.Next(code.N, 0)
 		if err != nil {
 			return nil, key, fmt.Errorf("keygen: selecting challenges: %w", err)
 		}
-		cs = sel
+		cs = make([]challenge.Challenge, len(words))
+		for i, w := range words {
+			cs[i] = challenge.FromWord(w, cfg.Selector.Stages())
+		}
 	} else {
 		cs = challenge.RandomBatch(src.Split("challenges"), code.N, stages)
 	}

@@ -7,6 +7,7 @@ package netauth
 import (
 	"bufio"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"net"
@@ -359,21 +360,43 @@ func (c *V2Client) answer(m *wire.Msg) {
 
 // readChallenges answers a challenges frame with one single-shot XOR
 // readout per challenge and appends the packed response bits to dst.  cc
-// is scratch of exactly m.Width bits.
+// is scratch of exactly m.Width bits; each challenge is read from the
+// frame as one word per 64 stages and expanded into cc.
 func readChallenges(dst []byte, cc challenge.Challenge, dev core.Device, cond silicon.Condition, m *wire.Msg) []byte {
 	off := len(dst)
 	for i := 0; i < wire.PackedLen(m.Count); i++ {
 		dst = append(dst, 0)
 	}
 	for j := 0; j < m.Count; j++ {
-		for b := range cc {
-			cc[b] = wire.Bit(m.Packed, j*len(cc)+b)
+		for lo := 0; lo < len(cc); lo += 64 {
+			n := min(64, len(cc)-lo)
+			challenge.WordInto(wordAt(m.Packed, j*len(cc)+lo, n), cc[lo:lo+n])
 		}
 		if dev.ReadXOR(cc, cond)&1 == 1 {
 			dst[off+j/8] |= 1 << (j % 8)
 		}
 	}
 	return dst
+}
+
+// wordAt returns the n bits (1 ≤ n ≤ 64) of packed that start at bit off,
+// bit off in bit 0, the inverse of packWords.  packed must hold bit
+// off+n−1.
+func wordAt(packed []byte, off, n int) uint64 {
+	i, s := off>>3, uint(off&7)
+	var w uint64
+	if i+8 <= len(packed) {
+		w = binary.LittleEndian.Uint64(packed[i:])
+	} else {
+		for k, b := range packed[i:] {
+			w |= uint64(b) << (8 * uint(k))
+		}
+	}
+	w >>= s
+	if s+uint(n) > 64 { // the last bits sit in a ninth byte
+		w |= uint64(packed[i+8]) << (64 - s)
+	}
+	return w & (^uint64(0) >> uint(64-n))
 }
 
 // write flushes the queued frames under the per-message deadline.

@@ -130,7 +130,7 @@ func (s *Server) keyexSession(l *link, init *wire.Msg) {
 	// abandoned handshakes and crashes too.
 	deriveStart := time.Now()
 	deriveSpan := s.spans.StartSpanAt(rec.Context(), "keyex.derive", deriveStart)
-	cs, predicted, err := entry.IssueKeyCtx(dtrace.Inject(context.Background(), deriveSpan.Context()), cfg.N(), 0)
+	words, predicted, err := entry.IssueKeyCtx(dtrace.Inject(context.Background(), deriveSpan.Context()), cfg.N(), 0)
 	s.tel.observeSelect(deriveStart)
 	rec.SetAttr("select_us", usAttr(time.Since(deriveStart)))
 	if err != nil {
@@ -140,7 +140,7 @@ func (s *Server) keyexSession(l *link, init *wire.Msg) {
 		fail(code, retryable, "challenge selection failed: %v", err)
 		return
 	}
-	burned = len(cs)
+	burned = len(words)
 
 	// Reverse fuzzy extractor: the enrolled model's predictions are the
 	// error-free enrollment reading, so Generate runs server-side and the
@@ -159,14 +159,15 @@ func (s *Server) keyexSession(l *link, init *wire.Msg) {
 		Session:    session,
 		ChipID:     init.ChipID,
 		Caps:       caps,
-		Challenges: make([]string, len(cs)),
+		Challenges: make([]string, len(words)),
 		Helper:     keyex.FormatBits(helper),
 		M:          cfg.M,
 		T:          cfg.T,
 		Cipher:     cipher,
 	}
-	for i, c := range cs {
-		offer.Challenges[i] = c.String()
+	width := entry.Model().Stages()
+	for i, w := range words {
+		offer.Challenges[i] = wordString(w, width)
 	}
 	transcript := keyex.Transcript(offer)
 	keys := keyex.DeriveSession(master, transcript)
@@ -175,13 +176,12 @@ func (s *Server) keyexSession(l *link, init *wire.Msg) {
 	deriveSpan.SetStatus("ok")
 	deriveSpan.End()
 
-	width := len(cs[0])
 	rttStart := time.Now()
 	if err := l.write(&wire.Msg{
 		Type: wire.TKeyexOffer, Stream: init.Stream, Session: sessRaw[:],
 		M: cfg.M, T: cfg.T, Cipher: cipherByte,
-		Width: width, Count: len(cs),
-		Packed: packChallengeBits(nil, cs, width),
+		Width: width, Count: len(words),
+		Packed: packWords(nil, words, width),
 		Helper: wire.PackBits(nil, helper),
 	}); err != nil {
 		return
@@ -271,4 +271,14 @@ func (c *channelStream) Write(p []byte) (int, error) {
 		return 0, err
 	}
 	return len(p), nil
+}
+
+// wordString renders the challenge word w as width '0'/'1' characters,
+// stage 0 first: the text challenge.FromWord(w, width).String() gives.
+func wordString(w uint64, width int) string {
+	buf := make([]byte, width)
+	for i := range buf {
+		buf[i] = '0' + byte(w>>uint(i)&1)
+	}
+	return string(buf)
 }

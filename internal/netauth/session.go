@@ -14,6 +14,7 @@ import (
 	"bytes"
 	"context"
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"errors"
 	"fmt"
@@ -23,7 +24,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"xorpuf/internal/challenge"
 	"xorpuf/internal/registry"
 	"xorpuf/internal/telemetry/dtrace"
 	"xorpuf/internal/wire"
@@ -302,22 +302,25 @@ func (s *Server) refusedSession(tc dtrace.Context, chipID, code string, start ti
 	s.endSession(&rec, chipID, 0, "refused:"+code)
 }
 
-// packChallengeBits appends the concatenated bits of cs — width bits per
-// challenge, LSB-first — to dst in packed form.
-func packChallengeBits(dst []byte, cs []challenge.Challenge, width int) []byte {
-	var cur byte
-	nb := 0
-	for _, c := range cs {
-		for _, b := range c {
-			cur |= (b & 1) << nb
-			if nb++; nb == 8 {
-				dst = append(dst, cur)
-				cur, nb = 0, 0
-			}
+// packWords appends the low width bits of each word (1 ≤ width ≤ 64),
+// stage 0 first, to dst in packed LSB-first form: the concatenation a
+// challenges frame carries.
+func packWords(dst []byte, words []uint64, width int) []byte {
+	mask := ^uint64(0) >> uint(64-width)
+	var acc uint64 // pending bits, the oldest in bit 0
+	n := 0         // how many bits acc holds, always < 64 between words
+	for _, w := range words {
+		w &= mask
+		acc |= w << uint(n)
+		if n += width; n >= 64 {
+			dst = binary.LittleEndian.AppendUint64(dst, acc)
+			n -= 64
+			acc = w >> uint(width-n) // the bits of w that did not fit
 		}
 	}
-	if nb > 0 {
-		dst = append(dst, cur)
+	for ; n > 0; n -= 8 {
+		dst = append(dst, byte(acc))
+		acc >>= 8
 	}
 	return dst
 }
@@ -367,7 +370,7 @@ func (s *Server) hello(l *link, m *wire.Msg, streams *[]stream, parent dtrace.Co
 	selectStart := time.Now()
 	selSpan := s.spans.StartSpanAt(tc, "select", selectStart)
 	selSpan.SetAttr("batch", strconv.Itoa(batch))
-	cs, predicted, err := entry.IssueCtx(dtrace.Inject(context.Background(), selSpan.Context()), s.numChallenges*batch, 0)
+	words, predicted, err := entry.IssueCtx(dtrace.Inject(context.Background(), selSpan.Context()), s.numChallenges*batch, 0)
 	selected := time.Since(selectStart)
 	s.tel.observeSelect(selectStart)
 	if err != nil {
@@ -381,7 +384,8 @@ func (s *Server) hello(l *link, m *wire.Msg, streams *[]stream, parent dtrace.Co
 	}
 	selSpan.SetStatus("ok")
 	selSpan.End()
-	width := len(cs[0])
+	// Replace keeps a chip's stage count, so this is the issued width.
+	width := entry.Model().Stages()
 	selectUS := usAttr(selected)
 
 	// One CSPRNG read covers the whole batch's session ids.
@@ -404,8 +408,8 @@ func (s *Server) hello(l *link, m *wire.Msg, streams *[]stream, parent dtrace.Co
 		st.rec.SetAttr("session", hex.EncodeToString(st.session[:]))
 		st.rec.SetAttr("stream", strconv.FormatUint(st.id, 10))
 		st.rec.SetAttr("select_us", selectUS)
-		group := cs[i*s.numChallenges : (i+1)*s.numChallenges]
-		*pb = packChallengeBits((*pb)[:0], group, width)
+		group := words[i*s.numChallenges : (i+1)*s.numChallenges]
+		*pb = packWords((*pb)[:0], group, width)
 		// Queued, not written: the whole batch's challenge frames go out
 		// in one write when the event loop next flushes.  AppendFrame
 		// copies the packed bits, so pb is free to be reused immediately.

@@ -207,6 +207,9 @@ func TestReplaceErrors(t *testing.T) {
 	if err := r.Replace("c", nil, 0); err == nil {
 		t.Error("Replace with nil model succeeded")
 	}
+	if err := r.Replace("c", syntheticModel(1, 16), 0); err == nil {
+		t.Error("Replace with a different stage count succeeded")
+	}
 }
 
 // TestModelGeometryBeyondSelector checks that Register and Replace refuse

@@ -28,7 +28,7 @@ func TestIssueKeySharesNeverReuseBudget(t *testing.T) {
 		t.Fatalf("IssueKey returned %d challenges, %d bits", len(cs), len(bits))
 	}
 	for _, c := range cs {
-		keyWords[c.Word()] = true
+		keyWords[c] = true
 	}
 	if len(keyWords) != 20 {
 		t.Fatal("IssueKey returned duplicates within one call")
@@ -47,8 +47,8 @@ func TestIssueKeySharesNeverReuseBudget(t *testing.T) {
 		t.Fatalf("second IssueKey: %v", err)
 	}
 	for _, c := range cs2 {
-		if keyWords[c.Word()] || authWords[c.Word()] {
-			t.Fatalf("IssueKey re-issued burned word %#x", c.Word())
+		if keyWords[c] || authWords[c] {
+			t.Fatalf("IssueKey re-issued burned word %#x", c)
 		}
 	}
 
@@ -78,7 +78,7 @@ func TestIssueKeySurvivesHardStop(t *testing.T) {
 		t.Fatalf("IssueKey: %v", err)
 	}
 	for _, c := range cs {
-		burned[c.Word()] = true
+		burned[c] = true
 	}
 	for w := range issueWords(t, r1.Lookup("chip-0"), 25) {
 		burned[w] = true
@@ -102,8 +102,8 @@ func TestIssueKeySurvivesHardStop(t *testing.T) {
 		t.Fatalf("post-recovery IssueKey: %v", err)
 	}
 	for _, c := range cs2 {
-		if burned[c.Word()] {
-			t.Fatalf("word %#x re-issued after hard stop", c.Word())
+		if burned[c] {
+			t.Fatalf("word %#x re-issued after hard stop", c)
 		}
 	}
 	for w := range issueWords(t, e, 25) {
@@ -160,15 +160,15 @@ func TestReplicatedKeyIssueApplies(t *testing.T) {
 	// Promote the follower: its selector must refuse every replicated word.
 	burned := make(map[uint64]bool, len(cs))
 	for _, c := range cs {
-		burned[c.Word()] = true
+		burned[c] = true
 	}
 	cs2, _, err := follower.Lookup("chip-0").IssueKey(15, 0)
 	if err != nil {
 		t.Fatalf("follower IssueKey: %v", err)
 	}
 	for _, c := range cs2 {
-		if burned[c.Word()] {
-			t.Fatalf("promoted follower re-issued word %#x", c.Word())
+		if burned[c] {
+			t.Fatalf("promoted follower re-issued word %#x", c)
 		}
 	}
 	if st := follower.Lookup("chip-0").Status(); st.Issued != 30 {

@@ -33,11 +33,11 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"xorpuf/internal/challenge"
 	"xorpuf/internal/core"
 	"xorpuf/internal/health"
 	"xorpuf/internal/rng"
@@ -195,13 +195,26 @@ func checkModel(model *core.ChipModel) error {
 	return nil
 }
 
+// checkBudget rejects a budget the journal cannot carry: it is recorded as
+// a uint32, so a negative or larger one would replay as another value.
+func checkBudget(budget int) error {
+	if budget < 0 || uint64(budget) > math.MaxUint32 {
+		return fmt.Errorf("registry: budget %d outside 0..%d", budget, uint32(math.MaxUint32))
+	}
+	return nil
+}
+
 // Register adds an enrolled chip model under id with a lifetime challenge
-// budget (0 = unlimited), durably journaling the registration.
+// budget (0 = unlimited, at most math.MaxUint32), durably journaling the
+// registration.
 func (r *Registry) Register(id string, model *core.ChipModel, budget int) error {
 	if id == "" || len(id) > maxIDLen {
 		return fmt.Errorf("registry: invalid chip ID %q", id)
 	}
 	if err := checkModel(model); err != nil {
+		return err
+	}
+	if err := checkBudget(budget); err != nil {
 		return err
 	}
 	if r.closed.Load() {
@@ -444,12 +457,12 @@ func (e *Entry) Admit(now time.Time, throttle time.Duration) (locked, throttled 
 	return e.locked, throttled
 }
 
-// Issue draws fresh never-reused challenges from the chip's selector and
-// journals their identities before returning, so the never-reuse guarantee
-// survives a crash between issuance and the device's answer.  On selection
-// failure any partially recorded challenges are still journaled — they are
-// burned either way.
-func (e *Entry) Issue(count, maxExamined int) ([]challenge.Challenge, []uint8, error) {
+// Issue draws fresh never-reused challenges from the chip's selector, as
+// words in Selector.Next's layout, and journals them before returning, so
+// the never-reuse guarantee survives a crash between issuance and the
+// device's answer.  On selection failure any partially recorded challenges
+// are still journaled — they are burned either way.
+func (e *Entry) Issue(count, maxExamined int) ([]uint64, []uint8, error) {
 	return e.issueBurned(context.Background(), recIssued, count, maxExamined)
 }
 
@@ -458,7 +471,7 @@ func (e *Entry) Issue(count, maxExamined int) ([]challenge.Challenge, []uint8, e
 // wait, which records its ack latency as a child span); it does not cancel
 // the issuance — once the burn is journaled the wait runs to its own
 // verdict, exactly as in Issue.
-func (e *Entry) IssueCtx(ctx context.Context, count, maxExamined int) ([]challenge.Challenge, []uint8, error) {
+func (e *Entry) IssueCtx(ctx context.Context, count, maxExamined int) ([]uint64, []uint8, error) {
 	return e.issueBurned(ctx, recIssued, count, maxExamined)
 }
 
@@ -467,18 +480,18 @@ func (e *Entry) IssueCtx(ctx context.Context, count, maxExamined int) ([]challen
 // challenge adversary does not care which protocol carried a challenge off
 // the server — but are journaled under their own record type so the WAL
 // stays auditable by workload.
-func (e *Entry) IssueKey(count, maxExamined int) ([]challenge.Challenge, []uint8, error) {
+func (e *Entry) IssueKey(count, maxExamined int) ([]uint64, []uint8, error) {
 	return e.issueBurned(context.Background(), recKeyIssued, count, maxExamined)
 }
 
 // IssueKeyCtx is IssueKey with a request context (see IssueCtx).
-func (e *Entry) IssueKeyCtx(ctx context.Context, count, maxExamined int) ([]challenge.Challenge, []uint8, error) {
+func (e *Entry) IssueKeyCtx(ctx context.Context, count, maxExamined int) ([]uint64, []uint8, error) {
 	return e.issueBurned(ctx, recKeyIssued, count, maxExamined)
 }
 
 // issueBurned is the shared issuance path: select, journal under rectype,
 // quorum-commit, and only then release the challenges.
-func (e *Entry) issueBurned(ctx context.Context, rectype byte, count, maxExamined int) ([]challenge.Challenge, []uint8, error) {
+func (e *Entry) issueBurned(ctx context.Context, rectype byte, count, maxExamined int) ([]uint64, []uint8, error) {
 	if e.reg.closed.Load() {
 		return nil, nil, ErrClosed
 	}
@@ -493,12 +506,12 @@ func (e *Entry) issueBurned(ctx context.Context, rectype byte, count, maxExamine
 	if err := e.reg.issueAllowed(e.id, e.arriving); err != nil {
 		return nil, nil, err
 	}
-	cs, bits, err := e.selector.Next(count, maxExamined)
-	if len(cs) > 0 {
+	words, bits, err := e.selector.Next(count, maxExamined)
+	if len(words) > 0 {
 		payload := appendString(nil, e.id)
-		payload = appendU32(payload, uint32(len(cs)))
-		for _, c := range cs {
-			payload = appendU64(payload, c.Word())
+		payload = appendU32(payload, uint32(len(words)))
+		for _, w := range words {
+			payload = appendU64(payload, w)
 		}
 		seq, werr := e.reg.appendRecordSeq(rectype, payload)
 		if werr == nil {
@@ -515,7 +528,7 @@ func (e *Entry) issueBurned(ctx context.Context, rectype byte, count, maxExamine
 			return nil, nil, werr
 		}
 	}
-	return cs, bits, err
+	return words, bits, err
 }
 
 // Verdict records the outcome of one authentication: an approval clears the
@@ -620,9 +633,13 @@ func (e *Entry) ForceHealth(s health.State) (health.Event, bool) {
 // model ever issued stays burned in the new selector, so re-enrollment can
 // never resurrect a challenge an eavesdropper has already seen.  The swap
 // is journaled (recReenroll) before it takes effect; on journal failure the
-// old enrollment stays and the error is returned.
+// old enrollment stays and the error is returned.  The new model must keep
+// the chip's stage count, the width of every word the entry issues.
 func (r *Registry) Replace(id string, model *core.ChipModel, budget int) error {
 	if err := checkModel(model); err != nil {
+		return err
+	}
+	if err := checkBudget(budget); err != nil {
 		return err
 	}
 	if r.closed.Load() {
@@ -636,6 +653,9 @@ func (r *Registry) Replace(id string, model *core.ChipModel, budget int) error {
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
+	if k := e.model.Stages(); model.Stages() != k {
+		return fmt.Errorf("registry: replace: chip %q has %d stages, new model %d", id, k, model.Stages())
+	}
 	if err := r.appendRecord(recReenroll, registerPayload(id, budget, model)); err != nil {
 		return err
 	}

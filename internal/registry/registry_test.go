@@ -1,8 +1,10 @@
 package registry
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"sync"
@@ -39,7 +41,7 @@ func issueWords(t *testing.T, e *Entry, n int) map[uint64]bool {
 	}
 	words := make(map[uint64]bool, n)
 	for _, c := range cs {
-		words[c.Word()] = true
+		words[c] = true
 	}
 	if len(words) != n {
 		t.Fatalf("Issue returned duplicate challenges within one call")
@@ -317,6 +319,62 @@ func TestRecoveryAfterHardStop(t *testing.T) {
 	defer r3.Close()
 	if st := r3.Lookup("chip-3").Status(); st.Locked || st.Denials != 0 {
 		t.Fatalf("chip-3 status after unlock+recovery = %+v, want clear", st)
+	}
+}
+
+// TestBudgetOutsideJournalRangeRefused checks that Register and Replace
+// refuse a budget the journal's uint32 cannot carry before journaling
+// anything, so no replay can restore a budget the live registry never had.
+func TestBudgetOutsideJournalRangeRefused(t *testing.T) {
+	dir := t.TempDir()
+	r1, err := Open(dir, Options{Seed: 5, SnapshotEvery: -1})
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	if err := r1.Register("chip-b", syntheticModel(2, 32), 10); err != nil {
+		t.Fatalf("Register chip-b: %v", err)
+	}
+	walPath := filepath.Join(dir, walName)
+	before, err := os.ReadFile(walPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	maxBudget := uint64(math.MaxUint32)
+	for _, budget := range []int{-1, -1 << 31, int(maxBudget + 1)} {
+		if err := r1.Register("chip-a", syntheticModel(2, 32), budget); err == nil {
+			t.Errorf("Register with budget %d succeeded", budget)
+		}
+		if err := r1.Replace("chip-b", syntheticModel(2, 32), budget); err == nil {
+			t.Errorf("Replace with budget %d succeeded", budget)
+		}
+	}
+	if r1.Lookup("chip-a") != nil {
+		t.Fatal("refused chip-a is visible")
+	}
+	if st := r1.Lookup("chip-b").Status(); st.Remaining != 10 {
+		t.Fatalf("chip-b Remaining = %d after refused Replace, want 10", st.Remaining)
+	}
+	after, err := os.ReadFile(walPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(before, after) {
+		t.Fatalf("refused budgets changed the WAL: %d bytes → %d", len(before), len(after))
+	}
+	// Hard stop, recover: no chip-a, chip-b keeps its journaled budget.
+	r2, err := Open(dir, Options{Seed: 5, SnapshotEvery: -1})
+	if err != nil {
+		t.Fatalf("recovery Open: %v", err)
+	}
+	defer r2.Close()
+	if r2.Lookup("chip-a") != nil {
+		t.Fatal("recovered registry holds the refused chip-a")
+	}
+	if st := r2.Lookup("chip-b").Status(); st.Remaining != 10 {
+		t.Fatalf("recovered chip-b Remaining = %d, want 10", st.Remaining)
+	}
+	if err := r2.Register("chip-c", syntheticModel(2, 32), int(maxBudget)); err != nil {
+		t.Fatalf("Register with budget MaxUint32: %v", err)
 	}
 }
 

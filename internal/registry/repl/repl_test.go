@@ -229,7 +229,7 @@ func TestPromoteNeverReusesChallenge(t *testing.T) {
 			t.Fatalf("primary issue %d: %v", i, err)
 		}
 		for _, ch := range cs {
-			issued[ch.Word()] = true
+			issued[ch] = true
 		}
 	}
 
@@ -247,10 +247,10 @@ func TestPromoteNeverReusesChallenge(t *testing.T) {
 			t.Fatalf("promoted issue %d: %v", i, err)
 		}
 		for _, ch := range cs {
-			if issued[ch.Word()] {
-				t.Fatalf("challenge %#x issued twice across failover", ch.Word())
+			if issued[ch] {
+				t.Fatalf("challenge %#x issued twice across failover", ch)
 			}
-			issued[ch.Word()] = true
+			issued[ch] = true
 		}
 	}
 	if got := c.foll.Status().State; got != StatePromoted {

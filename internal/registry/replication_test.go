@@ -260,8 +260,8 @@ func TestApplyReplicatedMirrorsEveryRecordType(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, c := range cs {
-		if wantWords[c.Word()] {
-			t.Fatalf("word %#x reissued by replicated entry", c.Word())
+		if wantWords[c] {
+			t.Fatalf("word %#x reissued by replicated entry", c)
 		}
 	}
 }
@@ -365,8 +365,8 @@ func TestSnapshotBytesInstallRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, c := range cs {
-		if issued[c.Word()] {
-			t.Fatalf("word %#x reissued after snapshot install + reopen", c.Word())
+		if issued[c] {
+			t.Fatalf("word %#x reissued after snapshot install + reopen", c)
 		}
 	}
 }

@@ -314,16 +314,18 @@ func (p *ArbiterPUF) Delay(c challenge.Challenge, cond Condition) float64 {
 	dv := cond.VDD - Nominal.VDD
 	dt := cond.TempC - Nominal.TempC
 	// Inline the Φ computation to avoid allocating feature vectors in the
-	// hot measurement loops: accumulate suffix parities right-to-left.
+	// hot measurement loops: accumulate suffix parities right-to-left.  The
+	// parity of c_i..c_{k−1} sits in the top bit of sign, and XORing it into
+	// w's sign bit gives exactly w·Φ_i (multiplying by ±1 is exact), so no
+	// jump depends on a challenge bit.
 	k := p.params.Stages
-	sum := p.wNom[k] + p.wVol[k]*dv + p.wTmp[k]*dt
-	acc := 1.0
+	wNom, wVol, wTmp := p.wNom[:k+1], p.wVol[:k+1], p.wTmp[:k+1]
+	sum := wNom[k] + wVol[k]*dv + wTmp[k]*dt
+	var sign uint64
 	for i := k - 1; i >= 0; i-- {
-		if c[i] == 1 {
-			acc = -acc
-		}
-		w := p.wNom[i] + p.wVol[i]*dv + p.wTmp[i]*dt
-		sum += w * acc
+		sign ^= uint64(c[i]&1) << 63
+		w := wNom[i] + wVol[i]*dv + wTmp[i]*dt
+		sum += math.Float64frombits(math.Float64bits(w) ^ sign)
 	}
 	return sum
 }

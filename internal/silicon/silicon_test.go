@@ -45,6 +45,52 @@ func TestStructuralMatchesLinearAcrossConditions(t *testing.T) {
 	}
 }
 
+// branchingDelay is Delay's linear evaluation with a branch on every stage
+// bit: the running sign flips on each 1 and multiplies the stage weight.
+// It is the reference the branch-free Delay must match bit for bit.
+func branchingDelay(p *ArbiterPUF, c challenge.Challenge, cond Condition) float64 {
+	dv := cond.VDD - Nominal.VDD
+	dt := cond.TempC - Nominal.TempC
+	k := p.params.Stages
+	sum := p.wNom[k] + p.wVol[k]*dv + p.wTmp[k]*dt
+	acc := 1.0
+	for i := k - 1; i >= 0; i-- {
+		if c[i] == 1 {
+			acc = -acc
+		}
+		w := p.wNom[i] + p.wVol[i]*dv + p.wTmp[i]*dt
+		sum += w * acc
+	}
+	return sum
+}
+
+func TestDelayMatchesBranchingReference(t *testing.T) {
+	n := 100_000
+	if testing.Short() {
+		n = 10_000
+	}
+	for _, k := range []int{1, 2, 31, 32, 33, 64} {
+		params := DefaultParams()
+		params.Stages = k
+		fresh := NewArbiterPUF(rng.New(uint64(k)), params)
+		aged := NewArbiterPUF(rng.New(uint64(k)), params)
+		aged.Age(rng.New(uint64(k)+100), 0.5)
+		src := rng.New(uint64(k) + 200)
+		for i := 0; i < n; i++ {
+			c := challenge.Random(src, k)
+			for _, cond := range Corners() {
+				for _, p := range []*ArbiterPUF{fresh, aged} {
+					got, want := p.Delay(c, cond), branchingDelay(p, c, cond)
+					if math.Float64bits(got) != math.Float64bits(want) {
+						t.Fatalf("k=%d aged=%v %v challenge %v: Delay %v (%#x), reference %v (%#x)",
+							k, p == aged, cond, c, got, math.Float64bits(got), want, math.Float64bits(want))
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestDelayMatchesWeightsDotFeatures(t *testing.T) {
 	puf := newTestPUF(5)
 	w := puf.Weights(Nominal)
@@ -499,6 +545,17 @@ func BenchmarkDelay(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		_ = puf.Delay(c, Nominal)
+	}
+}
+
+// BenchmarkDelayRandom evaluates a fresh random challenge each call, so no
+// stage bit is predictable.
+func BenchmarkDelayRandom(b *testing.B) {
+	puf := newTestPUF(1)
+	cs := challenge.RandomBatch(rng.New(2), 1024, puf.Stages())
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		_ = puf.Delay(cs[i&1023], Nominal)
 	}
 }
 

@@ -85,6 +85,10 @@ func RandomChallenges(seed uint64, n, k int) []Challenge {
 	return challenge.RandomBatch(rng.New(seed), n, k)
 }
 
+// ChallengeFromWord expands a challenge word, stage 0 in bit 0 (the form a
+// selector's Next issues), into a k-stage Challenge.
+func ChallengeFromWord(w uint64, k int) Challenge { return challenge.FromWord(w, k) }
+
 // Features computes the parity feature vector Φ(c) used by every model.
 func Features(c Challenge) []float64 { return challenge.Features(c) }
 

@@ -30,7 +30,6 @@ import (
 	"testing"
 	"time"
 
-	"xorpuf/internal/challenge"
 	"xorpuf/internal/core"
 	"xorpuf/internal/registry"
 	"xorpuf/internal/registry/rebalance"
@@ -145,7 +144,7 @@ func TestRebalancePropertyNeverReuseNoLostBurn(t *testing.T) {
 	}
 	// Pre-burn history on part of the fleet so snapshots carry non-trivial
 	// Used-sets the target must honor.
-	preBurned := make([][]challenge.Challenge, propChips)
+	preBurned := make([][]uint64, propChips)
 	for i := 0; i < propChips; i += 5 {
 		cs, _, err := src.Lookup(propChipID(i)).Issue(3, 0)
 		if err != nil {
@@ -172,15 +171,15 @@ func TestRebalancePropertyNeverReuseNoLostBurn(t *testing.T) {
 		issued[i] = make(map[uint64]bool)
 	}
 	duplicates := 0
-	record := func(i int, cs []challenge.Challenge) {
+	record := func(i int, cs []uint64) {
 		issuedMu.Lock()
 		for _, c := range cs {
-			if issued[i][c.Word()] {
+			if issued[i][c] {
 				duplicates++
-				t.Errorf("chip %s: challenge %#x issued twice", propChipID(i), c.Word())
+				t.Errorf("chip %s: challenge %#x issued twice", propChipID(i), c)
 				continue
 			}
-			issued[i][c.Word()] = true
+			issued[i][c] = true
 		}
 		issuedMu.Unlock()
 	}
