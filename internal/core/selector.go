@@ -3,7 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"xorpuf/internal/rng"
 )
@@ -48,12 +48,13 @@ import (
 // flag arithmetic instead of jumps, so the member loop's early exit costs
 // no mispredicted branch; only a pass that meets the band branches, to
 // decide those candidates exactly.  Survivors then pass the used-set check
-// in draw order.  When the count is reached at slot j of a block of b,
-// Next steps the rng back over the b − j − 1 draws it did not examine
-// (rng.Source.Unread; SplitMix64's state is a counter).  So Examined,
-// every issued word and bit, and the next rng draw equal those of a loop
-// that draws, classifies and checks one candidate at a time, which is the
-// per-candidate PredictXORFeatures reference.
+// (a wordSet, one insert per survivor) in draw order.  When the count is
+// reached at slot j of a block of b, Next steps the rng back over the
+// b − j − 1 draws it did not examine (rng.Source.Unread; SplitMix64's
+// state is a counter).  So Examined, every issued word and bit, and the
+// next rng draw equal those of a loop that draws, classifies and checks
+// one candidate at a time, which is the per-candidate PredictXORFeatures
+// reference.
 //
 // The tables and band are built from the model at NewSelector, which also
 // keeps the model's θ slices for the exact path: the model must not be
@@ -63,7 +64,7 @@ import (
 // (netauth.Server does).
 type Selector struct {
 	src     *rng.Source
-	used    map[uint64]struct{}
+	used    wordSet
 	budget  int            // lifetime cap on issued challenges; 0 = unlimited
 	stages  int            // k
 	mask    uint64         // the low k bits
@@ -110,7 +111,6 @@ func NewSelector(model *ChipModel, src *rng.Source) *Selector {
 	}
 	s := &Selector{
 		src:     src,
-		used:    make(map[uint64]struct{}),
 		stages:  k,
 		mask:    ^uint64(0) >> uint(64-k),
 		members: make([]memberKernel, model.Width()),
@@ -305,7 +305,7 @@ func (s *Selector) classify(w uint64) (bit uint8, stable bool) {
 func (s *Selector) Stages() int { return s.stages }
 
 // Issued returns how many distinct challenges have been handed out.
-func (s *Selector) Issued() int { return len(s.used) }
+func (s *Selector) Issued() int { return s.used.n }
 
 // Examined returns how many random candidates Next has drawn so far, the
 // denominator of the selection yield (paper Fig 12).
@@ -332,7 +332,7 @@ func (s *Selector) Remaining() int {
 	if s.budget == 0 {
 		return -1
 	}
-	if r := s.budget - len(s.used); r > 0 {
+	if r := s.budget - s.used.n; r > 0 {
 		return r
 	}
 	return 0
@@ -366,22 +366,16 @@ type SelectorState struct {
 // ExportState returns a deterministic snapshot of the selector's
 // issued-challenge set and budget.
 func (s *Selector) ExportState() SelectorState {
-	words := make([]uint64, 0, len(s.used))
-	for w := range s.used {
-		words = append(words, w)
-	}
-	sort.Slice(words, func(i, j int) bool { return words[i] < words[j] })
+	words := s.used.appendTo(make([]uint64, 0, s.used.n))
+	slices.Sort(words)
 	return SelectorState{Used: words, Budget: s.budget}
 }
 
 // ImportState replaces the selector's issued set and budget with st —
 // typically state exported by an earlier process lifetime.
 func (s *Selector) ImportState(st SelectorState) {
-	used := make(map[uint64]struct{}, len(st.Used))
-	for _, w := range st.Used {
-		used[w] = struct{}{}
-	}
-	s.used = used
+	s.used = wordSet{}
+	s.MarkUsed(st.Used...)
 	s.budget = st.Budget
 	if s.budget < 0 {
 		s.budget = 0
@@ -392,8 +386,9 @@ func (s *Selector) ImportState(st SelectorState) {
 // anything — the hook for replaying an issuance journal over an imported
 // snapshot.  Marking a word twice is harmless.
 func (s *Selector) MarkUsed(words ...uint64) {
+	s.used.reserve(len(words))
 	for _, w := range words {
-		s.used[w] = struct{}{}
+		s.used.add(w)
 	}
 }
 
@@ -404,14 +399,17 @@ func (s *Selector) MarkUsed(words ...uint64) {
 // count); Next examines exactly maxExamined candidates unless it finds
 // count first.
 func (s *Selector) Next(count, maxExamined int) ([]uint64, []uint8, error) {
-	if s.budget > 0 && len(s.used)+count > s.budget {
-		return nil, nil, &ErrBudgetExhausted{Budget: s.budget, Issued: len(s.used), Wanted: count}
+	if s.budget > 0 && s.used.n+count > s.budget {
+		return nil, nil, &ErrBudgetExhausted{Budget: s.budget, Issued: s.used.n, Wanted: count}
 	}
 	if maxExamined <= 0 {
 		maxExamined = 10000 * count
 	}
 	words := make([]uint64, 0, count)
 	bits := make([]uint8, 0, count)
+	// At most count survivors enter the used set, so no insert below
+	// grows it.
+	s.used.reserve(count)
 	var p [sieveBlock]uint64
 	var idx, bit [sieveBlock]uint8
 	examined := 0
@@ -425,11 +423,9 @@ func (s *Selector) Next(count, maxExamined int) ([]uint64, []uint8, error) {
 		drawn := b // candidates of this block that count as examined
 		for _, j := range idx[:n] {
 			// The word, back from its suffix parity.  One insert probes
-			// the used set: a word already there leaves its size unchanged.
+			// the used set and reports a word already there.
 			w := p[j] ^ p[j]>>1
-			issued := len(s.used)
-			s.used[w] = struct{}{}
-			if len(s.used) == issued {
+			if !s.used.add(w) {
 				continue
 			}
 			words = append(words, w)

@@ -508,7 +508,8 @@ func (e *Entry) issueBurned(ctx context.Context, rectype byte, count, maxExamine
 	}
 	words, bits, err := e.selector.Next(count, maxExamined)
 	if len(words) > 0 {
-		payload := appendString(nil, e.id)
+		payload := make([]byte, 0, 2+len(e.id)+4+8*len(words))
+		payload = appendString(payload, e.id)
 		payload = appendU32(payload, uint32(len(words)))
 		for _, w := range words {
 			payload = appendU64(payload, w)

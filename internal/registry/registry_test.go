@@ -164,6 +164,29 @@ func TestVolatileRegistryBasics(t *testing.T) {
 	}
 }
 
+// TestIssueAllocs pins the allocations of one 16-challenge issuance on a
+// volatile registry: the words, the bits and the burn record's payload,
+// which is sized once for the chip ID and every word.
+func TestIssueAllocs(t *testing.T) {
+	r, err := Open("", Options{Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	if err := r.Register("chip-A", syntheticModel(2, 32), 0); err != nil {
+		t.Fatal(err)
+	}
+	e := r.Lookup("chip-A")
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, _, err := e.Issue(16, 0); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 3 {
+		t.Errorf("Issue(16) makes %.1f allocations, want at most 3", allocs)
+	}
+}
+
 // TestStaleEntryRefusedAfterCutover holds an Entry across a source-side
 // cutover, as a caller that looked the chip up just before the handoff
 // would.  The entry is gone from the store and its burns past the fence
