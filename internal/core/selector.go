@@ -18,35 +18,70 @@ import (
 // Challenge objects.  w = src.Uint64() & mask is exactly the draw
 // challenge.Random makes for k ≤ 64 stages, and its suffix-parity word p
 // (bit i = parity of bits i..k−1 of w) gives every feature at once:
-// Φ_i = (−1)^{p_i}.  Each member PUF's prediction is then
-// Δ′ = (…((θ_k + T_0[p_0]) + T_1[p_1]) + …) + T_{m−1}[p_{m−1}], summed left
-// to right over the bytes p_j of p, m = 4·⌈k/32⌉.  NewSelector builds the
-// 8-stage tables once from 4-stage ones, T_j[v] = N_{2j}[v&15] + N_{2j+1}[v>>4]
-// with N_g[v] = Σ_{i<4} (−1)^{v_i}·θ_{4g+i} summed in i order; stages past
-// k contribute 0.  That is 256 float64 per 8 stages, 8 KiB per member at
-// k = 32.
+// Φ_i = (−1)^{p_i}.  A member's reference prediction is
+// Dot = (…((0 + Φ_0·θ_0) + Φ_1·θ_1) + …) + θ_k, linalg.Dot's order.
 //
-// Δ′ sums the same ±θ_i as the reference Dot(θ, Φ(c)) in a different
-// order, so the two can differ by rounding.  Every add rounds with
-// relative error at most u = 2⁻⁵³, so a sum computed along a tree of adds
-// is within ((1+u)^h − 1)·Σ|θ| of the exact one, h being the most rounding
-// adds any one term passes through: h ≤ 4 + m for Δ′ (3 inside N_g, 1
-// joining two nibbles, m adding the tables) and h ≤ k for Dot.  So
-// |Δ′ − Dot| ≤ (k + m + 5)·u·Σ|θ|, at most 77·u·Σ|θ| for k ≤ 64.  The
-// kernel trusts Δ′ only when it lies farther than ε = 2⁻⁴⁵·Σ|θ| = 256·u·Σ|θ|
-// (over three times that gap) from both β0·Thr0 and β1·Thr1; inside that
-// closed band it recomputes the sum in Dot's order, s = 0, s += ±θ_i for
-// i = 0..k−1, s += θ_k, which is bit-identical to Dot because multiplying
-// by ±1 is exact.  Rounding is monotone, so comparing the rounded Δ′ − lo
-// with ±ε decides the same side as the exact difference would.  A member
-// whose θ or β-scaled thresholds are not finite, or whose Σ|θ| is too
-// small or too large for ε to be a normal float, always takes that exact
-// path.
+// Lanes.  Members are grouped three at a time in model order; the last
+// group may hold one or two.  A group keeps m = 4·⌈k/32⌉ tables of 256
+// uint64, one per 8 stages, and an entry packs one 21-bit lane per member,
+// member i of the group at bit 21·i.  A candidate costs one start constant
+// plus m table adds for three members.  Per member, S is the power of two
+// with 2¹⁶ ≤ S·Σ|θ| < 2¹⁷, so scaling by S is exact (short of underflow
+// below 2⁻¹⁰²², far under the rounding below).  With the float 8-stage sums
+// T_j[v] = N_{2j}[v&15] + N_{2j+1}[v>>4], N_g[v] = Σ_{i<4} (−1)^{v_i}·θ_{4g+i}
+// summed in i order (θ taken as 0 past stage k), the member's lane entry
+// is round(S·T_j[v]) + o_j, rounding to nearest with ties to even, where
+// o_j = ⌈S·Σ|θ_i|⌉ + 1 over the table's 8 stages exceeds every
+// |round(S·T_j[v])|.  Its start constant is 2¹⁹ + round(S·θ_k) − Σ_j o_j,
+// so the lane's final value is d = 2¹⁹ + round(S·θ_k) + Σ_j round(S·T_j[p_j]).
+// One word's terms sum to at most S·Σ|θ| < 2¹⁷ in magnitude (up to float
+// rounding), so d lies within 2¹⁷ + (m+1)/2 of 2¹⁹ and the start constant
+// within 2¹⁷ + 2m + 1.  Entries are non-negative, so every partial sum
+// lies between the two: inside (0, 2²⁰), and no carry or borrow crosses a
+// lane.
+//
+// Band margin.  Let x = S·Dot, a real number.  The m + 1 roundings move
+// the lane by at most ½ each; the float sums T_j and Dot differ from the
+// exact Σ±θ_i + θ_k by at most (4 + k)·u·Σ|θ| together (u = 2⁻⁵³, every
+// term passing at most 4 rounding adds inside a T_j and k inside Dot),
+// within the 77·u·Σ|θ| that covers k ≤ 64.  So
+// |d − 2¹⁹ − x| ≤ (m+1)/2 + 77·u·S·Σ|θ| < E = m/2 + 1, since
+// 77·u·2¹⁷ < 2⁻²⁹: E = 3 at k ≤ 32 (m = 4) and E = 5 at 33–64 (m = 8).
+// With L = S·β0·Thr0 and H = S·β1·Thr1, the flag of threshold t is bit 20
+// of the lane d + 2²⁰ − t, set iff d ≥ t; one 64-bit add makes it for all
+// three lanes.  Four thresholds per lane:
+//
+//	loMay   t = 2¹⁹ + ⌈L⌉ − E   clear ⇒ x < ⌈L⌉ − 1 < L: Stable0
+//	loNot   t = 2¹⁹ + ⌈L⌉ + E   set ⇒ x > ⌈L⌉ ≥ L: not Stable0
+//	hiSure  t = max(2¹⁹ + ⌊H⌋ + E + 1, loNot's t)
+//	                            set ⇒ x > ⌊H⌋ + 1 > H, not Stable0: Stable1
+//	hiMay   t = 2¹⁹ + ⌊H⌋ − E + 1   clear ⇒ x < ⌊H⌋ ≤ H: not Stable1
+//
+// (x < L ⇔ Dot < β0·Thr0 and x > H ⇔ Dot > β1·Thr1, S being positive.)
+// A lane is surely stable when loMay is clear or hiSure set, its bit being
+// hiSure, and surely unstable when loNot is set and hiMay clear; the
+// thresholds' order (loMay < loNot ≤ hiSure, hiMay < hiSure) makes the two
+// exclusive.  ⌈L⌉ and ⌊H⌋ are taken of the float product, exact except
+// where it underflows, which |L| < 1 and the sign decide.  Every d lies in
+// [1, 2²⁰), so a t ≤ 1 sets its flag on every candidate and a t ≥ 2²⁰ on
+// none: clamping each t into [1, 2²⁰] changes no flag and keeps the order.
+//
+// A group keeps a candidate when every lane is surely stable, with the
+// parity of the hiSure flags as its predicted bit; drops it when any lane
+// is surely unstable; and otherwise flags it for settle, which decides
+// each of the group's members in linalg.Dot's order, s = 0, s += ±θ_i for
+// i = 0..k−1, s += θ_k, bit-identical to Dot because multiplying by ±1 is
+// exact.  An unused lane of a short group is all zero (entries, start,
+// threshold adds), so its flags stay clear: stable with bit 0.  A member
+// whose θ or β-scaled thresholds are not finite, or whose Σ|θ| lies
+// outside [2⁻⁹⁶⁰, 2⁹⁶⁰] (so S is a normal float), gets zero entries, start
+// 2¹⁹ and thresholds that make its lane neither surely stable nor surely
+// unstable on every candidate: it always takes the exact path.
 //
 // Next is a block sieve.  It draws up to sieveBlock words, then runs
-// member by member over the block's survivor list, compacting it with
-// flag arithmetic instead of jumps, so the member loop's early exit costs
-// no mispredicted branch; only a pass that meets the band branches, to
+// group by group over the block's survivor list, compacting it with flag
+// arithmetic instead of jumps, so the group loop's early exit costs no
+// mispredicted branch; only a pass that meets the band branches, to
 // decide those candidates exactly.  Survivors then pass the used-set check
 // (a wordSet, one insert per survivor) in draw order.  When the count is
 // reached at slot j of a block of b, Next steps the rng back over the
@@ -56,32 +91,52 @@ import (
 // one candidate at a time, which is the per-candidate PredictXORFeatures
 // reference.
 //
-// The tables and band are built from the model at NewSelector, which also
-// keeps the model's θ slices for the exact path: the model must not be
-// mutated afterwards (re-enrollment builds a new Selector).
+// The tables are built from the model at NewSelector, which also keeps
+// the model's θ slices for the exact path: the model must not be mutated
+// afterwards (re-enrollment builds a new Selector).
 //
 // A Selector is not safe for concurrent use; wrap it in the caller's lock
 // (netauth.Server does).
 type Selector struct {
-	src     *rng.Source
-	used    wordSet
-	budget  int            // lifetime cap on issued challenges; 0 = unlimited
-	stages  int            // k
-	mask    uint64         // the low k bits
-	members []memberKernel // in the model's member order
+	src    *rng.Source
+	used   wordSet
+	budget int           // lifetime cap on issued challenges; 0 = unlimited
+	stages int           // k
+	mask   uint64        // the low k bits
+	groups []groupKernel // three members each, in the model's member order
 	// examined counts every random candidate drawn by Next over the
 	// selector's lifetime, accepted or not.
 	examined int
 }
 
-// memberKernel is one member PUF's precomputed classifier.
+// memberKernel is one member PUF's exact classifier.
 type memberKernel struct {
-	tab    [][4][256]float64 // 8-stage tables T_j, four per 32 stages
-	theta  []float64         // the model's θ, for the exact path
-	bias   float64           // θ_k
-	lo, hi float64           // β0·Thr0 and β1·Thr1, as Classify computes them
-	eps    float64           // certified band half-width; NaN forces the exact path
+	theta  []float64 // the model's θ
+	lo, hi float64   // β0·Thr0 and β1·Thr1, as Classify computes them
 }
+
+// groupKernel classifies up to three members at once, one lane each.
+type groupKernel struct {
+	tab     [][4][256]uint64 // 8-stage tables T_j, four per 32 stages
+	start   uint64           // the lanes' start constants
+	loMay   uint64           // per lane 2²⁰ − t for each threshold t
+	loNot   uint64
+	hiSure  uint64
+	hiMay   uint64
+	members []memberKernel // the group's members, for settle
+}
+
+// Lane geometry: groupSize 21-bit lanes per uint64, lane i at bit
+// laneBits·i, its flag at bit 20.
+const (
+	groupSize = 3
+	laneBits  = 21
+	laneTop   = 1 << 20 // lane values lie in (0, laneTop)
+	laneMid   = 1 << 19 // a lane's value at S·Dot = 0
+	laneFlags = laneTop | laneTop<<laneBits | laneTop<<(2*laneBits)
+	// laneMassExp bounds a lane's scaled mass: S·Σ|θ| < 2^laneMassExp.
+	laneMassExp = 17
+)
 
 // MaxStages is the widest challenge a Selector serves: the candidate
 // kernel and the Word() dedup key cover at most 64 stages.
@@ -91,8 +146,7 @@ const MaxStages = 64
 // survivor indices are bytes.
 const sieveBlock = 128
 
-// Bounds on Σ|θ| inside which ε = 2⁻⁴⁵·Σ|θ| is a normal float and no
-// table entry or partial sum can overflow.
+// Bounds on Σ|θ| inside which the lane scale S is a normal float.
 const (
 	minCertifiedMass = 0x1p-960
 	maxCertifiedMass = 0x1p960
@@ -109,65 +163,152 @@ func NewSelector(model *ChipModel, src *rng.Source) *Selector {
 	if k < 1 || k > MaxStages {
 		panic(fmt.Sprintf("core: NewSelector with %d stages, want 1..%d", k, MaxStages))
 	}
-	s := &Selector{
-		src:     src,
-		stages:  k,
-		mask:    ^uint64(0) >> uint(64-k),
-		members: make([]memberKernel, model.Width()),
-	}
+	n := model.Width()
+	members := make([]memberKernel, n)
 	for i, m := range model.PUFs {
 		if m.Stages() != k {
 			panic(fmt.Sprintf("core: NewSelector: member %d has %d stages, member 0 has %d", i, m.Stages(), k))
 		}
-		s.members[i] = newMemberKernel(m, model.Beta0, model.Beta1)
+		members[i] = memberKernel{theta: m.Theta, lo: model.Beta0 * m.Thr0, hi: model.Beta1 * m.Thr1}
+	}
+	s := &Selector{
+		src:    src,
+		stages: k,
+		mask:   ^uint64(0) >> uint(64-k),
+		groups: make([]groupKernel, (n+groupSize-1)/groupSize),
+	}
+	q := (k + 31) / 32
+	tabs := make([][4][256]uint64, q*len(s.groups))
+	for i := range s.groups {
+		g := &s.groups[i]
+		g.tab = tabs[i*q : (i+1)*q : (i+1)*q]
+		g.members = members[i*groupSize : min((i+1)*groupSize, n)]
+		g.build()
 	}
 	return s
 }
 
-func newMemberKernel(m *PUFModel, beta0, beta1 float64) memberKernel {
-	k := m.Stages()
-	mk := memberKernel{
-		tab:   make([][4][256]float64, (k+31)/32),
-		theta: m.Theta,
-		bias:  m.Theta[k],
-		lo:    beta0 * m.Thr0,
-		hi:    beta1 * m.Thr1,
-		eps:   math.NaN(),
+// build fills g's tables, start constant and threshold adds from its
+// members, one lane each.
+func (g *groupKernel) build() {
+	k := len(g.members[0].theta) - 1
+	// E, the band margin in lane units: m/2 + 1 for m tables.
+	margin := float64(2*len(g.tab) + 1)
+	var scale [groupSize]float64 // 0 for a lane that always takes the band
+	var start [groupSize]int64
+	for i := range g.members {
+		mk := &g.members[i]
+		shift := uint(laneBits * i)
+		var mass float64
+		for _, th := range mk.theta {
+			mass += math.Abs(th)
+		}
+		// NaN and ±Inf fail every one of these comparisons.
+		if !(mass >= minCertifiedMass && mass <= maxCertifiedMass &&
+			math.Abs(mk.lo) <= math.MaxFloat64 && math.Abs(mk.hi) <= math.MaxFloat64) {
+			// Zero entries leave the lane at laneMid: loMay always set,
+			// loNot and hiSure never, so every candidate meets the band.
+			start[i] = laneMid
+			g.loMay |= (laneTop - 1) << shift
+			g.hiMay |= (laneTop - 1) << shift
+			continue
+		}
+		_, e := math.Frexp(mass) // mass < 2^e
+		scale[i] = math.Ldexp(1, laneMassExp-e)
+		start[i] = int64(laneEntry(scale[i], mk.theta[k], laneMid))
+		cl := scaledCeil(scale[i], mk.lo) + laneMid
+		fh := scaledFloor(scale[i], mk.hi) + laneMid
+		loNot := cl + margin
+		g.loMay |= laneAdd(cl-margin) << shift
+		g.loNot |= laneAdd(loNot) << shift
+		g.hiSure |= laneAdd(max(fh+margin+1, loNot)) << shift
+		g.hiMay |= laneAdd(fh-margin+1) << shift
 	}
-	// nibble is N_g; stages past k contribute nothing.
-	nibble := func(g int) (n [16]float64) {
-		for v := range n {
-			var t float64
-			for i := 0; i < 4 && 4*g+i < k; i++ {
-				if v>>uint(i)&1 == 0 {
-					t += m.Theta[4*g+i]
-				} else {
-					t -= m.Theta[4*g+i]
+	// Lanes without a scale (unused or always in the band) keep zero
+	// nibbles and offsets, so their entries are 0.
+	var lo, hi [groupSize][16]float64
+	var off [groupSize]int64
+	for q := range g.tab {
+		for b := range g.tab[q] {
+			j := 4*q + b
+			for i := range g.members {
+				if scale[i] == 0 {
+					continue
 				}
+				theta := g.members[i].theta[:k]
+				lo[i], hi[i] = nibble(theta, 2*j), nibble(theta, 2*j+1)
+				var mass float64
+				for _, th := range theta[min(8*j, k):min(8*j+8, k)] {
+					mass += math.Abs(th)
+				}
+				off[i] = int64(math.Ceil(scale[i]*mass)) + 1
+				start[i] -= off[i]
 			}
-			n[v] = t
-		}
-		return n
-	}
-	for q := range mk.tab {
-		for i := range mk.tab[q] {
-			j := 4*q + i
-			lo, hi := nibble(2*j), nibble(2*j+1)
-			for v := range mk.tab[q][i] {
-				mk.tab[q][i][v] = lo[v&15] + hi[v>>4]
+			t := &g.tab[q][b]
+			for v := range t {
+				a, c := v&15, v>>4
+				t[v] = laneEntry(scale[0], lo[0][a]+hi[0][c], off[0]) |
+					laneEntry(scale[1], lo[1][a]+hi[1][c], off[1])<<laneBits |
+					laneEntry(scale[2], lo[2][a]+hi[2][c], off[2])<<(2*laneBits)
 			}
 		}
 	}
-	var mass float64
-	for _, th := range m.Theta {
-		mass += math.Abs(th)
+	for i, st := range start[:len(g.members)] {
+		g.start |= uint64(st) << uint(laneBits*i)
 	}
-	// NaN and ±Inf fail every one of these comparisons.
-	if mass >= minCertifiedMass && mass <= maxCertifiedMass &&
-		math.Abs(mk.lo) <= math.MaxFloat64 && math.Abs(mk.hi) <= math.MaxFloat64 {
-		mk.eps = mass * 0x1p-45
+}
+
+// roundMagic is 1.5·2⁵²: for |x| < 2⁵¹, x + roundMagic rounds x to the
+// nearest integer, ties to even, and leaves it in the low mantissa bits.
+const roundMagic = 0x1.8p52
+
+// laneEntry returns round(s·t) + off, rounding to nearest with ties to
+// even; |s·t| ≤ 2¹⁷.
+func laneEntry(s, t float64, off int64) uint64 {
+	return math.Float64bits(s*t+roundMagic) - math.Float64bits(roundMagic) + uint64(off)
+}
+
+// nibble returns N_g for the stage weights theta: N_g[v] is the sum of
+// (−1)^{v_i}·θ_{4g+i} over i < 4 in i order, with θ 0 past len(theta).
+// Each sum is built on the prefix sums it shares with its neighbours.
+func nibble(theta []float64, g int) (n [16]float64) {
+	var th [4]float64
+	copy(th[:], theta[min(4*g, len(theta)):])
+	var p [8]float64 // p[u] for u < 4 is ±θ_0 ± θ_1, then ± θ_2
+	p[0], p[1], p[2], p[3] = th[0]+th[1], -th[0]+th[1], th[0]-th[1], -th[0]-th[1]
+	for u := 0; u < 4; u++ {
+		p[u+4] = p[u] - th[2]
+		p[u] += th[2]
 	}
-	return mk
+	for u := range p {
+		n[u] = p[u] + th[3]
+		n[u+8] = p[u] - th[3]
+	}
+	return n
+}
+
+// scaledCeil returns ⌈s·x⌉ for finite x and a power of two s > 0, or ±Inf
+// where the product overflows.  An underflowed product has |s·x| < 1, so
+// its sign decides.
+func scaledCeil(s, x float64) float64 {
+	if v := s * x; v != 0 || x <= 0 {
+		return math.Ceil(v)
+	}
+	return 1
+}
+
+// scaledFloor returns ⌊s·x⌋ like scaledCeil.
+func scaledFloor(s, x float64) float64 {
+	if v := s * x; v != 0 || x >= 0 {
+		return math.Floor(v)
+	}
+	return -1
+}
+
+// laneAdd returns 2²⁰ − t for threshold t clamped into [1, 2²⁰]: added to
+// a lane value d, it sets bit 20 iff d ≥ t.  t is integral or ±Inf.
+func laneAdd(t float64) uint64 {
+	return uint64(laneTop - max(1, min(laneTop, t)))
 }
 
 // suffixParity returns the word whose bit i is the parity of bits i..63
@@ -182,19 +323,16 @@ func suffixParity(w uint64) uint64 {
 	return w
 }
 
-// approx is the table-driven prediction Δ′ for the challenge whose
+// sum returns the group's packed lane values for the challenge whose
 // suffix-parity word is p.
-func (mk *memberKernel) approx(p uint64) float64 {
-	d := mk.bias
-	for q := range mk.tab {
-		t := &mk.tab[q]
-		d += t[0][uint8(p)]
-		d += t[1][uint8(p>>8)]
-		d += t[2][uint8(p>>16)]
-		d += t[3][uint8(p>>24)]
+func (g *groupKernel) sum(p uint64) uint64 {
+	v := g.start
+	for q := range g.tab {
+		t := &g.tab[q]
+		v += t[0][uint8(p)] + t[1][uint8(p>>8)] + t[2][uint8(p>>16)] + t[3][uint8(p>>24)]
 		p >>= 32
 	}
-	return d
+	return v
 }
 
 // b2u is 1 for true and 0 for false; the compiler emits a flag set, not a
@@ -204,6 +342,18 @@ func b2u(b bool) uint8 {
 		return 1
 	}
 	return 0
+}
+
+// verdict reads the group's packed lane values v: keep is 1 when every
+// lane is surely stable, with bit the parity of their Stable1 flags, and
+// drop is 1 when some lane is surely unstable.  Neither is the band.
+func (g *groupKernel) verdict(v uint64) (keep, drop, bit uint8) {
+	one := (v + g.hiSure) & laneFlags
+	stable := (^(v + g.loMay) | one) & laneFlags
+	unstable := (v + g.loNot) &^ (v + g.hiMay) & laneFlags
+	one ^= one >> (2 * laneBits)
+	one ^= one >> laneBits
+	return b2u(stable == laneFlags), b2u(unstable != 0), uint8(one>>20) & 1
 }
 
 // decideExact classifies the candidate with suffix-parity word p from a
@@ -230,43 +380,39 @@ func (mk *memberKernel) decideExact(p uint64) (stable, one uint8) {
 	}
 }
 
-// sift is one member's pass over the survivor list idx of a block whose
+// sift is one group's pass over the survivor list idx of a block whose
 // suffix-parity words are p: it compacts idx in place to the candidates
-// the member predicts stable and XORs the member's predicted bit into
-// bit.  The table sum decides with flag arithmetic, so no jump depends on
-// a candidate.  A candidate within the certified band around β0·Thr0 or
-// β1·Thr1 stays in the list with bit 1 of its bit byte set, and band is 1
-// so that settle decides it; eps is NaN for a member that must always
-// take the exact path, which makes every comparison false.
-func (mk *memberKernel) sift(p []uint64, idx, bit []uint8) (n int, band uint8) {
-	e, lo, hi := mk.eps, mk.lo, mk.hi
+// the group keeps or cannot decide, and XORs the kept ones' predicted bit
+// into bit.  No jump depends on a candidate.  A candidate in the band
+// stays in the list with bit 1 of its bit byte set, and band is 1 so that
+// settle decides it.
+func (g *groupKernel) sift(p []uint64, idx, bit []uint8) (n int, band uint8) {
 	for _, j := range idx {
-		d := mk.approx(p[j])
-		x, y := d-lo, d-hi
-		above := b2u(x > e)
-		one := above & b2u(y > e)
-		stable := b2u(x < -e) | one
-		b := 1 ^ stable ^ above&b2u(y < -e) // neither stable nor surely unstable
+		keep, drop, one := g.verdict(g.sum(p[j]))
+		b := 1 ^ keep ^ drop
 		idx[n] = j
-		n += int(stable | b)
-		bit[j] ^= one | b<<1
+		n += int(keep | b)
+		bit[j] ^= one&keep | b<<1
 		band |= b
 	}
 	return n, band
 }
 
 // settle finishes a sift pass that met the band: it decides the flagged
-// candidates in linalg.Dot's order, clears their flag and drops those the
-// member predicts unstable.
-func (mk *memberKernel) settle(p []uint64, idx, bit []uint8) int {
+// candidates member by member in linalg.Dot's order, clears their flag and
+// drops those some member predicts unstable.
+func (g *groupKernel) settle(p []uint64, idx, bit []uint8) int {
 	n := 0
+outer:
 	for _, j := range idx {
 		if bit[j]&2 != 0 {
 			bit[j] &^= 2
-			stable, one := mk.decideExact(p[j])
-			bit[j] ^= one
-			if stable == 0 {
-				continue
+			for i := range g.members {
+				stable, one := g.members[i].decideExact(p[j])
+				if stable == 0 {
+					continue outer
+				}
+				bit[j] ^= one
 			}
 		}
 		idx[n] = j
@@ -275,17 +421,17 @@ func (mk *memberKernel) settle(p []uint64, idx, bit []uint8) int {
 	return n
 }
 
-// sieve classifies the candidates whose suffix-parity words are p, member
-// by member.  On entry idx[:len(p)] must list 0..len(p)−1 and bit[:len(p)]
+// sieve classifies the candidates whose suffix-parity words are p, group
+// by group.  On entry idx[:len(p)] must list 0..len(p)−1 and bit[:len(p)]
 // be zero.  It returns n with idx[:n] the candidates every member predicts
 // stable, in draw order, and bit[idx[i]] their predicted XOR bits.
 func (s *Selector) sieve(p []uint64, idx, bit []uint8) int {
 	n := len(p)
-	for i := 0; i < len(s.members) && n > 0; i++ {
-		mk := &s.members[i]
-		m, band := mk.sift(p, idx[:n], bit)
+	for i := 0; i < len(s.groups) && n > 0; i++ {
+		g := &s.groups[i]
+		m, band := g.sift(p, idx[:n], bit)
 		if band == 1 {
-			m = mk.settle(p, idx[:m], bit)
+			m = g.settle(p, idx[:m], bit)
 		}
 		n = m
 	}
@@ -397,8 +543,12 @@ func (s *Selector) MarkUsed(words ...uint64) {
 // expands one), and their predicted XOR bits.  Challenges issued by earlier
 // calls are never repeated.  maxExamined bounds the search (0 = 10,000 ×
 // count); Next examines exactly maxExamined candidates unless it finds
-// count first.
+// count first.  A negative count is an error, and a zero count examines
+// nothing.
 func (s *Selector) Next(count, maxExamined int) ([]uint64, []uint8, error) {
+	if count < 0 {
+		return nil, nil, fmt.Errorf("core: Next of %d challenges", count)
+	}
 	if s.budget > 0 && s.used.n+count > s.budget {
 		return nil, nil, &ErrBudgetExhausted{Budget: s.budget, Issued: s.used.n, Wanted: count}
 	}

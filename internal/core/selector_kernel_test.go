@@ -218,11 +218,32 @@ func compareNext(t *testing.T, cm *ChipModel, seed uint64) {
 	}
 }
 
+// laneBand reports whether lane i of the packed lane values v is neither
+// surely stable nor surely unstable: the band, which settle decides.
+func laneBand(g *groupKernel, i int, v uint64) bool {
+	flag := func(add uint64) bool { return (v+add)>>(laneBits*i+20)&1 == 1 }
+	stable := !flag(g.loMay) || flag(g.hiSure)
+	unstable := flag(g.loNot) && !flag(g.hiMay)
+	return !stable && !unstable
+}
+
+// laneApprox is the prediction lane i of v certifies from, (d − 2¹⁹)/S,
+// back in θ's units.
+func laneApprox(v uint64, i int, theta []float64) float64 {
+	var mass float64
+	for _, th := range theta {
+		mass += math.Abs(th)
+	}
+	_, e := math.Frexp(mass)
+	d := int64(v>>(laneBits*i)&(1<<laneBits-1)) - laneMid
+	return math.Ldexp(float64(d), e-laneMassExp)
+}
+
 // TestSelectorKernelFallbackBand builds thresholds that sit exactly on,
 // or one ulp beside, the reference prediction of chosen words, so only
-// the certified band's exact recomputation can classify them right, and
-// models whose θ holds NaN, ±Inf or only zeros.  Every classification
-// must equal the reference.
+// the band's exact recomputation can classify them right, and models
+// whose θ holds NaN, ±Inf or only zeros, whose lane must report the band
+// on every candidate.  Every classification must equal the reference.
 func TestSelectorKernelFallbackBand(t *testing.T) {
 	const stages = 32
 	base := kernelModel(99, stages).PUFs[0]
@@ -253,12 +274,12 @@ func TestSelectorKernelFallbackBand(t *testing.T) {
 				cm := &ChipModel{PUFs: []*PUFModel{m}, Beta0: 1, Beta1: 1}
 				check(cm, w)
 
-				mk := NewSelector(cm, rng.New(1)).members[0]
-				approx := mk.approx(suffixParity(w))
-				if math.Abs(approx-mk.lo) <= mk.eps || math.Abs(approx-mk.hi) <= mk.eps {
+				g := &NewSelector(cm, rng.New(1)).groups[0]
+				v := g.sum(suffixParity(w))
+				if laneBand(g, 0, v) {
 					inBand++
 				}
-				if m.Classify(approx, 1, 1) != m.Classify(d, 1, 1) {
+				if m.Classify(laneApprox(v, 0, base.Theta), 1, 1) != m.Classify(d, 1, 1) {
 					naiveWrong++
 				}
 			}
@@ -291,11 +312,14 @@ func TestSelectorKernelFallbackBand(t *testing.T) {
 		for _, thr := range thresholds {
 			m := &PUFModel{Theta: theta, Thr0: thr[0], Thr1: thr[1]}
 			cm := &ChipModel{PUFs: []*PUFModel{m, base}, Beta0: 1, Beta1: 1}
+			g := &NewSelector(cm, rng.New(1)).groups[0]
 			for i := 0; i < 200; i++ {
-				check(cm, src.Uint64()&mask)
-			}
-			if mk := NewSelector(cm, rng.New(1)).members[0]; mk.eps >= 0 {
-				t.Errorf("%s θ with thresholds %v took the certified path", name, thr)
+				w := src.Uint64() & mask
+				check(cm, w)
+				if !laneBand(g, 0, g.sum(suffixParity(w))) {
+					t.Errorf("%s θ with thresholds %v took the certified path on word %#x", name, thr, w)
+					break
+				}
 			}
 		}
 	}

@@ -260,9 +260,7 @@ func BenchmarkSelectorNextFleet(b *testing.B) {
 	examined, tables := 0, 0
 	for _, s := range sels {
 		examined += s.Examined()
-		for _, mk := range s.members {
-			tables += len(mk.tab) * len(mk.tab[0]) * len(mk.tab[0][0]) * 8
-		}
+		tables += s.kernelBytes()
 	}
 	b.ReportMetric(float64(examined)/float64(b.N), "candidates/op")
 	b.ReportMetric(float64(tables)/float64(chips), "kernel-bytes/chip")

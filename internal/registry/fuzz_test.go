@@ -50,6 +50,7 @@ func FuzzWALRecord(f *testing.F) {
 	f.Add(recCutover, cutoverPayload(cutover))
 	f.Add(recMigrateAbort, appendString(nil, "mig-0"))
 	f.Add(recMigratedBurn, burn)
+	f.Add(recMigrateRange, migrateRangePayload(fence))
 	f.Add(byte(0), []byte{})
 	f.Add(byte(255), bytes.Repeat([]byte{0xff}, 64))
 	// A register record claiming an enormous geometry on a short payload.

@@ -378,7 +378,9 @@ func (r *Registry) CutoverSource(migID string, epoch uint64, lo, hi, redirect st
 // InstallMigrating installs an XPR1 range snapshot as arriving chips: each
 // chip is journaled (recMigrateIn) and placed in the store flagged arriving,
 // so it replicates to the target's own followers but refuses issuance until
-// cutover.  A restarted migration reinstalls idempotently — the source is
+// cutover; a snapshot with no chip journals the range alone
+// (recMigrateRange), so the arrival exists wherever the WAL is replayed.
+// A restarted migration reinstalls idempotently — the source is
 // authoritative for the range until cutover, so overwriting a previous
 // partial install is safe.  If any chip in the range is already live here
 // (not arriving), the install fails closed: that is dual ownership.
@@ -411,9 +413,14 @@ func (r *Registry) InstallMigrating(migID, lo, hi string, data []byte) (int, err
 			return 0, fmt.Errorf("registry: chip %q already live here; refusing dual-owner install", rec.id)
 		}
 	}
-	r.ownMu.Lock()
-	r.arrivalLocked(migID, lo, hi)
-	r.ownMu.Unlock()
+	if len(recs) == 0 {
+		// No chip record will carry the range, so journal it alone: a
+		// replay must open the same arrival for the cutover to find.
+		rec := record{typ: recMigrateRange, mig: migID, lo: lo, hi: hi}
+		_, err := r.commit(rec, migrateRangePayload(rec))
+		return 0, err
+	}
+	// Each chip's record opens (or re-ranges) the arrival as it applies.
 	for i, rec := range recs {
 		rec.typ, rec.mig, rec.lo, rec.hi = recMigrateIn, migID, lo, hi
 		if _, err := r.commit(rec, migrateInPayload(rec)); err != nil {

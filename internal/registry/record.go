@@ -45,6 +45,9 @@ const (
 	recCutover      byte = 10
 	recMigrateAbort byte = 11
 	recMigratedBurn byte = 12
+	// recMigrateRange opens an inbound migration's arrival for a range
+	// whose snapshot holds no chip, so no recMigrateIn carries the range.
+	recMigrateRange byte = 13
 
 	fenceSet   byte = 1
 	fenceClear byte = 0
@@ -67,6 +70,7 @@ const (
 //	fence                   mig, lo, hi, mode (fenceSet or fenceClear)
 //	cutover                 mig, epoch, lo, hi, mode (the role), redirect
 //	migrate-abort           mig
+//	migrate-range           mig, lo, hi
 type record struct {
 	typ      byte
 	id       string
@@ -131,6 +135,8 @@ func decodeRecord(typ byte, payload []byte) (record, error) {
 		}
 	case recMigrateAbort:
 		rec.mig = rd.str()
+	case recMigrateRange:
+		rec.mig, rec.lo, rec.hi = rd.str(), rd.str(), rd.str()
 	default:
 		return rec, fmt.Errorf("%w: unknown record type %d", ErrCorrupt, typ)
 	}
@@ -182,6 +188,10 @@ func (r *Registry) apply(rec record) {
 		r.install(e)
 		r.ownMu.Lock()
 		r.arrivalLocked(rec.mig, rec.lo, rec.hi).chips[rec.id] = struct{}{}
+		r.ownMu.Unlock()
+	case recMigrateRange:
+		r.ownMu.Lock()
+		r.arrivalLocked(rec.mig, rec.lo, rec.hi)
 		r.ownMu.Unlock()
 	case recRangeFence:
 		r.ownMu.Lock()
@@ -290,10 +300,13 @@ func abusePayload(id string, denials int, locked bool) []byte {
 }
 
 func fencePayload(rec record) []byte {
+	return append(migrateRangePayload(rec), rec.mode)
+}
+
+func migrateRangePayload(rec record) []byte {
 	b := appendString(nil, rec.mig)
 	b = appendString(b, rec.lo)
-	b = appendString(b, rec.hi)
-	return append(b, rec.mode)
+	return appendString(b, rec.hi)
 }
 
 func cutoverPayload(rec record) []byte {
@@ -306,10 +319,7 @@ func cutoverPayload(rec record) []byte {
 }
 
 func migrateInPayload(rec record) []byte {
-	b := appendString(nil, rec.mig)
-	b = appendString(b, rec.lo)
-	b = appendString(b, rec.hi)
-	return appendEntry(b, rec)
+	return appendEntry(migrateRangePayload(rec), rec)
 }
 
 // --- WAL tooling -----------------------------------------------------------

@@ -60,10 +60,9 @@ func canonicalState(r *Registry) []string {
 	return append(out, owned...)
 }
 
-// checkReplayMatches compares the live registry with its follower and with a
-// registry recovered from a copy of the live one's WAL directory: a replay,
-// through either path, must rebuild exactly the live state.
-func checkReplayMatches(t *testing.T, when, dir string, live, follower *Registry) {
+// recoverCopy opens a registry recovered from a copy of dir's WAL and
+// snapshot.
+func recoverCopy(t *testing.T, dir string, opts Options) *Registry {
 	t.Helper()
 	copyDir := t.TempDir()
 	for _, name := range []string{walName, snapName} {
@@ -78,10 +77,19 @@ func checkReplayMatches(t *testing.T, when, dir string, live, follower *Registry
 			t.Fatal(err)
 		}
 	}
-	recovered, err := Open(copyDir, Options{Seed: live.opts.Seed})
+	recovered, err := Open(copyDir, opts)
 	if err != nil {
-		t.Fatalf("%s: recovering the live WAL: %v", when, err)
+		t.Fatalf("recovering the live WAL: %v", err)
 	}
+	return recovered
+}
+
+// checkReplayMatches compares the live registry with its follower and with a
+// registry recovered from a copy of the live one's WAL directory: a replay,
+// through either path, must rebuild exactly the live state.
+func checkReplayMatches(t *testing.T, when, dir string, live, follower *Registry) {
+	t.Helper()
+	recovered := recoverCopy(t, dir, Options{Seed: live.opts.Seed})
 	defer recovered.Close()
 	want := canonicalState(live)
 	for _, replay := range []struct {
@@ -118,7 +126,7 @@ func burnPayload(id string, words ...uint64) []byte {
 	return b
 }
 
-// TestApplyReplicatedMirrorsEveryRecordType drives all twelve record types
+// TestApplyReplicatedMirrorsEveryRecordType drives all thirteen record types
 // through the public paths (issuance, abuse, health, re-enrollment, a
 // source-side migration and two inbound ones) and checks that a follower fed
 // through ApplyReplicated and a registry recovered from the WAL both rebuild
@@ -238,7 +246,30 @@ func TestApplyReplicatedMirrorsEveryRecordType(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	for typ := recRegister; typ <= recMigratedBurn; typ++ {
+	// A third inbound migration's range holds no chip: the install
+	// journals the range alone, and every replay must hold the arrival
+	// that the cutover completes.
+	snap, _, _, err = peer.RangeSnapshot("r-", "s")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n, err := src.InstallMigrating("mig-empty", "r-", "s", snap); err != nil || n != 0 {
+		t.Fatalf("empty InstallMigrating = %d, %v; want 0 chips", n, err)
+	}
+	if got, _ := src.Ownership("r-1"); got != OwnershipArriving {
+		t.Fatalf("empty install: range status %v, want arriving", got)
+	}
+	checkReplayMatches(t, "empty install", dir, src, dst)
+	recovered := recoverCopy(t, dir, Options{Seed: 3})
+	if _, err := recovered.CutoverTarget("mig-empty", 3); err != nil {
+		t.Errorf("recovered copy: %v", err)
+	}
+	recovered.Close()
+	if _, err := src.CutoverTarget("mig-empty", 3); err != nil {
+		t.Fatal(err)
+	}
+
+	for typ := recRegister; typ <= recMigrateRange; typ++ {
 		if !seen[typ] {
 			t.Errorf("record type %d never journaled", typ)
 		}
