@@ -89,15 +89,6 @@ func NormalQuantile(p float64) float64 {
 	return z
 }
 
-// LogBinomialTail returns log P(X = n) for X ~ Binomial(n, p): n·log(p).
-// Provided for stability arithmetic where p^n underflows.
-func LogBinomialTail(n int, p float64) float64 {
-	if p <= 0 {
-		return math.Inf(-1)
-	}
-	return float64(n) * math.Log(p)
-}
-
 // AllAgreeProbability returns the probability that n independent
 // Bernoulli(p) samples all agree (all 1 or all 0): p^n + (1-p)^n, computed
 // in log space to survive the n = 100,000 counter depth.

@@ -10,7 +10,8 @@ import (
 )
 
 // MaxFrame caps one encrypted frame's ciphertext, matching the plain
-// protocol's 1 MiB line limit so neither mode admits larger messages.
+// protocol's 1 MiB frame payload limit so neither mode admits larger
+// messages.
 const MaxFrame = 1 << 20
 
 // ErrFrameTooLarge is returned for frames whose length prefix exceeds
@@ -25,8 +26,8 @@ var ErrChannelAuth = errors.New("keyex: encrypted frame failed authentication")
 // Channel is the encrypted session transport: length-prefixed
 // ChaCha20-Poly1305 frames over an established connection, one key and one
 // nonce counter per direction, every frame bound to the handshake
-// transcript as additional data.  It carries the same JSON messages as the
-// plain protocol; only the framing changes.
+// transcript as additional data.  It carries the same binary frames as a
+// plain connection; only the outer framing changes.
 //
 // A Channel is not safe for concurrent use, matching the strictly
 // alternating request/response protocol it carries.

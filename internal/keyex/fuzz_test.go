@@ -2,41 +2,10 @@ package keyex
 
 import (
 	"bytes"
-	"strings"
 	"testing"
 
 	"xorpuf/internal/keyex/aead"
 )
-
-// FuzzParseBits drives the untrusted bit-string decoder.  Invariants: no
-// panic, no allocation beyond the declared limit, and every accepted string
-// round-trips exactly through FormatBits.
-func FuzzParseBits(f *testing.F) {
-	f.Add("", 0)
-	f.Add("0101", 8)
-	f.Add(strings.Repeat("1", 255), 255)
-	f.Add("01x", 8)
-	f.Add("0101", 2)
-	f.Add("\x0001", 8)
-	f.Fuzz(func(t *testing.T, s string, max int) {
-		if max < 0 || max > 1<<16 {
-			max &= 0xFFFF
-			if max < 0 {
-				max = -max
-			}
-		}
-		bits, err := ParseBits(s, max)
-		if err != nil {
-			return
-		}
-		if len(bits) > max {
-			t.Fatalf("accepted %d bits past limit %d", len(bits), max)
-		}
-		if FormatBits(bits) != s {
-			t.Fatalf("round trip changed %q", s)
-		}
-	})
-}
 
 // fuzzChannelKeys is a fixed key schedule for the frame-reader fuzzer; the
 // decoder's robustness must not depend on the keys.

@@ -7,7 +7,7 @@
 // data, while the device only runs the cheap Reproduce step over noisy
 // single-shot reads.
 //
-// The package is transport-agnostic: it owns the offer transcript, the key
+// The package is transport-agnostic: it owns the transcript hash, the key
 // schedule, and the confirmation MACs, while internal/netauth owns framing
 // and the handshake state machine.  Key-derivation challenges must burn from
 // the registry's never-reuse budget exactly like authentication challenges
@@ -26,8 +26,8 @@ import (
 )
 
 // CipherChaCha20Poly1305 names the only channel cipher this package
-// negotiates.  A peer that offers nothing from this list falls back to the
-// plain v1 JSON protocol.
+// negotiates.  A peer that offers no cipher still gets key confirmation,
+// but its connection stays unencrypted.
 const CipherChaCha20Poly1305 = "chacha20poly1305"
 
 // Config selects the BCH code the helper data is built over.
@@ -88,54 +88,32 @@ func Reproduce(cfg Config, wPrime, helper []uint8) (master [32]byte, corrected i
 	return ecc.NewFuzzyExtractor(code).Reproduce(wPrime, helper)
 }
 
-// Offer is the canonical content of the server's keyex_offer frame, in wire
-// representation (bit strings, not bit slices) so both ends hash exactly the
-// bytes that crossed the network.
-type Offer struct {
-	Session    string   // server-assigned session ID
-	ChipID     string   // device identity the key is being derived for
-	Caps       []string // client capability list exactly as sent in keyex_init
-	Challenges []string // bit-string challenges, stage 0 first
-	Helper     string   // bit-string helper data, length 2^M−1
-	M, T       int      // BCH code parameters
-	Cipher     string   // negotiated channel cipher ("" = confirm-only)
-}
-
-// Transcript hashes the offer into the value that binds the key schedule
-// and both confirmation MACs to this exact handshake.  Every field is
-// length-prefixed so no two distinct offers collide.  The client's
-// capability list is part of the transcript — the server hashes the caps it
-// received, the client the caps it sent — so an active attacker who strips
-// or rewrites keyex_init capabilities to force a cipherless (downgraded)
-// session makes the two transcripts diverge and key confirmation fail.
-func Transcript(o Offer) [32]byte {
+// Transcript hashes the handshake into the value that binds the key
+// schedule and both confirmation MACs to this exact exchange: the
+// keyex_init's chip ID and capability bits, and the keyex_offer frame
+// exactly as it crossed the wire.  The server hashes the offer bytes it
+// writes, the device the bytes it read.  The offer frame carries the
+// session id, the BCH (m, t), the cipher, and the packed challenges and
+// helper, so tampering with any of them makes the two transcripts diverge.
+// The init is hashed as decoded fields, not bytes, because a gateway
+// re-encodes it with its own trace context.  The capability bits are bound
+// as the server received them and as the device sent them, so an active
+// attacker who strips keyex_init capabilities to force a cipherless
+// (downgraded) session fails key confirmation.  Every field is
+// length-prefixed so no two distinct handshakes collide.
+func Transcript(chipID string, caps uint64, offerFrame []byte) [32]byte {
 	h := sha256.New()
-	put := func(s string) {
-		var n [4]byte
-		binary.BigEndian.PutUint32(n[:], uint32(len(s)))
-		h.Write(n[:])
-		h.Write([]byte(s))
+	var n [8]byte
+	put := func(b []byte) {
+		binary.BigEndian.PutUint32(n[:4], uint32(len(b)))
+		h.Write(n[:4])
+		h.Write(b)
 	}
-	putList := func(list []string) {
-		var n [4]byte
-		binary.BigEndian.PutUint32(n[:], uint32(len(list)))
-		h.Write(n[:])
-		for _, s := range list {
-			put(s)
-		}
-	}
-	put("xorpuf-keyex-v1")
-	put(o.Session)
-	put(o.ChipID)
-	putList(o.Caps)
-	putList(o.Challenges)
-	put(o.Helper)
-	var n [4]byte
-	binary.BigEndian.PutUint32(n[:], uint32(o.M))
+	put([]byte("xorpuf-keyex-v2"))
+	put([]byte(chipID))
+	binary.BigEndian.PutUint64(n[:], caps)
 	h.Write(n[:])
-	binary.BigEndian.PutUint32(n[:], uint32(o.T))
-	h.Write(n[:])
-	put(o.Cipher)
+	put(offerFrame)
 	var out [32]byte
 	h.Sum(out[:0])
 	return out
@@ -190,36 +168,6 @@ func ConfirmMAC(keys SessionKeys, role string, transcript [32]byte) [32]byte {
 func VerifyConfirm(keys SessionKeys, role string, transcript [32]byte, got []byte) bool {
 	want := ConfirmMAC(keys, role, transcript)
 	return hmac.Equal(want[:], got)
-}
-
-// FormatBits renders a bit slice as the wire bit-string form ("0101…").
-func FormatBits(bits []uint8) string {
-	buf := make([]byte, len(bits))
-	for i, b := range bits {
-		buf[i] = '0' + (b & 1)
-	}
-	return string(buf)
-}
-
-// ParseBits decodes a wire bit string, rejecting anything but '0'/'1' and
-// anything longer than max before allocating — the string arrives from an
-// untrusted peer and sizes the decode buffers.
-func ParseBits(s string, max int) ([]uint8, error) {
-	if len(s) > max {
-		return nil, fmt.Errorf("keyex: bit string length %d exceeds limit %d", len(s), max)
-	}
-	out := make([]uint8, len(s))
-	for i := 0; i < len(s); i++ {
-		switch s[i] {
-		case '0':
-			out[i] = 0
-		case '1':
-			out[i] = 1
-		default:
-			return nil, fmt.Errorf("keyex: bit string byte %d is %q, want '0' or '1'", i, s[i])
-		}
-	}
-	return out, nil
 }
 
 // Zeroize overwrites a secret in place.  Callers hand off derived keys and

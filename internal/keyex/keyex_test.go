@@ -73,45 +73,46 @@ func TestGenerateReproduceRoundTrip(t *testing.T) {
 }
 
 func TestTranscriptBindsEveryField(t *testing.T) {
-	base := Offer{
-		Session:    "0011223344556677",
-		ChipID:     "chip-7",
-		Caps:       []string{CipherChaCha20Poly1305},
-		Challenges: []string{"0101", "1100"},
-		Helper:     "0110",
-		M:          8,
-		T:          12,
-		Cipher:     CipherChaCha20Poly1305,
+	const chipID, caps = "chip-7", uint64(1)
+	offer := make([]byte, 40)
+	for i := range offer {
+		offer[i] = byte(i * 37)
 	}
-	h0 := Transcript(base)
-	mutations := []func(*Offer){
-		func(o *Offer) { o.Session = "0011223344556678" },
-		func(o *Offer) { o.ChipID = "chip-8" },
-		// Capability stripping (cipher downgrade) must change the transcript.
-		func(o *Offer) { o.Caps = nil },
-		func(o *Offer) { o.Caps = []string{CipherChaCha20Poly1305, "null"} },
-		func(o *Offer) { o.Challenges = []string{"0101", "1101"} },
-		func(o *Offer) { o.Challenges = []string{"0101"} },
-		func(o *Offer) { o.Helper = "0111" },
-		func(o *Offer) { o.M = 9 },
-		func(o *Offer) { o.T = 11 },
-		func(o *Offer) { o.Cipher = "" },
-		// Field-boundary shift: same concatenated bytes, different split.
-		func(o *Offer) { o.Session = "001122334455667"; o.ChipID = "7chip-7" },
-		// List-boundary shift: a cap migrating into the challenge list.
-		func(o *Offer) { o.Caps = nil; o.Challenges = append([]string{CipherChaCha20Poly1305}, o.Challenges...) },
+	h0 := Transcript(chipID, caps, offer)
+	if Transcript(chipID, caps, append([]byte(nil), offer...)) != h0 {
+		t.Fatal("transcript not deterministic")
 	}
-	for i, mutate := range mutations {
-		o := base
-		o.Caps = append([]string(nil), base.Caps...)
-		o.Challenges = append([]string(nil), base.Challenges...)
-		mutate(&o)
-		if Transcript(o) == h0 {
-			t.Fatalf("mutation %d did not change the transcript", i)
+	// Flipping any bit of the offer frame must change the transcript.
+	for i := range offer {
+		for bit := 0; bit < 8; bit++ {
+			o := append([]byte(nil), offer...)
+			o[i] ^= 1 << bit
+			if Transcript(chipID, caps, o) == h0 {
+				t.Fatalf("flipping offer byte %d bit %d did not change the transcript", i, bit)
+			}
 		}
 	}
-	if Transcript(base) != h0 {
-		t.Fatal("transcript not deterministic")
+	// Capability stripping (cipher downgrade) and any other caps bit must
+	// change the transcript.
+	for bit := 0; bit < 64; bit++ {
+		if Transcript(chipID, caps^1<<bit, offer) == h0 {
+			t.Fatalf("flipping caps bit %d did not change the transcript", bit)
+		}
+	}
+	for _, o := range [][]byte{nil, offer[:len(offer)-1], append(append([]byte(nil), offer...), 0)} {
+		if Transcript(chipID, caps, o) == h0 {
+			t.Fatalf("offer of %d bytes hashes like the %d-byte offer", len(o), len(offer))
+		}
+	}
+	for _, id := range []string{"chip-8", "", "chip-7\x00"} {
+		if Transcript(id, caps, offer) == h0 {
+			t.Fatalf("chip ID %q hashes like %q", id, chipID)
+		}
+	}
+	// Field-boundary shift: the same concatenated bytes, split differently
+	// between the chip ID and the offer.
+	if Transcript("chip-", caps, offer) == Transcript("chip", caps, append([]byte("-"), offer...)) {
+		t.Fatal("chip ID / offer boundary shift did not change the transcript")
 	}
 }
 
@@ -146,32 +147,6 @@ func TestKeyScheduleAndConfirm(t *testing.T) {
 	}
 	if VerifyConfirm(keys, RoleDevice, transcript, dev[:10]) {
 		t.Fatal("truncated MAC accepted")
-	}
-}
-
-func TestFormatParseBits(t *testing.T) {
-	bits := []uint8{0, 1, 1, 0, 1}
-	s := FormatBits(bits)
-	if s != "01101" {
-		t.Fatalf("FormatBits = %q", s)
-	}
-	got, err := ParseBits(s, 10)
-	if err != nil {
-		t.Fatalf("ParseBits: %v", err)
-	}
-	for i := range bits {
-		if got[i] != bits[i] {
-			t.Fatalf("round trip mismatch at %d", i)
-		}
-	}
-	if _, err := ParseBits("01x01", 10); err == nil {
-		t.Fatal("non-bit byte accepted")
-	}
-	if _, err := ParseBits("010101", 5); err == nil {
-		t.Fatal("over-limit bit string accepted")
-	}
-	if out, err := ParseBits("", 5); err != nil || len(out) != 0 {
-		t.Fatalf("empty string: %v", err)
 	}
 }
 

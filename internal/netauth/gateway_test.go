@@ -1,12 +1,14 @@
 package netauth
 
 import (
+	"context"
 	"errors"
 	"net"
 	"testing"
 	"time"
 
 	"xorpuf/internal/core"
+	"xorpuf/internal/keyex"
 	"xorpuf/internal/registry"
 	"xorpuf/internal/rng"
 	"xorpuf/internal/silicon"
@@ -107,6 +109,37 @@ func TestGatewayRoutesAndReroutesOnFailover(t *testing.T) {
 	}
 	if got := srv2.ChipStatus("chip-A").Issued; got == 0 {
 		t.Fatal("failover replica served no challenges — re-route did not happen")
+	}
+}
+
+// TestGatewayKeyExchange runs a key exchange through a gateway.  The
+// gateway re-encodes the keyex_init with its own trace context and relays
+// the offer verbatim, so the transcript must bind the init's decoded chip
+// ID and capability bits, not its bytes, for key confirmation to pass.
+func TestGatewayKeyExchange(t *testing.T) {
+	cfg := keyex.Config{M: 7, T: 8}
+	addr, srv, chip := startKeyexServer(t, 30, cfg)
+	_, gwAddr := startGateway(t, []GatewayShard{
+		{Name: "shard-0", Addrs: []string{addr}},
+	}, GatewayConfig{})
+
+	ss, err := keyexClient(gwAddr, chip, silicon.Nominal).Establish(context.Background())
+	if err != nil {
+		t.Fatalf("Establish via gateway: %v", err)
+	}
+	defer ss.Close()
+	if ss.Result.Cipher != keyex.CipherChaCha20Poly1305 {
+		t.Fatalf("negotiated cipher %q via gateway", ss.Result.Cipher)
+	}
+	if err := ss.SendPayload([]byte("through the gateway")); err != nil {
+		t.Fatalf("SendPayload via gateway: %v", err)
+	}
+	res, err := ss.Authenticate()
+	if err != nil || !res.Approved {
+		t.Fatalf("auth inside the channel via gateway: %+v, %v", res, err)
+	}
+	if got, want := srv.ChipStatus("chip-A").Issued, cfg.N()+30; got != want {
+		t.Fatalf("server issued %d challenges, want %d (one key exchange and one session)", got, want)
 	}
 }
 

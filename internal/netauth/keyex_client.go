@@ -100,11 +100,13 @@ func (c *V2Client) establish(conn net.Conn) (*SecureSession, error) {
 		_, err := conn.Write(wire.AppendFrame(nil, m))
 		return err
 	}
+	const caps = wire.CapChaCha20Poly1305
 	if err := send(&wire.Msg{Type: wire.TKeyexInit, ChipID: c.ChipID,
-		Caps: wire.CapChaCha20Poly1305, Trace: c.Trace}); err != nil {
+		Caps: caps, Trace: c.Trace}); err != nil {
 		return nil, err
 	}
-	offer, err := c.readHandshake(conn, br, wire.TKeyexOffer)
+	var offer wire.Msg
+	offerFrame, err := c.readHandshake(conn, br, &offer, wire.TKeyexOffer)
 	if err != nil {
 		return nil, err
 	}
@@ -112,7 +114,7 @@ func (c *V2Client) establish(conn net.Conn) (*SecureSession, error) {
 	// must pick it.  Accepting anything else — in particular CipherNone
 	// (confirm-only, no encrypted channel) — would let an active attacker
 	// who tampers with the negotiation silently strip the session's
-	// encryption.  The capability list is also bound into the transcript
+	// encryption.  The capability bits are also bound into the transcript
 	// below, so even a tampered keyex_init that survives this check fails
 	// key confirmation.
 	if offer.Cipher != wire.CipherChaCha20 {
@@ -127,39 +129,22 @@ func (c *V2Client) establish(conn net.Conn) (*SecureSession, error) {
 		return nil, fmt.Errorf("netauth: offer carries %d challenges of width %d, code needs %d",
 			offer.Count, offer.Width, n)
 	}
-	bits := wire.UnpackBits(nil, offer.Packed, n*offer.Width)
-	helper := wire.UnpackBits(nil, offer.Helper, n)
 	sessRaw := append([]byte(nil), offer.Session...)
 	session := hex.EncodeToString(sessRaw)
 
 	// One single-shot XOR readout per challenge — the protocol's designed
-	// device workload, same as authentication — and the canonical
-	// challenge strings the transcript binds.
-	chalStrs := make([]string, n)
-	w := make([]uint8, n)
-	for i := 0; i < n; i++ {
-		cc := challenge.Challenge(bits[i*offer.Width : (i+1)*offer.Width])
-		chalStrs[i] = cc.String()
-		w[i] = c.Device.ReadXOR(cc, c.Cond)
-	}
-	master, corrected, err := keyex.Reproduce(cfg, w, helper)
+	// device workload, read through the same word path as authentication.
+	packed := readChallenges(nil, make(challenge.Challenge, offer.Width), c.Device, c.Cond, &offer)
+	w := wire.UnpackBits(nil, packed, n)
+	master, corrected, err := keyex.Reproduce(cfg, w, wire.UnpackBits(nil, offer.Helper, n))
 	if err != nil {
 		return nil, fmt.Errorf("netauth: key reproduction failed: %w", err)
 	}
 
-	// Bind the key schedule to the exact offer we answered.  A tampered
-	// offer (different challenges, helper, or cipher) yields a different
-	// transcript, so the server's confirm MAC will not verify.
-	transcript := keyex.Transcript(keyex.Offer{
-		Session:    session,
-		ChipID:     c.ChipID,
-		Caps:       []string{keyex.CipherChaCha20Poly1305},
-		Challenges: chalStrs,
-		Helper:     keyex.FormatBits(helper),
-		M:          offer.M,
-		T:          offer.T,
-		Cipher:     keyex.CipherChaCha20Poly1305,
-	})
+	// Bind the key schedule to the exact offer frame we answered.  A
+	// tampered offer (different challenges, helper, or cipher) yields a
+	// different transcript, so the server's confirm MAC will not verify.
+	transcript := keyex.Transcript(c.ChipID, caps, offerFrame)
 	keys := keyex.DeriveSession(master, transcript)
 	keyex.Zeroize(master[:])
 
@@ -167,8 +152,8 @@ func (c *V2Client) establish(conn net.Conn) (*SecureSession, error) {
 	if err := send(&wire.Msg{Type: wire.TKeyexConfirm, Session: sessRaw, MAC: devMAC[:]}); err != nil {
 		return nil, err
 	}
-	accept, err := c.readHandshake(conn, br, wire.TKeyexAccept)
-	if err != nil {
+	var accept wire.Msg
+	if _, err := c.readHandshake(conn, br, &accept, wire.TKeyexAccept); err != nil {
 		return nil, err // includes the structured key_mismatch denial
 	}
 	if !keyex.VerifyConfirm(keys, keyex.RoleServer, transcript, accept.MAC) {
@@ -194,25 +179,24 @@ func (c *V2Client) establish(conn net.Conn) (*SecureSession, error) {
 	}, nil
 }
 
-// readHandshake reads one handshake frame, surfacing server refusals as
-// structured ProtocolErrors.
-func (c *V2Client) readHandshake(conn net.Conn, br *bufio.Reader, want byte) (*wire.Msg, error) {
+// readHandshake reads one handshake frame into m and returns its raw
+// bytes, surfacing server refusals as structured ProtocolErrors.
+func (c *V2Client) readHandshake(conn net.Conn, br *bufio.Reader, m *wire.Msg, want byte) ([]byte, error) {
 	_ = conn.SetReadDeadline(time.Now().Add(c.Timeout))
 	raw, err := wire.ReadRawFrame(br)
 	if err != nil {
 		return nil, err
 	}
-	var m wire.Msg
-	if err := wire.Decode(raw, &m); err != nil {
+	if err := wire.Decode(raw, m); err != nil {
 		return nil, err
 	}
 	if m.Type == wire.TError {
-		return nil, protocolError(&m)
+		return nil, protocolError(m)
 	}
 	if m.Type != want {
 		return nil, fmt.Errorf("netauth: unexpected frame type 0x%02x, want 0x%02x", m.Type, want)
 	}
-	return &m, nil
+	return raw, nil
 }
 
 // Authenticate runs one full authentication exchange inside the encrypted

@@ -18,10 +18,11 @@
 // authentication exchange, payload/payload_ack move integrity-checked
 // application data, bye ends the session cleanly.
 //
-// The transcript binds the canonical string form of the offer
-// (keyex.Offer: hex session id, "0101…" challenges and helper, cipher
-// name), not the packed bits that carry it, so the derived key does not
-// depend on the wire encoding.
+// The transcript (keyex.Transcript) hashes the keyex_offer frame exactly
+// as the server writes it and the device reads it, plus the keyex_init's
+// chip ID and capability bits.  A gateway relays the offer verbatim but
+// re-encodes the init with its own trace context, so the init is bound by
+// its decoded fields, not its bytes.
 //
 // Security posture mirrors authentication exactly where it matters:
 //
@@ -118,11 +119,9 @@ func (s *Server) keyexSession(l *link, init *wire.Msg) {
 	// Cipher negotiation: one suite today.  A client that offers nothing we
 	// speak still gets key confirmation (mutual proof of key possession)
 	// but no channel upgrade.
-	var caps []string
-	cipher, cipherByte := "", byte(wire.CipherNone)
+	cipher := byte(wire.CipherNone)
 	if init.Caps&wire.CapChaCha20Poly1305 != 0 {
-		caps = []string{keyex.CipherChaCha20Poly1305}
-		cipher, cipherByte = keyex.CipherChaCha20Poly1305, wire.CipherChaCha20
+		cipher = wire.CipherChaCha20
 	}
 
 	// Burn fresh challenges for key derivation.  IssueKey journals them
@@ -155,21 +154,18 @@ func (s *Server) keyexSession(l *link, init *wire.Msg) {
 		fail(CodeSelectionFailed, false, "helper data generation failed: %v", err)
 		return
 	}
-	offer := keyex.Offer{
-		Session:    session,
-		ChipID:     init.ChipID,
-		Caps:       caps,
-		Challenges: make([]string, len(words)),
-		Helper:     keyex.FormatBits(helper),
-		M:          cfg.M,
-		T:          cfg.T,
-		Cipher:     cipher,
-	}
+	// The transcript hashes the offer frame as queued, so it binds exactly
+	// the bytes that go out on the flush below.
 	width := entry.Model().Stages()
-	for i, w := range words {
-		offer.Challenges[i] = wordString(w, width)
-	}
-	transcript := keyex.Transcript(offer)
+	before := len(*l.wb)
+	l.queue(&wire.Msg{
+		Type: wire.TKeyexOffer, Stream: init.Stream, Session: sessRaw[:],
+		M: cfg.M, T: cfg.T, Cipher: cipher,
+		Width: width, Count: len(words),
+		Packed: packWords(nil, words, width),
+		Helper: wire.PackBits(nil, helper),
+	})
+	transcript := keyex.Transcript(init.ChipID, init.Caps, (*l.wb)[before:])
 	keys := keyex.DeriveSession(master, transcript)
 	keyex.Zeroize(master[:])
 	s.tel.observeKeyDerive(deriveStart)
@@ -177,13 +173,7 @@ func (s *Server) keyexSession(l *link, init *wire.Msg) {
 	deriveSpan.End()
 
 	rttStart := time.Now()
-	if err := l.write(&wire.Msg{
-		Type: wire.TKeyexOffer, Stream: init.Stream, Session: sessRaw[:],
-		M: cfg.M, T: cfg.T, Cipher: cipherByte,
-		Width: width, Count: len(words),
-		Packed: packWords(nil, words, width),
-		Helper: wire.PackBits(nil, helper),
-	}); err != nil {
+	if err := l.flush(); err != nil {
 		return
 	}
 	var m wire.Msg
@@ -223,7 +213,7 @@ func (s *Server) keyexSession(l *link, init *wire.Msg) {
 	l.inflight.Add(-held)
 	held = 0
 
-	if cipher == "" {
+	if cipher == wire.CipherNone {
 		return // confirm-only exchange: mutual proof, no channel
 	}
 	ch := keyex.NewChannel(readWriter{l.br, l.conn}, keys, transcript, false)
@@ -271,14 +261,4 @@ func (c *channelStream) Write(p []byte) (int, error) {
 		return 0, err
 	}
 	return len(p), nil
-}
-
-// wordString renders the challenge word w as width '0'/'1' characters,
-// stage 0 first: the text challenge.FromWord(w, width).String() gives.
-func wordString(w uint64, width int) string {
-	buf := make([]byte, width)
-	for i := range buf {
-		buf[i] = '0' + byte(w>>uint(i)&1)
-	}
-	return string(buf)
 }

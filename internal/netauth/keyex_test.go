@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"bytes"
 	"context"
-	"encoding/hex"
 	"errors"
 	"io"
 	"net"
@@ -254,7 +253,7 @@ func TestKeyexUnavailableWithoutConfig(t *testing.T) {
 }
 
 // TestKeyexConfirmOnlyRawClient runs the handshake by hand with no
-// capability list: the server must offer cipher "" and still complete
+// capability bits: the server must offer no cipher and still complete
 // mutual key confirmation — proving the wire format and the keyex package
 // API agree bit-for-bit.
 func TestKeyexConfirmOnlyRawClient(t *testing.T) {
@@ -263,7 +262,14 @@ func TestKeyexConfirmOnlyRawClient(t *testing.T) {
 
 	rc := dialRaw(t, addr)
 	rc.send(&wire.Msg{Type: wire.TKeyexInit, ChipID: "chip-A"}) // no caps
-	offer := rc.expect(wire.TKeyexOffer)
+	offerFrame, err := wire.ReadRawFrame(rc.br)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var offer wire.Msg
+	if err := wire.Decode(offerFrame, &offer); err != nil || offer.Type != wire.TKeyexOffer {
+		t.Fatalf("want keyex_offer, got type 0x%02x (%v)", offer.Type, err)
+	}
 	if offer.Cipher != wire.CipherNone {
 		t.Fatalf("offered cipher %d to a capability-less client", offer.Cipher)
 	}
@@ -274,21 +280,15 @@ func TestKeyexConfirmOnlyRawClient(t *testing.T) {
 	n := cfg.N()
 	helper := wire.UnpackBits(nil, offer.Helper, n)
 	bits := wire.UnpackBits(nil, offer.Packed, n*offer.Width)
-	chals := make([]string, n)
 	w := make([]uint8, n)
 	for i := range w {
-		cc := challenge.Challenge(bits[i*offer.Width : (i+1)*offer.Width])
-		chals[i] = cc.String()
-		w[i] = chip.ReadXOR(cc, silicon.Nominal)
+		w[i] = chip.ReadXOR(challenge.Challenge(bits[i*offer.Width:(i+1)*offer.Width]), silicon.Nominal)
 	}
 	master, _, err := keyex.Reproduce(cfg, w, helper)
 	if err != nil {
 		t.Fatalf("Reproduce: %v", err)
 	}
-	transcript := keyex.Transcript(keyex.Offer{
-		Session: hex.EncodeToString(offer.Session), ChipID: "chip-A", Challenges: chals,
-		Helper: keyex.FormatBits(helper), M: cfg.M, T: cfg.T, Cipher: "",
-	})
+	transcript := keyex.Transcript("chip-A", 0, offerFrame)
 	keys := keyex.DeriveSession(master, transcript)
 	mac := keyex.ConfirmMAC(keys, keyex.RoleDevice, transcript)
 	rc.send(&wire.Msg{Type: wire.TKeyexConfirm, Session: offer.Session, MAC: mac[:]})

@@ -90,14 +90,6 @@ type serverMetrics struct {
 // protocol caps a batch at wire.MaxBatch = 256) in powers of two.
 var batchSizeBuckets = []float64{1, 2, 4, 8, 16, 32, 64, 128, 256}
 
-// knownCodes pre-registers a denial counter per structured error code, so
-// the hot path never concatenates strings or touches the registry map.
-var knownCodes = []string{
-	CodeBadMessage, CodeUnknownChip, CodeThrottled, CodeLockedOut,
-	CodeBusy, CodeSelectionFailed, CodeQuarantined,
-	CodeKeyMismatch, CodeKeyexUnavailable,
-}
-
 func newServerMetrics(reg *telemetry.Registry) *serverMetrics {
 	if reg == nil {
 		return nil
@@ -108,7 +100,7 @@ func newServerMetrics(reg *telemetry.Registry) *serverMetrics {
 		approved:          reg.Counter("netauth_approved_total"),
 		denied:            reg.Counter("netauth_denied_total"),
 		lockouts:          reg.Counter("netauth_lockouts_total"),
-		denials:           make(map[string]*telemetry.Counter, len(knownCodes)),
+		denials:           make(map[string]*telemetry.Counter, len(codes)),
 		denialOther:       reg.Counter("netauth_deny_other_total"),
 		activeSessions:    reg.Gauge("netauth_active_sessions"),
 		frameBytes:        reg.Histogram("netauth_frame_bytes", telemetry.SizeBuckets),
@@ -125,7 +117,9 @@ func newServerMetrics(reg *telemetry.Registry) *serverMetrics {
 		batchSize:         reg.Histogram("netauth_batch_size", batchSizeBuckets),
 		pipelined:         reg.Histogram("netauth_v2_pipelined_session_seconds", telemetry.LatencyBuckets),
 	}
-	for _, code := range knownCodes {
+	// One counter per structured error code, registered up front so the
+	// hot path never concatenates strings or touches the registry map.
+	for _, code := range codes {
 		m.denials[code] = reg.Counter("netauth_deny_" + code + "_total")
 	}
 	return m

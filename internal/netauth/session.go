@@ -29,64 +29,32 @@ import (
 	"xorpuf/internal/wire"
 )
 
-// codeToByte maps the structured error taxonomy onto the error frame's
-// one-byte code field.  codeFromByte is its inverse; unknown bytes decode
-// to bad_message, the code whose contract ("retry with a fresh session")
-// is safe for anything unrecognised.
+// codes is the structured error taxonomy in wire order: codes[i] travels
+// as byte i+1 in the error frame's one-byte code field.  Append new codes;
+// never reorder.  It also names the per-code denial counters.
+var codes = [...]string{
+	CodeBadMessage, CodeUnknownChip, CodeThrottled, CodeLockedOut,
+	CodeBusy, CodeSelectionFailed, CodeQuarantined, CodeKeyMismatch,
+	CodeKeyexUnavailable, CodeMigrating, CodeMoved,
+}
+
+// codeToByte maps a code onto its wire byte.  codeFromByte is its inverse;
+// unknown codes and bytes map to bad_message, the code whose contract
+// ("retry with a fresh session") is safe for anything unrecognised.
 func codeToByte(code string) byte {
-	switch code {
-	case CodeBadMessage:
-		return 1
-	case CodeUnknownChip:
-		return 2
-	case CodeThrottled:
-		return 3
-	case CodeLockedOut:
-		return 4
-	case CodeBusy:
-		return 5
-	case CodeSelectionFailed:
-		return 6
-	case CodeQuarantined:
-		return 7
-	case CodeKeyMismatch:
-		return 8
-	case CodeKeyexUnavailable:
-		return 9
-	case CodeMigrating:
-		return 10
-	case CodeMoved:
-		return 11
+	for i, c := range codes {
+		if c == code {
+			return byte(i + 1)
+		}
 	}
 	return 1
 }
 
 func codeFromByte(b byte) string {
-	switch b {
-	case 1:
+	if b == 0 || int(b) > len(codes) {
 		return CodeBadMessage
-	case 2:
-		return CodeUnknownChip
-	case 3:
-		return CodeThrottled
-	case 4:
-		return CodeLockedOut
-	case 5:
-		return CodeBusy
-	case 6:
-		return CodeSelectionFailed
-	case 7:
-		return CodeQuarantined
-	case 8:
-		return CodeKeyMismatch
-	case 9:
-		return CodeKeyexUnavailable
-	case 10:
-		return CodeMigrating
-	case 11:
-		return CodeMoved
 	}
-	return CodeBadMessage
+	return codes[b-1]
 }
 
 // link is one frame transport under the event loop: the plain TCP

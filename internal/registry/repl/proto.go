@@ -81,7 +81,6 @@ const (
 	CodeApply    = "apply"    // local journal/apply failure (WAL append, fsync, decode)
 	CodeProto    = "proto"    // malformed or unexpected frame
 	CodeShutdown = "shutdown" // orderly close of the other end
-	CodeOverflow = "overflow" // follower fell behind the primary's send buffer
 	CodeDiverged = "diverged" // follower log is ahead of the primary's
 )
 
