@@ -260,3 +260,80 @@ func BenchmarkBinomialCounter(b *testing.B) {
 		_ = s.Binomial(100000, 1e-6)
 	}
 }
+
+// unmix64 inverts mix64: each xorshift is undone by re-applying it until
+// the shifted-in bits settle, each odd multiplier by its inverse mod 2⁶⁴.
+func unmix64(z uint64) uint64 {
+	unshift := func(z uint64, s uint) uint64 {
+		x := z
+		for i := uint(0); i < 64; i += s {
+			x = z ^ x>>s
+		}
+		return x
+	}
+	inverse := func(c uint64) uint64 {
+		x := c // c·c ≡ 1 mod 8; each Newton step doubles the good bits
+		for i := 0; i < 5; i++ {
+			x *= 2 - c*x
+		}
+		return x
+	}
+	z = unshift(z, 31)
+	z *= inverse(0x94D049BB133111EB)
+	z = unshift(z, 27)
+	z *= inverse(0xBF58476D1CE4E5B9)
+	return unshift(z, 30)
+}
+
+// atDraw returns a source whose next Uint64 is x.
+func atDraw(x uint64) *Source {
+	return &Source{state: unmix64(x) - golden}
+}
+
+// checkNoisyPositive compares NoisyPositive on a against the reference
+// d + sigma*Norm() > 0 on its twin b, and the two streams' positions after.
+func checkNoisyPositive(t *testing.T, a, b *Source, d, sigma float64) {
+	t.Helper()
+	got := a.NoisyPositive(d, sigma)
+	want := d+sigma*b.Norm() > 0
+	if got != want {
+		t.Fatalf("NoisyPositive(%g, %g) = %v, d + sigma·Norm() > 0 is %v", d, sigma, got, want)
+	}
+	if *a != *b {
+		t.Fatalf("NoisyPositive(%g, %g) left the stream at a different position than Norm", d, sigma)
+	}
+}
+
+func TestNoisyPositiveMatchesNorm(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	ds := []float64{
+		0, negZero, 5e-324, -5e-324, 0x1p-1030, 0x1p-540, -0x1p-520, 1e-160,
+		0.1, -0.3, 1, -1, 8, -8, 1.4e154, -1.4e154, 1e300, -1e300, math.MaxFloat64, -math.MaxFloat64,
+		math.Inf(1), math.Inf(-1), math.NaN(),
+	}
+	sigmas := []float64{0, negZero, 5e-324, 1e-300, 0.47, 1, 3, 1e154, 1e300, math.MaxFloat64, math.Inf(1)}
+	for _, d := range ds {
+		for _, sigma := range sigmas {
+			for seed := uint64(0); seed < 500; seed++ {
+				checkNoisyPositive(t, New(seed), New(seed), d, sigma)
+			}
+		}
+	}
+	// u = 0 exactly: the first draw's Float64 is ½.
+	if u := 2*atDraw(1<<63).Float64() - 1; u != 0 {
+		t.Fatalf("atDraw(1<<63) draws u = %g, want 0", u)
+	}
+	for _, d := range ds {
+		for _, sigma := range sigmas {
+			checkNoisyPositive(t, atDraw(1<<63), atDraw(1<<63), d, sigma)
+		}
+	}
+	// Random Δ and σ around the certificates' boundary.
+	src := New(77)
+	for i := 0; i < 200_000; i++ {
+		d := (2*src.Float64() - 1) * 4
+		sigma := 2 * src.Float64()
+		seed := src.Uint64()
+		checkNoisyPositive(t, New(seed), New(seed), d, sigma)
+	}
+}

@@ -1,6 +1,10 @@
 package silicon
 
-import "xorpuf/internal/rng"
+import (
+	"math"
+
+	"xorpuf/internal/rng"
+)
 
 // Age applies permanent transistor aging to the PUF (BTI/HCI-style drift):
 // every path delay gains an independent random increment with standard
@@ -10,10 +14,14 @@ import "xorpuf/internal/rng"
 //
 // Aging is irreversible and cumulative: calling Age twice with σ applies a
 // total drift of √2·σ.  The linear-model weight vectors are rebuilt so the
-// closed-form and structural evaluations stay consistent.
+// closed-form and structural evaluations stay consistent.  A negative, NaN
+// or infinite drift panics before any weight changes.
 func (p *ArbiterPUF) Age(src *rng.Source, driftSigma float64) {
 	if driftSigma < 0 {
 		panic("silicon: negative aging drift")
+	}
+	if math.IsNaN(driftSigma) || math.IsInf(driftSigma, 0) {
+		panic("silicon: non-finite aging drift")
 	}
 	if driftSigma == 0 {
 		return

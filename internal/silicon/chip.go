@@ -3,6 +3,7 @@ package silicon
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"xorpuf/internal/challenge"
 	"xorpuf/internal/rng"
@@ -31,6 +32,9 @@ var ErrFusesBlown = errors.New("silicon: fuses blown, individual PUF access disa
 // and counter-averaged soft response (enrollment phase).  After BlowFuses,
 // only the XOR of all responses is observable (authentication phase), which
 // is what makes the XOR construction resistant to modeling.
+//
+// A Chip is not safe for concurrent use: every read draws from its one
+// noise stream.
 type Chip struct {
 	params Params
 	pufs   []*ArbiterPUF
@@ -105,12 +109,7 @@ func (c *Chip) SoftResponse(i int, ch challenge.Challenge, cond Condition) (floa
 // Condition.Validate first.
 func (c *Chip) ReadXOR(ch challenge.Challenge, cond Condition) uint8 {
 	cond.mustValidate()
-	evaluationsTotal.Add(uint64(len(c.pufs)))
-	var x uint8
-	for _, p := range c.pufs {
-		x ^= p.Eval(c.noise, ch, cond)
-	}
-	return x
+	return c.readXOR(c.pufs, ch, cond)
 }
 
 // ReadXORSubset evaluates the XOR over the first n PUFs only, letting one
@@ -121,12 +120,66 @@ func (c *Chip) ReadXORSubset(n int, ch challenge.Challenge, cond Condition) uint
 		panic(fmt.Sprintf("silicon: XOR subset width %d out of range [1,%d]", n, len(c.pufs)))
 	}
 	cond.mustValidate()
-	evaluationsTotal.Add(uint64(n))
+	return c.readXOR(c.pufs[:n], ch, cond)
+}
+
+// readXOR returns the XOR of one Eval of each of pufs, in order, on the
+// chip's noise stream: the same bits and the same stream position.  The
+// delays are summed four chains at a time, each in Delay's order, so the
+// four dependent add chains overlap; the noise is drawn member by member
+// through rng.Source.NoisyPositive, which skips the logarithm when the draw
+// cannot flip the bit.  cond must already be valid.
+func (c *Chip) readXOR(pufs []*ArbiterPUF, ch challenge.Challenge, cond Condition) uint8 {
+	if len(ch) != c.params.Stages {
+		panic(fmt.Sprintf("silicon: challenge length %d, want %d", len(ch), c.params.Stages))
+	}
+	evaluationsTotal.Add(uint64(len(pufs)))
+	dv := cond.VDD - Nominal.VDD
+	dt := cond.TempC - Nominal.TempC
+	sigma := c.params.NoiseSigmaAt(cond)
 	var x uint8
-	for _, p := range c.pufs[:n] {
-		x ^= p.Eval(c.noise, ch, cond)
+	for ; len(pufs) >= 4; pufs = pufs[4:] {
+		for _, d := range delay4(pufs[:4], ch, dv, dt) {
+			x ^= c.noisyBit(d, sigma)
+		}
+	}
+	for _, p := range pufs {
+		x ^= c.noisyBit(p.delay(ch, dv, dt), sigma)
 	}
 	return x
+}
+
+// noisyBit is Eval's decision for delay d at noise σ sigma.
+func (c *Chip) noisyBit(d, sigma float64) uint8 {
+	if c.noise.NoisyPositive(d, sigma) {
+		return 1
+	}
+	return 0
+}
+
+// delay4 returns the delays of four PUFs side by side: one pass over the
+// stages with four accumulators.  Each adds the same terms in the same
+// order as ArbiterPUF.delay, so each is bit-identical to it.
+func delay4(ps []*ArbiterPUF, c challenge.Challenge, dv, dt float64) [4]float64 {
+	k := len(c)
+	n0, v0, t0 := ps[0].wNom[:k+1], ps[0].wVol[:k+1], ps[0].wTmp[:k+1]
+	n1, v1, t1 := ps[1].wNom[:k+1], ps[1].wVol[:k+1], ps[1].wTmp[:k+1]
+	n2, v2, t2 := ps[2].wNom[:k+1], ps[2].wVol[:k+1], ps[2].wTmp[:k+1]
+	n3, v3, t3 := ps[3].wNom[:k+1], ps[3].wVol[:k+1], ps[3].wTmp[:k+1]
+	s0 := weight(n0[k], v0[k], t0[k], dv, dt)
+	s1 := weight(n1[k], v1[k], t1[k], dv, dt)
+	s2 := weight(n2[k], v2[k], t2[k], dv, dt)
+	s3 := weight(n3[k], v3[k], t3[k], dv, dt)
+	phi := math.Float64bits(1)
+	for i := k - 1; i >= 0; i-- {
+		phi ^= uint64(c[i]&1) << 63
+		f := math.Float64frombits(phi)
+		s0 += weight(n0[i], v0[i], t0[i], dv, dt) * f
+		s1 += weight(n1[i], v1[i], t1[i], dv, dt) * f
+		s2 += weight(n2[i], v2[i], t2[i], dv, dt) * f
+		s3 += weight(n3[i], v3[i], t3[i], dv, dt) * f
+	}
+	return [4]float64{s0, s1, s2, s3}
 }
 
 // PUF returns direct oracle access to PUF i, bypassing the fuses.  This is

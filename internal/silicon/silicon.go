@@ -176,8 +176,25 @@ func DefaultParams() Params {
 	}
 }
 
-// Validate reports whether the parameters are physically meaningful.
+// Validate reports whether the parameters are physically meaningful.  Every
+// float field must be finite.
 func (p Params) Validate() error {
+	for _, f := range [...]struct {
+		name string
+		v    float64
+	}{
+		{"MeanStageDelay", p.MeanStageDelay},
+		{"ProcessSigma", p.ProcessSigma},
+		{"NoiseSigma", p.NoiseSigma},
+		{"PathVoltSigma", p.PathVoltSigma},
+		{"PathTempSigma", p.PathTempSigma},
+		{"NoiseVoltCoeff", p.NoiseVoltCoeff},
+		{"NoiseTempCoeff", p.NoiseTempCoeff},
+	} {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			return fmt.Errorf("silicon: %s = %g, want a finite value", f.name, f.v)
+		}
+	}
 	switch {
 	case p.Stages <= 0:
 		return fmt.Errorf("silicon: Stages = %d, want > 0", p.Stages)
@@ -300,9 +317,16 @@ func (p *ArbiterPUF) Weights(cond Condition) []float64 {
 	dt := cond.TempC - Nominal.TempC
 	w := make([]float64, len(p.wNom))
 	for i := range w {
-		w[i] = p.wNom[i] + p.wVol[i]*dv + p.wTmp[i]*dt
+		w[i] = weight(p.wNom[i], p.wVol[i], p.wTmp[i], dv, dt)
 	}
 	return w
+}
+
+// weight is one stage weight at the offsets dv, dt from Nominal.  Delay and
+// the chip's side-by-side read both call it, so they round alike and, on
+// ports where Go fuses x*y+z, contract alike.
+func weight(nom, vol, tmp, dv, dt float64) float64 {
+	return nom + vol*dv + tmp*dt
 }
 
 // Delay returns the noiseless arbiter delay difference Δ(c) at cond, via the
@@ -311,21 +335,23 @@ func (p *ArbiterPUF) Delay(c challenge.Challenge, cond Condition) float64 {
 	if len(c) != p.params.Stages {
 		panic(fmt.Sprintf("silicon: challenge length %d, want %d", len(c), p.params.Stages))
 	}
-	dv := cond.VDD - Nominal.VDD
-	dt := cond.TempC - Nominal.TempC
-	// Inline the Φ computation to avoid allocating feature vectors in the
-	// hot measurement loops: accumulate suffix parities right-to-left.  The
-	// parity of c_i..c_{k−1} sits in the top bit of sign, and XORing it into
-	// w's sign bit gives exactly w·Φ_i (multiplying by ±1 is exact), so no
-	// jump depends on a challenge bit.
-	k := p.params.Stages
+	return p.delay(c, cond.VDD-Nominal.VDD, cond.TempC-Nominal.TempC)
+}
+
+// delay is Delay at the offsets dv, dt from Nominal, for a challenge of the
+// right length.  It inlines the Φ computation to avoid allocating feature
+// vectors in the hot measurement loops: suffix parities accumulate
+// right-to-left.  phi holds the bits of the float ±1: the parity of
+// c_i..c_{k−1} is XORed into its sign bit, so it is exactly Φ_i without a
+// jump on a challenge bit, and w·Φ_i is exact.
+func (p *ArbiterPUF) delay(c challenge.Challenge, dv, dt float64) float64 {
+	k := len(c)
 	wNom, wVol, wTmp := p.wNom[:k+1], p.wVol[:k+1], p.wTmp[:k+1]
-	sum := wNom[k] + wVol[k]*dv + wTmp[k]*dt
-	var sign uint64
+	sum := weight(wNom[k], wVol[k], wTmp[k], dv, dt)
+	phi := math.Float64bits(1)
 	for i := k - 1; i >= 0; i-- {
-		sign ^= uint64(c[i]&1) << 63
-		w := wNom[i] + wVol[i]*dv + wTmp[i]*dt
-		sum += math.Float64frombits(math.Float64bits(w) ^ sign)
+		phi ^= uint64(c[i]&1) << 63
+		sum += weight(wNom[i], wVol[i], wTmp[i], dv, dt) * math.Float64frombits(phi)
 	}
 	return sum
 }

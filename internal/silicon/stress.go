@@ -105,6 +105,8 @@ func (cfg StressConfig) Validate() error {
 	switch {
 	case cfg.Epochs <= 0:
 		return fmt.Errorf("silicon: stress profile needs Epochs > 0, got %d", cfg.Epochs)
+	case math.IsNaN(cfg.DriftSigma) || math.IsInf(cfg.DriftSigma, 0):
+		return fmt.Errorf("silicon: non-finite stress DriftSigma %g", cfg.DriftSigma)
 	case cfg.DriftSigma < 0:
 		return fmt.Errorf("silicon: negative stress DriftSigma %g", cfg.DriftSigma)
 	}

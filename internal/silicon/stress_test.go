@@ -2,6 +2,7 @@ package silicon
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"xorpuf/internal/challenge"
@@ -156,4 +157,50 @@ func TestChipEntryPointsRejectOutOfEnvelopeConditions(t *testing.T) {
 	}
 	mustPanic("ReadXOR", func() { chip.ReadXOR(c, bad) })
 	mustPanic("ReadXORSubset", func() { chip.ReadXORSubset(1, c, bad) })
+}
+
+func TestValidatorsRejectNonFinite(t *testing.T) {
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		// Every float field of Params, found by reflection so a new field
+		// cannot slip past the check.
+		typ := reflect.TypeOf(Params{})
+		for i := 0; i < typ.NumField(); i++ {
+			if typ.Field(i).Type.Kind() != reflect.Float64 {
+				continue
+			}
+			p := DefaultParams()
+			reflect.ValueOf(&p).Elem().Field(i).SetFloat(bad)
+			if p.Validate() == nil {
+				t.Errorf("Params.Validate accepted %s = %g", typ.Field(i).Name, bad)
+			}
+		}
+		cfg := DefaultStressConfig()
+		cfg.DriftSigma = bad
+		if cfg.Validate() == nil {
+			t.Errorf("StressConfig.Validate accepted DriftSigma = %g", bad)
+		}
+		puf := newTestPUF(40)
+		before := puf.Weights(Nominal)
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Age accepted drift %g", bad)
+				}
+			}()
+			puf.Age(rng.New(41), bad)
+		}()
+		for i, w := range puf.Weights(Nominal) {
+			if math.Float64bits(w) != math.Float64bits(before[i]) {
+				t.Fatalf("Age(%g) changed weight %d before panicking", bad, i)
+			}
+		}
+	}
+	if err := DefaultParams().Validate(); err != nil {
+		t.Errorf("default params rejected: %v", err)
+	}
+	zero := DefaultParams()
+	zero.NoiseSigma = 0
+	if err := zero.Validate(); err != nil {
+		t.Errorf("NoiseSigma 0 rejected: %v", err)
+	}
 }
