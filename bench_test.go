@@ -10,6 +10,7 @@
 package xorpuf_test
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -548,7 +549,7 @@ func BenchmarkFleetKeyDerivation(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		entry := reg.Lookup(fmt.Sprintf("chip-%d", i%chips))
-		cs, predicted, err := entry.IssueKey(kcfg.N(), 0)
+		cs, predicted, err := entry.IssueKeyCtx(context.Background(), kcfg.N(), 0)
 		if err != nil {
 			b.Fatal(err)
 		}

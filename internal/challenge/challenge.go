@@ -102,26 +102,6 @@ func RandomBatch(src *rng.Source, n, k int) []Challenge {
 	return out
 }
 
-// RandomBatchDistinct returns n distinct uniformly random k-bit challenges
-// (rejection-sampled); it panics if n exceeds 2^k.
-func RandomBatchDistinct(src *rng.Source, n, k int) []Challenge {
-	if k < 63 && uint64(n) > 1<<uint(k) {
-		panic("challenge: more distinct challenges requested than exist")
-	}
-	seen := make(map[uint64]struct{}, n)
-	out := make([]Challenge, 0, n)
-	for len(out) < n {
-		c := Random(src, k)
-		w := c.Word()
-		if _, dup := seen[w]; dup && k <= 64 {
-			continue
-		}
-		seen[w] = struct{}{}
-		out = append(out, c)
-	}
-	return out
-}
-
 // FeatureDim returns the length of the parity feature vector for k stages.
 func FeatureDim(k int) int { return k + 1 }
 

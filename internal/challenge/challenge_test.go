@@ -106,19 +106,6 @@ func TestRandomChallengeBits(t *testing.T) {
 	}
 }
 
-func TestRandomBatchDistinct(t *testing.T) {
-	src := rng.New(3)
-	cs := RandomBatchDistinct(src, 200, 10)
-	seen := map[uint64]bool{}
-	for _, c := range cs {
-		w := c.Word()
-		if seen[w] {
-			t.Fatal("duplicate challenge in distinct batch")
-		}
-		seen[w] = true
-	}
-}
-
 func TestFeatureMatrixRows(t *testing.T) {
 	src := rng.New(4)
 	cs := RandomBatch(src, 50, 24)

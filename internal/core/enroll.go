@@ -98,17 +98,6 @@ func (cm *ChipModel) Narrow(n int) *ChipModel {
 	return &ChipModel{PUFs: cm.PUFs[:n], Beta0: cm.Beta0, Beta1: cm.Beta1}
 }
 
-// PredictedStable reports whether every member PUF classifies the challenge
-// as stable (0 or 1) under the chip's β-adjusted thresholds.
-func (cm *ChipModel) PredictedStable(c challenge.Challenge) bool {
-	for _, m := range cm.PUFs {
-		if m.ClassifyChallenge(c, cm.Beta0, cm.Beta1) == Unstable {
-			return false
-		}
-	}
-	return true
-}
-
 // PredictXOR returns the predicted XOR response and whether the challenge is
 // predicted stable on all members; the bit is only meaningful when stable.
 func (cm *ChipModel) PredictXOR(c challenge.Challenge) (bit uint8, stable bool) {

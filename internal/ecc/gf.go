@@ -76,14 +76,6 @@ func (f *Field) Mul(a, b uint32) uint32 {
 	return f.exp[f.log[a]+f.log[b]]
 }
 
-// Inv returns a⁻¹; it panics on 0.
-func (f *Field) Inv(a uint32) uint32 {
-	if a == 0 {
-		panic("ecc: inverse of zero")
-	}
-	return f.exp[f.N-f.log[a]]
-}
-
 // Div returns a/b; it panics when b is 0.
 func (f *Field) Div(a, b uint32) uint32 {
 	if b == 0 {

@@ -221,7 +221,7 @@ func TestMetricsPanel(t *testing.T) {
 func TestTableRendering(t *testing.T) {
 	tbl := &Table{Title: "T", Header: []string{"a", "bb"}}
 	tbl.AddRowf(1, 2.5)
-	tbl.AddRow("x", "y")
+	tbl.AddRowf("x", "y")
 	s := tbl.String()
 	if !strings.Contains(s, "T\n") || !strings.Contains(s, "2.5") {
 		t.Errorf("render:\n%s", s)

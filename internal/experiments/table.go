@@ -12,11 +12,6 @@ type Table struct {
 	Rows   [][]string
 }
 
-// AddRow appends one formatted row.
-func (t *Table) AddRow(cells ...string) {
-	t.Rows = append(t.Rows, cells)
-}
-
 // AddRowf appends a row built by applying fmt.Sprintf("%v") to each value,
 // with float64 values rendered compactly.
 func (t *Table) AddRowf(values ...interface{}) {

@@ -133,7 +133,7 @@ const (
 // Event is a typed health-state transition.
 type Event struct {
 	// ChipID identifies the chip (empty for bare trackers; filled by the
-	// Monitor and the registry).
+	// registry).
 	ChipID string
 	// From and To are the states on either side of the transition.
 	From, To State
@@ -255,8 +255,7 @@ type TrackerState struct {
 }
 
 // Tracker runs the drift detectors for one chip.  It is NOT safe for
-// concurrent use — the registry guards it with the entry lock, and the
-// Monitor with its own; see those for concurrent fronts.
+// concurrent use — the registry guards it with the entry lock.
 type Tracker struct {
 	cfg Config
 	st  TrackerState

@@ -1,9 +1,6 @@
 package health
 
-import (
-	"sync"
-	"testing"
-)
+import "testing"
 
 func clean() Outcome  { return Outcome{Approved: true, Mismatches: 0, Challenges: 25} }
 func failed() Outcome { return Outcome{Approved: false, Mismatches: 5, Challenges: 25} }
@@ -200,80 +197,5 @@ func TestStateStringAndValid(t *testing.T) {
 	}
 	if State(7).Valid() {
 		t.Error("State(7) claims Valid()")
-	}
-}
-
-func TestMonitorConcurrent(t *testing.T) {
-	m := NewMonitor(Config{})
-	var evMu sync.Mutex
-	events := map[string][]Event{}
-	m.OnEvent(func(ev Event) {
-		evMu.Lock()
-		events[ev.ChipID] = append(events[ev.ChipID], ev)
-		evMu.Unlock()
-	})
-
-	// Chip "bad-N" drifts; chip "good-N" stays clean.  Hammer from many
-	// goroutines (one per chip, so per-chip ordering holds).
-	var wg sync.WaitGroup
-	ids := []string{"good-0", "bad-0", "good-1", "bad-1", "good-2", "bad-2"}
-	for _, id := range ids {
-		wg.Add(1)
-		go func(id string) {
-			defer wg.Done()
-			for i := 0; i < 60; i++ {
-				o := clean()
-				if id[0] == 'b' {
-					o = failed()
-				}
-				m.Record(id, o)
-			}
-		}(id)
-	}
-	wg.Wait()
-
-	for _, id := range ids {
-		want := Healthy
-		if id[0] == 'b' {
-			want = Quarantined
-		}
-		if got := m.State(id); got != want {
-			t.Errorf("%s: state %v, want %v", id, got, want)
-		}
-	}
-	evMu.Lock()
-	for _, id := range ids {
-		if id[0] == 'b' {
-			if n := len(events[id]); n != 2 {
-				t.Errorf("%s: %d events, want 2 (degrade, quarantine): %v", id, n, events[id])
-			}
-			for _, ev := range events[id] {
-				if ev.ChipID != id {
-					t.Errorf("event carries wrong chip id: %v", ev)
-				}
-			}
-		} else if len(events[id]) != 0 {
-			t.Errorf("%s: unexpected events %v", id, events[id])
-		}
-	}
-	evMu.Unlock() // Force/Reset below re-enter the callback, which locks evMu
-
-	// Unknown chips read healthy; snapshot covers all tracked chips.
-	if m.State("never-seen") != Healthy {
-		t.Error("unknown chip not healthy")
-	}
-	if snap := m.Snapshot(); len(snap) != len(ids) {
-		t.Errorf("snapshot has %d chips, want %d", len(snap), len(ids))
-	}
-
-	// Force + Reset round-trip through the monitor.
-	if ev, ok := m.Force("good-0", Quarantined); !ok || ev.ChipID != "good-0" {
-		t.Errorf("Force: %v %v", ev, ok)
-	}
-	if m.State("good-0") != Quarantined {
-		t.Error("Force did not stick")
-	}
-	if ev, ok := m.Reset("good-0"); !ok || ev.To != Healthy {
-		t.Errorf("Reset: %v %v", ev, ok)
 	}
 }

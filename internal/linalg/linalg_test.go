@@ -11,8 +11,8 @@ import (
 func approxEq(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
 
 func TestMulKnown(t *testing.T) {
-	a := FromRows([][]float64{{1, 2}, {3, 4}})
-	b := FromRows([][]float64{{5, 6}, {7, 8}})
+	a := &Matrix{Rows: 2, Cols: 2, Data: []float64{1, 2, 3, 4}}
+	b := &Matrix{Rows: 2, Cols: 2, Data: []float64{5, 6, 7, 8}}
 	c := a.Mul(b)
 	want := [][]float64{{19, 22}, {43, 50}}
 	for i := 0; i < 2; i++ {
@@ -98,7 +98,7 @@ func TestCholeskyReconstruction(t *testing.T) {
 }
 
 func TestCholeskyRejectsIndefinite(t *testing.T) {
-	a := FromRows([][]float64{{1, 0}, {0, -1}})
+	a := &Matrix{Rows: 2, Cols: 2, Data: []float64{1, 0, 0, -1}}
 	if _, err := Cholesky(a); err == nil {
 		t.Fatal("expected error for indefinite matrix")
 	}
@@ -126,7 +126,7 @@ func TestSolveSPD(t *testing.T) {
 
 func TestLeastSquaresExact(t *testing.T) {
 	// Square, consistent system: solution must be exact.
-	a := FromRows([][]float64{{2, 1}, {1, 3}})
+	a := &Matrix{Rows: 2, Cols: 2, Data: []float64{2, 1, 1, 3}}
 	x, err := LeastSquares(a, []float64{5, 10}, 0)
 	if err != nil {
 		t.Fatal(err)

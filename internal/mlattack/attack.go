@@ -1,7 +1,6 @@
 package mlattack
 
 import (
-	"fmt"
 	"time"
 
 	"xorpuf/internal/challenge"
@@ -27,18 +26,6 @@ func DatasetFromCRPs(crps []xorpuf.CRP) Dataset {
 	for i, crp := range crps {
 		cs[i] = crp.Challenge
 		y[i] = float64(crp.Response)
-	}
-	return Dataset{X: challenge.FeatureMatrix(cs), Y: y}
-}
-
-// DatasetFromResponses builds a dataset from raw challenges and bits.
-func DatasetFromResponses(cs []challenge.Challenge, bits []uint8) Dataset {
-	if len(cs) != len(bits) {
-		panic(fmt.Sprintf("mlattack: %d challenges but %d responses", len(cs), len(bits)))
-	}
-	y := make([]float64, len(bits))
-	for i, b := range bits {
-		y[i] = float64(b)
 	}
 	return Dataset{X: challenge.FeatureMatrix(cs), Y: y}
 }

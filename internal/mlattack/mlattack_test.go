@@ -65,8 +65,8 @@ func TestLBFGSAlreadyAtMinimum(t *testing.T) {
 func TestMLPParamLayout(t *testing.T) {
 	m := NewMLP(33, []int{35, 25, 25})
 	want := 33*35 + 35 + 35*25 + 25 + 25*25 + 25 + 25*1 + 1
-	if m.NumParams() != want {
-		t.Fatalf("NumParams = %d, want %d", m.NumParams(), want)
+	if m.nParams != want {
+		t.Fatalf("%d params, want %d", m.nParams, want)
 	}
 	if m.Layers() != 4 {
 		t.Fatalf("Layers = %d, want 4", m.Layers())
@@ -306,16 +306,16 @@ func TestFeedForwardResistsLogisticBetterThanLinear(t *testing.T) {
 	})
 	cSrc := rng.New(32)
 	cs := challenge.RandomBatch(cSrc, trainN+testN, params.Stages)
-	linBits := make([]uint8, len(cs))
-	ffBits := make([]uint8, len(cs))
+	linY := make([]float64, len(cs))
+	ffY := make([]float64, len(cs))
 	for i, c := range cs {
 		if lin.Delay(c, silicon.Nominal) > 0 {
-			linBits[i] = 1
+			linY[i] = 1
 		}
-		ffBits[i] = ff.NoiselessResponse(c, silicon.Nominal)
+		ffY[i] = float64(ff.NoiselessResponse(c, silicon.Nominal))
 	}
-	linData := DatasetFromResponses(cs, linBits)
-	ffData := DatasetFromResponses(cs, ffBits)
+	linData := Dataset{X: challenge.FeatureMatrix(cs), Y: linY}
+	ffData := Dataset{X: challenge.FeatureMatrix(cs), Y: ffY}
 
 	linRes := RunLogisticAttack(linData.Head(trainN),
 		Dataset{X: sliceTail(linData.X, trainN), Y: linData.Y[trainN:]}, 1e-4, DefaultLBFGSConfig())
@@ -406,7 +406,7 @@ func TestAdamBatchLargerThanDataset(t *testing.T) {
 	cfg.Epochs = 5
 	cfg.Tol = 0
 	params, epochs := m.TrainAdam(src.Split("t"), x, y, 1e-4, cfg)
-	if len(params) != m.NumParams() || epochs != 5 {
+	if len(params) != m.nParams || epochs != 5 {
 		t.Errorf("clamped-batch training misbehaved: %d params, %d epochs", len(params), epochs)
 	}
 }

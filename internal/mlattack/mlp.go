@@ -48,9 +48,6 @@ func NewMLP(inputDim int, hidden []int) *MLP {
 	return m
 }
 
-// NumParams returns the length of the flat parameter vector.
-func (m *MLP) NumParams() int { return m.nParams }
-
 // Layers returns the number of weight layers (hidden layers + output).
 func (m *MLP) Layers() int { return len(m.sizes) - 1 }
 

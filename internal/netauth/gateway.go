@@ -31,6 +31,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"io"
 	"math/rand"
 	"net"
 	"sort"
@@ -50,7 +51,17 @@ var (
 	gatewayUnroutable = telemetry.Default.Counter("gateway_unroutable_total")
 	gatewayDownMarks  = telemetry.Default.Counter("gateway_backend_down_total")
 	gatewayRedirects  = telemetry.Default.Counter("gateway_redirects_total")
-	gatewayStaleSwaps = telemetry.Default.Counter("gateway_stale_ownership_total")
+)
+
+const (
+	// gatewayHelloTimeout bounds the wait for the session's opening frame,
+	// the backend's first reply and a refusal write.
+	gatewayHelloTimeout = 5 * time.Second
+	// gatewayRedirectBudget caps how many "moved" redirects one session
+	// follows before the error is handed to the device.  A budget stops a
+	// misconfigured shard pair that redirects in a cycle from pinning
+	// gateway goroutines forever.
+	gatewayRedirectBudget = 3
 )
 
 // GatewayShard is one registry shard: a name (the hash-ring identity) and
@@ -75,14 +86,6 @@ type GatewayConfig struct {
 	Cooldown time.Duration
 	// MaxCooldown caps the down-mark backoff (default 15s).
 	MaxCooldown time.Duration
-	// HelloTimeout bounds the wait for the session's hello frame
-	// (default 5s).
-	HelloTimeout time.Duration
-	// RedirectBudget caps how many "moved" redirects one session follows
-	// before the error is handed to the device (default 3).  A budget stops
-	// a misconfigured shard pair that redirects in a cycle from pinning
-	// gateway goroutines forever.
-	RedirectBudget int
 }
 
 func (c GatewayConfig) normalized() GatewayConfig {
@@ -98,35 +101,12 @@ func (c GatewayConfig) normalized() GatewayConfig {
 	if c.MaxCooldown <= 0 {
 		c.MaxCooldown = 15 * time.Second
 	}
-	if c.HelloTimeout <= 0 {
-		c.HelloTimeout = 5 * time.Second
-	}
-	if c.RedirectBudget <= 0 {
-		c.RedirectBudget = 3
-	}
 	return c
 }
 
 type ringPoint struct {
 	hash  uint64
 	shard int
-}
-
-// OwnershipOverride routes a contiguous chip-ID range [Lo, Hi) — compared
-// lexicographically, Hi == "" meaning unbounded — to explicit addresses,
-// bypassing the hash ring.  This is how a completed rebalance becomes
-// routing truth: the operator (or the migration driver) swaps in a table
-// whose epoch matches the cutover records on both shards.
-type OwnershipOverride struct {
-	Lo    string   `json:"lo"`
-	Hi    string   `json:"hi"`
-	Addrs []string `json:"addrs"`
-}
-
-// ownershipTable is the atomically swapped routing override set.
-type ownershipTable struct {
-	epoch     uint64
-	overrides []OwnershipOverride
 }
 
 // downState is one backend's failure streak and jittered probe-again time.
@@ -140,7 +120,6 @@ type Gateway struct {
 	shards []GatewayShard
 	ring   []ringPoint
 	cfg    GatewayConfig
-	own    atomic.Pointer[ownershipTable]
 
 	mu     sync.Mutex
 	down   map[string]downState
@@ -175,8 +154,7 @@ func ringHash(s string) uint64 {
 	return h.Sum64()
 }
 
-// ShardFor returns the shard that owns chipID on the hash ring (ownership
-// overrides are applied on top by routeFor).
+// ShardFor returns the shard that owns chipID on the hash ring.
 func (g *Gateway) ShardFor(chipID string) GatewayShard {
 	h := ringHash(chipID)
 	i := sort.Search(len(g.ring), func(i int) bool { return g.ring[i].hash >= h })
@@ -184,57 +162,6 @@ func (g *Gateway) ShardFor(chipID string) GatewayShard {
 		i = 0
 	}
 	return g.shards[g.ring[i].shard]
-}
-
-// SetOwnership atomically swaps the routing-override table.  The epoch must
-// strictly advance: a stale swap — a replayed or out-of-order update from an
-// older migration — is rejected so routing can only move forward through the
-// same epoch sequence the shards' cutover records journaled.  Epoch 0 with
-// no overrides resets an unused gateway.
-func (g *Gateway) SetOwnership(epoch uint64, overrides []OwnershipOverride) error {
-	for i, o := range overrides {
-		if o.Lo == "" && o.Hi == "" {
-			return fmt.Errorf("netauth: ownership override %d covers the full keyspace", i)
-		}
-		if o.Hi != "" && o.Lo >= o.Hi {
-			return fmt.Errorf("netauth: ownership override %d has empty range [%q,%q)", i, o.Lo, o.Hi)
-		}
-		if len(o.Addrs) == 0 {
-			return fmt.Errorf("netauth: ownership override %d has no addresses", i)
-		}
-	}
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if cur := g.own.Load(); cur != nil && epoch <= cur.epoch {
-		gatewayStaleSwaps.Inc()
-		return fmt.Errorf("netauth: stale ownership epoch %d (current %d)", epoch, cur.epoch)
-	}
-	cp := make([]OwnershipOverride, len(overrides))
-	copy(cp, overrides)
-	g.own.Store(&ownershipTable{epoch: epoch, overrides: cp})
-	return nil
-}
-
-// OwnershipEpoch returns the current override table's epoch (0 when none).
-func (g *Gateway) OwnershipEpoch() uint64 {
-	if t := g.own.Load(); t != nil {
-		return t.epoch
-	}
-	return 0
-}
-
-// routeFor resolves chipID to candidate addresses: the first matching
-// ownership override wins, otherwise the hash-ring shard's replica list.
-func (g *Gateway) routeFor(chipID string) (addrs []string, label string) {
-	if t := g.own.Load(); t != nil {
-		for _, o := range t.overrides {
-			if chipID >= o.Lo && (o.Hi == "" || chipID < o.Hi) {
-				return o.Addrs, fmt.Sprintf("override[%q,%q)", o.Lo, o.Hi)
-			}
-		}
-	}
-	s := g.ShardFor(chipID)
-	return s.Addrs, s.Name
 }
 
 // Serve accepts device connections on ln until Close.
@@ -253,7 +180,7 @@ func (g *Gateway) Serve(ln net.Listener) error {
 				return nil
 			}
 			var ne net.Error
-			if ok := asNetError(err, &ne); ok && ne.Timeout() {
+			if errors.As(err, &ne) && ne.Timeout() {
 				continue
 			}
 			return err
@@ -264,14 +191,6 @@ func (g *Gateway) Serve(ln net.Listener) error {
 			g.handle(conn)
 		}()
 	}
-}
-
-func asNetError(err error, target *net.Error) bool {
-	ne, ok := err.(net.Error)
-	if ok {
-		*target = ne
-	}
-	return ok
 }
 
 // Close stops accepting and waits for in-flight sessions to unwind (each is
@@ -297,7 +216,7 @@ func (g *Gateway) handle(client net.Conn) {
 	defer gatewayActive.Dec()
 
 	br := bufio.NewReader(client)
-	client.SetReadDeadline(time.Now().Add(g.cfg.HelloTimeout))
+	client.SetReadDeadline(time.Now().Add(gatewayHelloTimeout))
 	opening, chipID, span, ok := g.readOpening(client, br)
 	if !ok {
 		return
@@ -311,8 +230,9 @@ func (g *Gateway) handle(client net.Conn) {
 	// follows (within budget) so the device never sees the topology change.
 	// Each attempt gets its own hop span, so redirects and re-routes show up
 	// as sibling hops under the gateway session.
-	addrs, label := g.routeFor(chipID)
-	budget := g.cfg.RedirectBudget
+	shard := g.ShardFor(chipID)
+	addrs, label := shard.Addrs, shard.Name
+	budget := gatewayRedirectBudget
 	var backend net.Conn
 	var bbr *bufio.Reader
 	var firstReply []byte
@@ -337,7 +257,7 @@ func (g *Gateway) handle(client net.Conn) {
 			return
 		}
 		bbr = bufio.NewReader(backend)
-		backend.SetReadDeadline(time.Now().Add(g.cfg.HelloTimeout))
+		backend.SetReadDeadline(time.Now().Add(gatewayHelloTimeout))
 		reply, moved, redirect, err := g.readReply(bbr)
 		if err != nil {
 			backend.Close()
@@ -441,9 +361,7 @@ func (g *Gateway) readReply(bbr *bufio.Reader) (reply []byte, moved bool, redire
 	return raw, false, "", nil
 }
 
-type reader interface{ Read([]byte) (int, error) }
-
-func copyConn(dst net.Conn, src reader, buf []byte) {
+func copyConn(dst net.Conn, src io.Reader, buf []byte) {
 	for {
 		n, err := src.Read(buf)
 		if n > 0 {
@@ -540,6 +458,6 @@ func (g *Gateway) refuse(conn net.Conn, code, msg string, retryable bool) {
 	frame := wire.AppendFrame(nil, &wire.Msg{
 		Type: wire.TError, Code: codeToByte(code), ErrMsg: msg, Retryable: retryable,
 	})
-	conn.SetWriteDeadline(time.Now().Add(g.cfg.HelloTimeout))
+	conn.SetWriteDeadline(time.Now().Add(gatewayHelloTimeout))
 	conn.Write(frame) //nolint:errcheck
 }

@@ -249,46 +249,6 @@ func TestGatewayFollowsMovedRedirect(t *testing.T) {
 	}
 }
 
-func TestGatewayOwnershipOverrides(t *testing.T) {
-	g, err := NewGateway([]GatewayShard{
-		{Name: "shard-0", Addrs: []string{"127.0.0.1:1"}},
-	}, GatewayConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Invalid overrides are rejected up front.
-	for _, bad := range [][]OwnershipOverride{
-		{{Lo: "", Hi: "", Addrs: []string{"x"}}},
-		{{Lo: "b", Hi: "a", Addrs: []string{"x"}}},
-		{{Lo: "a", Hi: "b"}},
-	} {
-		if err := g.SetOwnership(1, bad); err == nil {
-			t.Fatalf("SetOwnership accepted invalid override %+v", bad)
-		}
-	}
-	if err := g.SetOwnership(2, []OwnershipOverride{
-		{Lo: "chip-m", Hi: "chip-q", Addrs: []string{"10.0.0.9:1"}},
-	}); err != nil {
-		t.Fatal(err)
-	}
-	// Stale and equal epochs are refused: routing only moves forward.
-	if err := g.SetOwnership(2, nil); err == nil {
-		t.Fatal("SetOwnership accepted a replayed epoch")
-	}
-	if err := g.SetOwnership(1, nil); err == nil {
-		t.Fatal("SetOwnership accepted a stale epoch")
-	}
-	if g.OwnershipEpoch() != 2 {
-		t.Fatalf("epoch %d, want 2", g.OwnershipEpoch())
-	}
-	if addrs, _ := g.routeFor("chip-n"); len(addrs) != 1 || addrs[0] != "10.0.0.9:1" {
-		t.Fatalf("override route = %v, want the override address", addrs)
-	}
-	if addrs, _ := g.routeFor("chip-z"); addrs[0] != "127.0.0.1:1" {
-		t.Fatalf("out-of-range route = %v, want the ring shard", addrs)
-	}
-}
-
 func TestGatewayDownMarkBackoffGrowsAndJitters(t *testing.T) {
 	g, err := NewGateway([]GatewayShard{
 		{Name: "shard-0", Addrs: []string{"127.0.0.1:1"}},

@@ -1,6 +1,7 @@
 package registry
 
 import (
+	"context"
 	"testing"
 )
 
@@ -20,7 +21,7 @@ func TestIssueKeySharesNeverReuseBudget(t *testing.T) {
 	e := r.Lookup("chip-0")
 
 	keyWords := make(map[uint64]bool)
-	cs, bits, err := e.IssueKey(20, 0)
+	cs, bits, err := e.IssueKeyCtx(context.Background(), 20, 0)
 	if err != nil {
 		t.Fatalf("IssueKey: %v", err)
 	}
@@ -42,7 +43,7 @@ func TestIssueKeySharesNeverReuseBudget(t *testing.T) {
 			t.Fatalf("auth Issue re-issued key-derivation word %#x", w)
 		}
 	}
-	cs2, _, err := e.IssueKey(20, 0)
+	cs2, _, err := e.IssueKeyCtx(context.Background(), 20, 0)
 	if err != nil {
 		t.Fatalf("second IssueKey: %v", err)
 	}
@@ -73,7 +74,7 @@ func TestIssueKeySurvivesHardStop(t *testing.T) {
 		t.Fatal(err)
 	}
 	burned := make(map[uint64]bool)
-	cs, _, err := r1.Lookup("chip-0").IssueKey(40, 0)
+	cs, _, err := r1.Lookup("chip-0").IssueKeyCtx(context.Background(), 40, 0)
 	if err != nil {
 		t.Fatalf("IssueKey: %v", err)
 	}
@@ -97,7 +98,7 @@ func TestIssueKeySurvivesHardStop(t *testing.T) {
 	if st := e.Status(); st.Issued != 65 {
 		t.Fatalf("recovered Issued = %d, want 65", st.Issued)
 	}
-	cs2, _, err := e.IssueKey(40, 0)
+	cs2, _, err := e.IssueKeyCtx(context.Background(), 40, 0)
 	if err != nil {
 		t.Fatalf("post-recovery IssueKey: %v", err)
 	}
@@ -134,13 +135,13 @@ func TestReplicatedKeyIssueApplies(t *testing.T) {
 		payload []byte
 	}
 	var stream []rec
-	primary.SetAppendObserver(func(seq uint64, typ byte, payload []byte) {
+	primary.AddAppendObserver(func(seq uint64, typ byte, payload []byte) {
 		stream = append(stream, rec{seq, typ, append([]byte(nil), payload...)})
 	})
 	if err := primary.Register("chip-0", syntheticModel(2, 32), 100); err != nil {
 		t.Fatal(err)
 	}
-	cs, _, err := primary.Lookup("chip-0").IssueKey(15, 0)
+	cs, _, err := primary.Lookup("chip-0").IssueKeyCtx(context.Background(), 15, 0)
 	if err != nil {
 		t.Fatalf("IssueKey: %v", err)
 	}
@@ -162,7 +163,7 @@ func TestReplicatedKeyIssueApplies(t *testing.T) {
 	for _, c := range cs {
 		burned[c] = true
 	}
-	cs2, _, err := follower.Lookup("chip-0").IssueKey(15, 0)
+	cs2, _, err := follower.Lookup("chip-0").IssueKeyCtx(context.Background(), 15, 0)
 	if err != nil {
 		t.Fatalf("follower IssueKey: %v", err)
 	}

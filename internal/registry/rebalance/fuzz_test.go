@@ -23,7 +23,7 @@ func seedMigrationFrames(f *testing.F) {
 	}
 	defer src.Close()
 	var deltas [][]byte
-	src.SetAppendObserver(func(seq uint64, typ byte, payload []byte) {
+	src.AddAppendObserver(func(seq uint64, typ byte, payload []byte) {
 		if registry.RecordChipID(typ, payload) != "" {
 			deltas = append(deltas, wire.AppendOpaque(nil, mDelta, repl.RecordPayload(seq, typ, payload)))
 		}

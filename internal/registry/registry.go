@@ -66,8 +66,6 @@ type Options struct {
 	// still single write syscalls (data survives process death), fsync
 	// additionally survives OS/power failure at a large throughput cost.
 	Fsync bool
-	// Health tunes the per-chip drift detectors (zero value = defaults).
-	Health health.Config
 }
 
 func (o Options) normalized() Options {
@@ -123,9 +121,7 @@ type Registry struct {
 	// path never takes obsMu: a replication primary and a live migration
 	// source can tap the journal simultaneously while traffic is hot.
 	obsMu      sync.Mutex
-	obsSeq     uint64
-	obsSlots   map[uint64]AppendObserver
-	appendObs  atomic.Pointer[[]AppendObserver]
+	appendObs  atomic.Pointer[[]*AppendObserver]
 	commitWait atomic.Pointer[CommitWaiter]
 
 	// Migration/ownership state (see migrate.go).  ownMu is a leaf lock:
@@ -141,7 +137,6 @@ type Registry struct {
 func Open(dir string, opts Options) (*Registry, error) {
 	r := &Registry{opts: opts.normalized(), dir: dir, closeDone: make(chan struct{})}
 	r.own.init()
-	r.obsSlots = make(map[uint64]AppendObserver)
 	r.shards = make([]shard, r.opts.Shards)
 	r.mask = uint64(r.opts.Shards - 1)
 	for i := range r.shards {
@@ -395,7 +390,7 @@ type Entry struct {
 func (r *Registry) newEntry(rec record) *Entry {
 	sel := r.newSelector(rec.id, rec.model)
 	sel.ImportState(core.SelectorState{Budget: rec.budget, Used: rec.words})
-	tracker := health.NewTracker(r.opts.Health)
+	tracker := health.NewTracker(health.Config{})
 	tracker.Restore(rec.health)
 	return &Entry{id: rec.id, reg: r, model: rec.model, selector: sel,
 		denials: rec.denials, locked: rec.locked, tracker: tracker}
@@ -475,16 +470,11 @@ func (e *Entry) IssueCtx(ctx context.Context, count, maxExamined int) ([]uint64,
 	return e.issueBurned(ctx, recIssued, count, maxExamined)
 }
 
-// IssueKey draws challenges for a key-derivation handshake.  They burn from
-// the same never-reuse budget as authentication challenges — a chosen-
+// IssueKeyCtx draws challenges for a key-derivation handshake.  They burn
+// from the same never-reuse budget as authentication challenges — a chosen-
 // challenge adversary does not care which protocol carried a challenge off
 // the server — but are journaled under their own record type so the WAL
-// stays auditable by workload.
-func (e *Entry) IssueKey(count, maxExamined int) ([]uint64, []uint8, error) {
-	return e.issueBurned(context.Background(), recKeyIssued, count, maxExamined)
-}
-
-// IssueKeyCtx is IssueKey with a request context (see IssueCtx).
+// stays auditable by workload.  ctx is used as in IssueCtx.
 func (e *Entry) IssueKeyCtx(ctx context.Context, count, maxExamined int) ([]uint64, []uint8, error) {
 	return e.issueBurned(ctx, recKeyIssued, count, maxExamined)
 }

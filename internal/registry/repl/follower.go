@@ -33,12 +33,6 @@ type FollowerConfig struct {
 	// ReconnectMin/Max bound the exponential reconnect backoff
 	// (defaults 100ms / 5s).
 	ReconnectMin, ReconnectMax time.Duration
-	// IOTimeout bounds handshake and snapshot frame reads (default 10s).
-	IOTimeout time.Duration
-	// IdleTimeout is the longest silence tolerated on a streaming link
-	// before it is declared dead; the primary heartbeats every 500ms by
-	// default (default 10s).
-	IdleTimeout time.Duration
 }
 
 func (c FollowerConfig) normalized() FollowerConfig {
@@ -51,12 +45,6 @@ func (c FollowerConfig) normalized() FollowerConfig {
 	}
 	if c.ReconnectMax <= 0 {
 		c.ReconnectMax = 5 * time.Second
-	}
-	if c.IOTimeout <= 0 {
-		c.IOTimeout = 10 * time.Second
-	}
-	if c.IdleTimeout <= 0 {
-		c.IdleTimeout = 10 * time.Second
 	}
 	return c
 }
@@ -159,7 +147,7 @@ func (f *Follower) setState(s State) {
 // terminal for the link but not for the follower.
 func (f *Follower) session(ctx context.Context) error {
 	f.setState(StateConnecting)
-	dctx, dcancel := context.WithTimeout(ctx, f.cfg.IOTimeout)
+	dctx, dcancel := context.WithTimeout(ctx, ioTimeout)
 	conn, err := f.cfg.Dial(dctx, "tcp", f.addr)
 	dcancel()
 	if err != nil {
@@ -172,7 +160,7 @@ func (f *Follower) session(ctx context.Context) error {
 
 	br := bufio.NewReader(conn)
 	var buf []byte
-	conn.SetDeadline(time.Now().Add(f.cfg.IOTimeout))
+	conn.SetDeadline(time.Now().Add(ioTimeout))
 	if err := wire.WriteOpaque(conn, fHello, helloPayload(f.reg.Seq())); err != nil {
 		return err
 	}
@@ -196,7 +184,7 @@ func (f *Follower) session(ctx context.Context) error {
 	if err != nil {
 		return err
 	}
-	snap, err := ReceiveSnapshot(conn, br, &buf, fSnapChunk, fSnapEnd, dataLen, f.cfg.IOTimeout)
+	snap, err := ReceiveSnapshot(conn, br, &buf, fSnapChunk, fSnapEnd, dataLen, ioTimeout)
 	if err != nil {
 		return err
 	}
@@ -222,7 +210,7 @@ func (f *Follower) session(ctx context.Context) error {
 	f.state = StateStreaming
 	f.mu.Unlock()
 	f.publishLag()
-	conn.SetDeadline(time.Now().Add(f.cfg.IdleTimeout))
+	conn.SetDeadline(time.Now().Add(idleTimeout))
 	if err := wire.WriteOpaque(conn, fAck, U64Payload(applied)); err != nil {
 		return err
 	}
@@ -234,7 +222,7 @@ func (f *Follower) session(ctx context.Context) error {
 	var lastApplyStart time.Time
 	var lastApplySeconds float64
 	for {
-		conn.SetDeadline(time.Now().Add(f.cfg.IdleTimeout))
+		conn.SetDeadline(time.Now().Add(idleTimeout))
 		typ, payload, err := wire.ReadOpaque(br, &buf)
 		if err != nil {
 			return err
@@ -334,7 +322,7 @@ func (f *Follower) session(ctx context.Context) error {
 }
 
 func (f *Follower) sendError(conn net.Conn, code string, err error) {
-	conn.SetWriteDeadline(time.Now().Add(f.cfg.IOTimeout))
+	conn.SetWriteDeadline(time.Now().Add(ioTimeout))
 	wire.WriteOpaque(conn, fError, ErrorPayload(code, err.Error())) //nolint:errcheck
 }
 

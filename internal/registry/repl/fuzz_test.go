@@ -23,7 +23,7 @@ func seedFrames(f *testing.F) {
 	}
 	defer reg.Close()
 	var records [][]byte
-	reg.SetAppendObserver(func(seq uint64, typ byte, payload []byte) {
+	reg.AddAppendObserver(func(seq uint64, typ byte, payload []byte) {
 		records = append(records, wire.AppendOpaque(nil, fRecord, RecordPayload(seq, typ, payload)))
 	})
 	if err := reg.Register("chip-0", syntheticModel(2, 16), 64); err != nil {

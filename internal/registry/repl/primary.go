@@ -36,14 +36,6 @@ type PrimaryConfig struct {
 	Strict bool
 	// AckTimeout bounds the per-issuance quorum wait (default 2s).
 	AckTimeout time.Duration
-	// Heartbeat is the idle-link heartbeat interval (default 500ms).
-	Heartbeat time.Duration
-	// Buffer is the per-follower in-flight record buffer; a follower that
-	// falls further behind than this is dropped and re-bootstraps from a
-	// snapshot (default 4096).
-	Buffer int
-	// IOTimeout bounds each frame write (default 10s).
-	IOTimeout time.Duration
 }
 
 func (c PrimaryConfig) normalized() PrimaryConfig {
@@ -52,15 +44,6 @@ func (c PrimaryConfig) normalized() PrimaryConfig {
 	}
 	if c.AckTimeout <= 0 {
 		c.AckTimeout = 2 * time.Second
-	}
-	if c.Heartbeat <= 0 {
-		c.Heartbeat = 500 * time.Millisecond
-	}
-	if c.Buffer <= 0 {
-		c.Buffer = 4096
-	}
-	if c.IOTimeout <= 0 {
-		c.IOTimeout = 10 * time.Second
 	}
 	return c
 }
@@ -91,8 +74,9 @@ func (l *link) close() {
 // connected followers, and gates challenge issuance on follower
 // acknowledgements via the commit waiter.
 type Primary struct {
-	reg *registry.Registry
-	cfg PrimaryConfig
+	reg       *registry.Registry
+	cfg       PrimaryConfig
+	unobserve func() // detaches observe from reg
 
 	mu      sync.Mutex
 	cond    *sync.Cond
@@ -111,7 +95,7 @@ func NewPrimary(reg *registry.Registry, cfg PrimaryConfig) *Primary {
 	p := &Primary{reg: reg, cfg: cfg.normalized(), links: make(map[*link]struct{})}
 	p.cond = sync.NewCond(&p.mu)
 	p.lastSeq = reg.Seq() // journal position at attach: pre-existing records ship by snapshot
-	reg.SetAppendObserver(p.observe)
+	p.unobserve = reg.AddAppendObserver(p.observe)
 	reg.SetCommitWaiter(p.WaitCommittedCtx)
 	return p
 }
@@ -175,7 +159,7 @@ func (p *Primary) handle(conn net.Conn) {
 	br := bufio.NewReader(conn)
 	var buf []byte
 
-	conn.SetDeadline(time.Now().Add(p.cfg.IOTimeout))
+	conn.SetDeadline(time.Now().Add(ioTimeout))
 	typ, payload, err := wire.ReadOpaque(br, &buf)
 	if err != nil || typ != fHello {
 		return
@@ -190,7 +174,7 @@ func (p *Primary) handle(conn net.Conn) {
 	// then either in the snapshot (seq ≤ cut) or in the buffer (seq > cut),
 	// with overlap resolved by the follower skipping seqs it already has.
 	l := &link{conn: conn, addr: conn.RemoteAddr().String(),
-		ch: make(chan shipped, p.cfg.Buffer), stop: make(chan struct{})}
+		ch: make(chan shipped, linkBuffer), stop: make(chan struct{})}
 	p.mu.Lock()
 	if p.closed {
 		p.mu.Unlock()
@@ -221,11 +205,11 @@ func (p *Primary) handle(conn net.Conn) {
 	if lastSeq == snapSeq {
 		snap = nil // already at the cut; baseline-only snapshot phase
 	}
-	conn.SetDeadline(time.Now().Add(p.cfg.IOTimeout))
+	conn.SetDeadline(time.Now().Add(ioTimeout))
 	if err := wire.WriteOpaque(conn, fSnapBegin, snapBeginPayload(snapSeq, uint64(len(snap)), baseBytes)); err != nil {
 		return
 	}
-	if err := SendSnapshot(conn, fSnapChunk, fSnapEnd, snap, p.cfg.IOTimeout); err != nil {
+	if err := SendSnapshot(conn, fSnapChunk, fSnapEnd, snap, ioTimeout); err != nil {
 		return
 	}
 	conn.SetDeadline(time.Time{})
@@ -264,7 +248,7 @@ func (p *Primary) handle(conn net.Conn) {
 	}()
 
 	// Writer: stream buffered records and heartbeats until the link dies.
-	hb := time.NewTicker(p.cfg.Heartbeat)
+	hb := time.NewTicker(heartbeatEvery)
 	defer hb.Stop()
 	for {
 		select {
@@ -274,7 +258,7 @@ func (p *Primary) handle(conn net.Conn) {
 			if sh.seq <= snapSeq {
 				continue // the snapshot already covers it
 			}
-			conn.SetWriteDeadline(time.Now().Add(p.cfg.IOTimeout))
+			conn.SetWriteDeadline(time.Now().Add(ioTimeout))
 			if _, err := conn.Write(sh.frame); err != nil {
 				return
 			}
@@ -282,7 +266,7 @@ func (p *Primary) handle(conn net.Conn) {
 			p.mu.Lock()
 			seq, bytes := p.lastSeq, p.bytes
 			p.mu.Unlock()
-			conn.SetWriteDeadline(time.Now().Add(p.cfg.IOTimeout))
+			conn.SetWriteDeadline(time.Now().Add(ioTimeout))
 			if err := wire.WriteOpaque(conn, fHeartbeat, heartbeatPayload(seq, bytes)); err != nil {
 				return
 			}
@@ -437,7 +421,7 @@ func (p *Primary) Status() PrimaryStatus {
 // Close detaches from the registry, drops every follower link, and stops
 // Serve.  Issuance on the registry reverts to local-only journaling.
 func (p *Primary) Close() {
-	p.reg.SetAppendObserver(nil)
+	p.unobserve()
 	p.reg.SetCommitWaiter(nil)
 	p.mu.Lock()
 	if p.closed {

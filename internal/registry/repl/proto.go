@@ -68,6 +68,21 @@ const (
 )
 
 const (
+	// ioTimeout bounds one handshake, snapshot or record frame read or
+	// write on a replication link.
+	ioTimeout = 10 * time.Second
+	// heartbeatEvery is the primary's idle-link heartbeat interval.
+	heartbeatEvery = 500 * time.Millisecond
+	// idleTimeout is the longest silence a follower tolerates on a
+	// streaming link before it declares the link dead.  The primary
+	// heartbeats an idle link every heartbeatEvery (500 ms), so this is 20
+	// missed heartbeats.
+	idleTimeout = 10 * time.Second
+	// linkBuffer is the per-follower in-flight record buffer; a follower
+	// that falls further behind than this is dropped and re-bootstraps
+	// from a snapshot.
+	linkBuffer = 4096
+
 	// snapChunkSize is how much snapshot data rides in one fSnapChunk.
 	snapChunkSize = 256 << 10
 

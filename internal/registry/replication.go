@@ -1,7 +1,7 @@
 // Replication surface: the hooks a WAL-shipping layer (internal/registry/repl)
 // uses to turn one registry into a primary and another into a follower.
 //
-// Primary side: SetAppendObserver taps every durably journaled record, in
+// Primary side: AddAppendObserver taps every durably journaled record, in
 // exact sequence order, as the shipping source; SetCommitWaiter lets the
 // issuance path (Entry.Issue) block until the configured follower quorum has
 // acknowledged the recIssued record, so a challenge never leaves the server
@@ -22,7 +22,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
 )
 
 // ErrSeqGap is returned by ApplyReplicated when a record does not directly
@@ -44,61 +43,39 @@ type AppendObserver func(seq uint64, typ byte, payload []byte)
 // wait must run to its own verdict.
 type CommitWaiter func(ctx context.Context, seq uint64) error
 
-// primaryObsSlot is the reserved slot ID for SetAppendObserver, which keeps
-// its replace-the-one-observer semantics for the replication primary while
-// AddAppendObserver multiplexes additional taps (a live migration source).
-const primaryObsSlot = 0
+// AddAppendObserver registers an append observer — the tap a replication
+// primary ships the log from, and a migration source tails its range's live
+// WAL from while the primary keeps shipping.  The returned function removes
+// it (calling it again is a no-op).  Observers run one at a time under the
+// journal lock, in registration order, and none relies on running before
+// another; each must be fast and copy any payload it retains.
+func (r *Registry) AddAppendObserver(fn AppendObserver) (remove func()) {
+	tap := &fn
+	r.editObservers(func(list []*AppendObserver) []*AppendObserver { return append(list, tap) })
+	return func() {
+		r.editObservers(func(list []*AppendObserver) []*AppendObserver {
+			for i, t := range list {
+				if t == tap {
+					return append(list[:i], list[i+1:]...)
+				}
+			}
+			return list
+		})
+	}
+}
 
-// SetAppendObserver attaches (or, with nil, detaches) the replication
-// primary's append observer.  Additional observers registered with
-// AddAppendObserver are unaffected.
-func (r *Registry) SetAppendObserver(fn AppendObserver) {
+// editObservers republishes the copy-on-write observer list: edit gets a
+// private copy of the current list and returns the new one.
+func (r *Registry) editObservers(edit func([]*AppendObserver) []*AppendObserver) {
 	r.obsMu.Lock()
 	defer r.obsMu.Unlock()
-	if fn == nil {
-		delete(r.obsSlots, primaryObsSlot)
-	} else {
-		r.obsSlots[primaryObsSlot] = fn
+	var list []*AppendObserver
+	if cur := r.appendObs.Load(); cur != nil {
+		list = append(list, *cur...)
 	}
-	r.rebuildObsLocked()
-}
-
-// AddAppendObserver registers an additional append observer — the hook a
-// migration source uses to tail the live WAL for its range while a
-// replication primary keeps shipping the full log.  The returned function
-// removes it.  Observers run under the journal lock in registration order;
-// like SetAppendObserver's, they must be fast and copy retained payloads.
-func (r *Registry) AddAppendObserver(fn AppendObserver) (remove func()) {
-	r.obsMu.Lock()
-	r.obsSeq++
-	id := r.obsSeq
-	r.obsSlots[id] = fn
-	r.rebuildObsLocked()
-	r.obsMu.Unlock()
-	return func() {
-		r.obsMu.Lock()
-		delete(r.obsSlots, id)
-		r.rebuildObsLocked()
-		r.obsMu.Unlock()
-	}
-}
-
-// rebuildObsLocked republishes the copy-on-write observer list (obsMu held).
-// The primary slot (0) always runs first; additional taps follow in
-// registration order.
-func (r *Registry) rebuildObsLocked() {
-	if len(r.obsSlots) == 0 {
+	if list = edit(list); len(list) == 0 {
 		r.appendObs.Store(nil)
 		return
-	}
-	ids := make([]uint64, 0, len(r.obsSlots))
-	for id := range r.obsSlots {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(a, b int) bool { return ids[a] < ids[b] })
-	list := make([]AppendObserver, 0, len(ids))
-	for _, id := range ids {
-		list = append(list, r.obsSlots[id])
 	}
 	r.appendObs.Store(&list)
 }

@@ -18,7 +18,7 @@ import (
 // dst via ApplyReplicated — an in-process WAL ship with no wire.
 func replayInto(t *testing.T, src, dst *Registry) {
 	t.Helper()
-	src.SetAppendObserver(func(seq uint64, typ byte, payload []byte) {
+	src.AddAppendObserver(func(seq uint64, typ byte, payload []byte) {
 		p := append([]byte(nil), payload...)
 		if err := dst.ApplyReplicated(seq, typ, p); err != nil {
 			t.Errorf("ApplyReplicated(seq %d, type %d): %v", seq, typ, err)
@@ -162,7 +162,7 @@ func TestApplyReplicatedMirrorsEveryRecordType(t *testing.T) {
 	}
 	e := src.Lookup("chip-a")
 	wantWords := issueWords(t, e, 6)
-	if _, _, err := e.IssueKey(2, 0); err != nil {
+	if _, _, err := e.IssueKeyCtx(context.Background(), 2, 0); err != nil {
 		t.Fatal(err)
 	}
 	e.Verdict(false, 3)
@@ -432,6 +432,54 @@ func TestCommitWaiterGatesIssuance(t *testing.T) {
 	reg.SetCommitWaiter(nil)
 	if _, _, err := e.Issue(3, 0); err != nil {
 		t.Fatalf("detached waiter still gating: %v", err)
+	}
+}
+
+func TestAppendObserversAddAndRemove(t *testing.T) {
+	reg, err := Open("", Options{Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reg.Close()
+	var a, b []uint64
+	removeA := reg.AddAppendObserver(func(seq uint64, _ byte, _ []byte) { a = append(a, seq) })
+	reg.AddAppendObserver(func(seq uint64, _ byte, _ []byte) { b = append(b, seq) })
+	if err := reg.Register("chip-a", syntheticModel(2, 16), 0); err != nil {
+		t.Fatal(err)
+	}
+	removeA()
+	removeA() // a second call is a no-op, not a removal of another tap
+	if err := reg.Register("chip-b", syntheticModel(2, 16), 0); err != nil {
+		t.Fatal(err)
+	}
+	if fmt.Sprint(a) != "[1]" || fmt.Sprint(b) != "[1 2]" {
+		t.Fatalf("removed tap saw %v, remaining tap saw %v; want [1] and [1 2]", a, b)
+	}
+
+	// Taps come and go on several goroutines while they append; the
+	// standing tap still sees every record, in order.
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 20; i++ {
+				remove := reg.AddAppendObserver(func(uint64, byte, []byte) {})
+				if err := reg.Register(fmt.Sprintf("chip-%d-%d", g, i), syntheticModel(2, 16), 0); err != nil {
+					t.Error(err)
+				}
+				remove()
+			}
+		}(g)
+	}
+	wg.Wait()
+	for i, seq := range b {
+		if seq != uint64(i+1) {
+			t.Fatalf("standing tap saw seq %d at position %d of %d records", seq, i, len(b))
+		}
+	}
+	if len(b) != 2+4*20 {
+		t.Fatalf("standing tap saw %d records, want %d", len(b), 2+4*20)
 	}
 }
 

@@ -166,7 +166,7 @@ func (r *Registry) appendLocked(seq uint64, typ byte, payload []byte) (needCompa
 		// Called under pmu so observers see records in exact seq order.
 		// Observers must be fast and must copy payload if they retain it.
 		for _, obs := range *list {
-			obs(seq, typ, payload)
+			(*obs)(seq, typ, payload)
 		}
 	}
 	return needCompact, nil

@@ -136,11 +136,6 @@ func (h *SoftHistogram) FracStable1() float64 {
 	return float64(h.Exact1) / float64(h.Total)
 }
 
-// FracStable returns the 100 %-stable fraction (both end bins).
-func (h *SoftHistogram) FracStable() float64 {
-	return h.FracStable0() + h.FracStable1()
-}
-
 // Render draws an ASCII version of the histogram, one row per bin, with the
 // end bins labeled as the paper labels them.
 func (h *SoftHistogram) Render(width int) string {

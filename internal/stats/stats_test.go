@@ -66,8 +66,8 @@ func TestSoftHistogramEndBins(t *testing.T) {
 	if h.Total != 5 {
 		t.Fatalf("total %d, want 5", h.Total)
 	}
-	if got := h.FracStable(); math.Abs(got-0.6) > 1e-12 {
-		t.Errorf("FracStable = %v, want 0.6", got)
+	if got := h.FracStable0() + h.FracStable1(); math.Abs(got-0.6) > 1e-12 {
+		t.Errorf("stable fraction = %v, want 0.6", got)
 	}
 	if h.Interior[len(h.Interior)-1] != 1 {
 		t.Error("0.999 should land in the last interior bin")

@@ -97,19 +97,19 @@ func TestSamplerTickAndQueries(t *testing.T) {
 	if s.Ticks() != 10 {
 		t.Fatalf("Ticks = %d", s.Ticks())
 	}
-	rate, ok := s.CounterRate("sessions_total", 5*time.Second)
+	rate, ok := s.counters["sessions_total"].Rate(clk.Now().Add(-5 * time.Second))
 	if !ok || math.Abs(rate-10) > 1e-9 {
-		t.Fatalf("CounterRate = %v ok=%v, want 10/s", rate, ok)
+		t.Fatalf("counter rate = %v ok=%v, want 10/s", rate, ok)
 	}
-	v, ok := s.GaugeLast("active")
-	if !ok || v != 9 {
-		t.Fatalf("GaugeLast = %v ok=%v, want 9", v, ok)
+	v, ok := s.gauges["active"].Last()
+	if !ok || v.V != 9 {
+		t.Fatalf("last gauge sample = %v ok=%v, want 9", v.V, ok)
 	}
 	q, ok := s.HistQuantile("latency_seconds", 5*time.Second, 0.99)
 	if !ok || q <= 0 || q > 0.0025 {
 		t.Fatalf("HistQuantile = %v ok=%v, want ~2ms (in the 2.5ms bucket)", q, ok)
 	}
-	if _, ok := s.CounterRate("never_registered", time.Minute); ok {
+	if _, ok := s.CounterDelta("never_registered", time.Minute); ok {
 		t.Fatal("unknown series should report no data")
 	}
 }
@@ -217,17 +217,17 @@ func TestRuntimeCollectorSampled(t *testing.T) {
 	clk.Advance(30 * time.Second)
 	s.Tick()
 
-	g, ok := s.GaugeLast("runtime_goroutines")
-	if !ok || g < 1 {
-		t.Fatalf("runtime_goroutines = %v ok=%v, want >= 1", g, ok)
+	g, ok := s.gauges["runtime_goroutines"].Last()
+	if !ok || g.V < 1 {
+		t.Fatalf("runtime_goroutines = %v ok=%v, want >= 1", g.V, ok)
 	}
-	heap, ok := s.GaugeLast("runtime_heap_inuse_bytes")
-	if !ok || heap <= 0 {
-		t.Fatalf("runtime_heap_inuse_bytes = %v ok=%v", heap, ok)
+	heap, ok := s.gauges["runtime_heap_inuse_bytes"].Last()
+	if !ok || heap.V <= 0 {
+		t.Fatalf("runtime_heap_inuse_bytes = %v ok=%v", heap.V, ok)
 	}
-	up, ok := s.GaugeLast("runtime_uptime_seconds")
-	if !ok || up != 30 {
-		t.Fatalf("runtime_uptime_seconds = %v ok=%v, want 30 (fake clock)", up, ok)
+	up, ok := s.gauges["runtime_uptime_seconds"].Last()
+	if !ok || up.V != 30 {
+		t.Fatalf("runtime_uptime_seconds = %v ok=%v, want 30 (fake clock)", up.V, ok)
 	}
 }
 
@@ -294,7 +294,7 @@ func TestSeriesNames(t *testing.T) {
 func TestNilRegistry(t *testing.T) {
 	s := NewSampler(nil, Options{Now: newFakeClock().Now})
 	s.Tick()
-	if _, ok := s.CounterRate("x", time.Minute); ok {
+	if _, ok := s.CounterDelta("x", time.Minute); ok {
 		t.Fatal("nil-registry sampler should have no data")
 	}
 }

@@ -225,18 +225,6 @@ func (s *Sampler) Ticks() int {
 	return s.ticks
 }
 
-// CounterRate returns the counter's per-second rate over the trailing
-// window, and whether the window held enough samples to answer.
-func (s *Sampler) CounterRate(name string, window time.Duration) (float64, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	sr := s.counters[name]
-	if sr == nil {
-		return 0, false
-	}
-	return sr.Rate(s.now().Add(-window))
-}
-
 // CounterDelta returns how much the counter grew over the trailing window.
 func (s *Sampler) CounterDelta(name string, window time.Duration) (float64, bool) {
 	s.mu.Lock()
@@ -246,18 +234,6 @@ func (s *Sampler) CounterDelta(name string, window time.Duration) (float64, bool
 		return 0, false
 	}
 	return sr.Delta(s.now().Add(-window))
-}
-
-// GaugeLast returns the gauge's most recent sample.
-func (s *Sampler) GaugeLast(name string) (float64, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	sr := s.gauges[name]
-	if sr == nil {
-		return 0, false
-	}
-	p, ok := sr.Last()
-	return p.V, ok
 }
 
 // GaugeQuantile estimates the q-th quantile of the gauge's sampled values

@@ -246,10 +246,3 @@ func (d *AnomalyDetector) Alerts() []Status {
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out
 }
-
-// Tracked returns how many chips currently hold window state.
-func (d *AnomalyDetector) Tracked() int {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return len(d.chips)
-}

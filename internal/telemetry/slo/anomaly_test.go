@@ -136,8 +136,11 @@ func TestEvictionSparesActiveAlerts(t *testing.T) {
 	if !found {
 		t.Fatal("firing chip evicted by ID spray")
 	}
-	if d.Tracked() > 9 { // 8 cap + the protected firing chip can exceed by design
-		t.Fatalf("Tracked = %d, want bounded", d.Tracked())
+	d.mu.Lock()
+	tracked := len(d.chips)
+	d.mu.Unlock()
+	if tracked > 9 { // 8 cap + the protected firing chip can exceed by design
+		t.Fatalf("%d chips tracked, want bounded", tracked)
 	}
 }
 

@@ -30,7 +30,6 @@ import (
 	"math"
 	"sort"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 )
@@ -364,13 +363,6 @@ func (s Snapshot) WriteText(w io.Writer) error {
 		}
 	}
 	return nil
-}
-
-// Text renders WriteText to a string.
-func (s Snapshot) Text() string {
-	var b strings.Builder
-	_ = s.WriteText(&b)
-	return b.String()
 }
 
 // MarshalJSONIndent renders the snapshot as indented JSON (the

@@ -5,6 +5,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -154,7 +155,11 @@ func TestSnapshotTextGolden(t *testing.T) {
 	h.Observe(0.01)
 	h.Observe(5)
 
-	got := r.Snapshot().Text()
+	var b strings.Builder
+	if err := r.Snapshot().WriteText(&b); err != nil {
+		t.Fatal(err)
+	}
+	got := b.String()
 	golden := filepath.Join("testdata", "metrics.golden")
 	if update {
 		if err := os.WriteFile(golden, []byte(got), 0o644); err != nil {

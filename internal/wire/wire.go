@@ -568,12 +568,6 @@ func (r *Reader) Next(m *Msg) (int, error) {
 	return n, Decode(*r.buf, m)
 }
 
-// Raw returns the raw bytes of the frame most recently read by Next,
-// for zero-copy forwarding. Valid until the next call to Next.
-func (r *Reader) Raw() []byte {
-	return *r.buf
-}
-
 // growStep is the least a frame buffer grows by while a payload is being
 // received; beyond it the buffer at most doubles, so the memory committed
 // to a frame stays within a small multiple of the bytes actually read.

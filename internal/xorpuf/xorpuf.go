@@ -67,9 +67,6 @@ func (x *XORPUF) Width() int { return len(x.members) }
 // Stages returns the number of MUX stages per member.
 func (x *XORPUF) Stages() int { return x.members[0].Stages() }
 
-// Member returns member PUF i (oracle access for experiments/tests).
-func (x *XORPUF) Member(i int) *silicon.ArbiterPUF { return x.members[i] }
-
 // CounterDepth returns the stability-accounting window.
 func (x *XORPUF) CounterDepth() int { return x.depth }
 
@@ -114,13 +111,6 @@ func (x *XORPUF) StabilityProbability(c challenge.Challenge, cond silicon.Condit
 		prob *= m.StabilityProbability(c, cond, x.depth)
 	}
 	return prob
-}
-
-// AllMembersStable reports whether every member's response probability is
-// saturated enough that the configured counter window would read 100 %
-// stable with probability ≥ minProb.
-func (x *XORPUF) AllMembersStable(c challenge.Challenge, cond silicon.Condition, minProb float64) bool {
-	return x.StabilityProbability(c, cond) >= minProb
 }
 
 // MeasureSoft measures the XOR output's soft response over trials combined

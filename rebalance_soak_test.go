@@ -18,8 +18,6 @@ package xorpuf_test
 //     under 500 ms despite the live traffic it has to drain;
 //   - the resurrected source knows from its journal that the range
 //     departed, and redirects rather than issues;
-//   - the gateway's ownership table swaps atomically at the migration's
-//     epoch, after which migrated chips route straight to the new owner;
 //   - the Fig 7 never-reuse invariant holds across the entire history —
 //     both source incarnations and the target, auth and keyex burns alike
 //     — checked twice: from the devices' own logs of every challenge that
@@ -306,24 +304,6 @@ func TestRebalanceSoakZeroDowntimeMigration(t *testing.T) {
 	statMu.Unlock()
 	awaitApprovals(mark+2*rebChips, "post-resurrection traffic")
 
-	// --- Atomic gateway ownership swap at the migration's epoch: migrated
-	// chips now route straight to the new owner, no redirect hop.  Replays
-	// and stale epochs are refused.
-	if err := gw.SetOwnership(st.Epoch, []netauth.OwnershipOverride{
-		{Lo: rebLo, Hi: rebHi, Addrs: []string{lnDst.Addr().String()}},
-	}); err != nil {
-		t.Fatalf("ownership swap at epoch %d: %v", st.Epoch, err)
-	}
-	if err := gw.SetOwnership(st.Epoch, nil); err == nil {
-		t.Fatal("gateway accepted a replayed ownership epoch")
-	}
-	if got := gw.OwnershipEpoch(); got != st.Epoch {
-		t.Fatalf("gateway epoch %d, want %d", got, st.Epoch)
-	}
-	statMu.Lock()
-	mark = approvals
-	statMu.Unlock()
-	awaitApprovals(mark+2*rebChips, "post-swap traffic")
 	close(stop)
 	wg.Wait()
 
