@@ -15,7 +15,7 @@
 //	fig10    stable-challenge yield vs training-set size
 //	fig11    threshold adjustment under voltage/temperature variation
 //	fig12     % stable CRPs vs XOR width for all three selection regimes
-//	metrics   uniqueness / reliability / uniformity panel
+//	pufmetrics uniqueness / reliability / uniformity panel
 //	protocols paper's protocol vs refs [1],[6],[7] and classic HD
 //	avalanche bit-position sensitivity of single vs XOR PUFs
 //	campaign  dump a measurement dataset to CSV (-o, -corners)
@@ -29,13 +29,11 @@
 //	          crash-recovery time (-chips, -workers, -xor, -dir, -budget,
 //	          -train, -validate, -lookups, -snap-every)
 //	auth      authenticate a simulated device against a serve instance
-//	          (-addr, -chip, -impostor, -sessions, -attempts, -base-delay,
-//	          -max-delay, -vdd, -temp, -encrypt to authenticate inside a
-//	          PUF-keyed encrypted channel, and -fault-* chaos knobs)
-//	keyex     establish a PUF-derived session key via the reverse fuzzy
-//	          extractor and exercise the encrypted channel (-addr, -chip,
-//	          -impostor, -sessions, -vdd, -temp, -payload, -no-auth;
-//	          the serve side needs -keyex)
+//	          (-addr, -chip, -impostor, -sessions, -batch, -attempts,
+//	          -base-delay, -max-delay, -vdd, -temp, -trace, -fault-* chaos
+//	          knobs; -encrypt establishes a PUF-derived session key via the
+//	          reverse fuzzy extractor and runs the sessions and a -payload
+//	          inside the encrypted channel, the serve side needs -keyex)
 //	health    inspect and repair drift-health state in a persistent registry
 //	          (report / quarantine / reenroll subcommands; -state, -chip)
 //	metrics   scrape a serve instance's admin plane and pretty-print the
@@ -83,48 +81,70 @@ import (
 	"xorpuf/internal/silicon"
 )
 
+// commands are the operational subcommands; each parses its own flags.
+// Their names must not collide with an experiment's.
+var commands = map[string]func(args []string){
+	"serve":     runServe,
+	"auth":      runAuth,
+	"fleet":     runFleet,
+	"health":    runHealth,
+	"metrics":   runMetrics,
+	"top":       runTop,
+	"slo":       runSLO,
+	"repl":      runRepl,
+	"gateway":   runGateway,
+	"rebalance": runRebalance,
+	"trace":     runTrace,
+}
+
+// display holds the experiments' output switches.
+type display struct{ hist, plot bool }
+
+// runners maps each table-producing experiment to its runner; campaign and
+// all are dispatched beside them.
+var runners = map[string]func(experiments.Config, display) *experiments.Table{
+	"fig2": func(c experiments.Config, d display) *experiments.Table {
+		r := experiments.Fig2(c)
+		if d.hist {
+			fmt.Println(r.Hist.Render(60))
+		}
+		return r.Table()
+	},
+	"fig3": func(c experiments.Config, d display) *experiments.Table {
+		r := experiments.Fig3(c)
+		if d.plot {
+			fmt.Println(r.Plot(50))
+		}
+		return r.Table()
+	},
+	"fig4":  func(c experiments.Config, _ display) *experiments.Table { return experiments.Fig4(c).Table() },
+	"fig8":  func(c experiments.Config, _ display) *experiments.Table { return experiments.Fig8(c).Table() },
+	"fig9":  func(c experiments.Config, _ display) *experiments.Table { return experiments.Fig9(c).Table() },
+	"fig10": func(c experiments.Config, _ display) *experiments.Table { return experiments.Fig10(c).Table() },
+	"fig11": func(c experiments.Config, _ display) *experiments.Table { return experiments.Fig11(c).Table() },
+	"fig12": func(c experiments.Config, d display) *experiments.Table {
+		r := experiments.Fig12(c)
+		if d.plot {
+			fmt.Println(r.Plot(50))
+		}
+		return r.Table()
+	},
+	"protocols":  func(c experiments.Config, _ display) *experiments.Table { return experiments.Protocols(c).Table() },
+	"pufmetrics": func(c experiments.Config, _ display) *experiments.Table { return experiments.Metrics(c).Table() },
+	"avalanche":  func(c experiments.Config, _ display) *experiments.Table { return experiments.Avalanche(c).Table() },
+}
+
+// allOrder is the order `puflab all` runs the experiments in.
+var allOrder = []string{"fig2", "fig3", "fig4", "fig8", "fig9", "fig10", "fig11", "fig12", "pufmetrics", "protocols", "avalanche"}
+
 func main() {
 	if len(os.Args) < 2 {
 		usage()
 		os.Exit(2)
 	}
 	cmd := os.Args[1]
-	switch cmd {
-	case "serve":
-		runServe(os.Args[2:])
-		return
-	case "auth":
-		runAuth(os.Args[2:])
-		return
-	case "keyex":
-		runKeyex(os.Args[2:])
-		return
-	case "fleet":
-		runFleet(os.Args[2:])
-		return
-	case "health":
-		runHealth(os.Args[2:])
-		return
-	case "metrics":
-		runMetrics(os.Args[2:])
-		return
-	case "top":
-		runTop(os.Args[2:])
-		return
-	case "slo":
-		runSLO(os.Args[2:])
-		return
-	case "repl":
-		runRepl(os.Args[2:])
-		return
-	case "gateway":
-		runGateway(os.Args[2:])
-		return
-	case "rebalance":
-		runRebalance(os.Args[2:])
-		return
-	case "trace":
-		runTrace(os.Args[2:])
+	if run, ok := commands[cmd]; ok {
+		run(os.Args[2:])
 		return
 	}
 	fs := flag.NewFlagSet(cmd, flag.ExitOnError)
@@ -164,38 +184,7 @@ func main() {
 		cfg.AttackMLP.LBFGS.MaxIter = *maxIter
 	}
 
-	runners := map[string]func(experiments.Config) *experiments.Table{
-		"fig2": func(c experiments.Config) *experiments.Table {
-			r := experiments.Fig2(c)
-			if *histogram {
-				fmt.Println(r.Hist.Render(60))
-			}
-			return r.Table()
-		},
-		"fig3": func(c experiments.Config) *experiments.Table {
-			r := experiments.Fig3(c)
-			if *plot {
-				fmt.Println(r.Plot(50))
-			}
-			return r.Table()
-		},
-		"fig4":  func(c experiments.Config) *experiments.Table { return experiments.Fig4(c).Table() },
-		"fig8":  func(c experiments.Config) *experiments.Table { return experiments.Fig8(c).Table() },
-		"fig9":  func(c experiments.Config) *experiments.Table { return experiments.Fig9(c).Table() },
-		"fig10": func(c experiments.Config) *experiments.Table { return experiments.Fig10(c).Table() },
-		"fig11": func(c experiments.Config) *experiments.Table { return experiments.Fig11(c).Table() },
-		"fig12": func(c experiments.Config) *experiments.Table {
-			r := experiments.Fig12(c)
-			if *plot {
-				fmt.Println(r.Plot(50))
-			}
-			return r.Table()
-		},
-		"protocols": func(c experiments.Config) *experiments.Table { return experiments.Protocols(c).Table() },
-		"metrics":   func(c experiments.Config) *experiments.Table { return experiments.Metrics(c).Table() },
-		"avalanche": func(c experiments.Config) *experiments.Table { return experiments.Avalanche(c).Table() },
-	}
-
+	show := display{hist: *histogram, plot: *plot}
 	emit := func(t *experiments.Table) {
 		if *csv {
 			fmt.Print(t.CSV())
@@ -236,8 +225,7 @@ func main() {
 		fmt.Printf("dataset written to %s in %v\n", *out, time.Since(start).Round(time.Millisecond))
 		return
 	case "all":
-		order := []string{"fig2", "fig3", "fig4", "fig8", "fig9", "fig10", "fig11", "fig12", "metrics", "protocols", "avalanche"}
-		for _, name := range order {
+		for _, name := range allOrder {
 			c := cfg
 			if name == "fig4" && *full {
 				// Keep `all -full` tractable: fig4 full-scale is
@@ -247,7 +235,7 @@ func main() {
 				fmt.Println("(fig4 runs at fast scale under `all`; use `puflab fig4 -full` for the n=4..11 sweep)")
 			}
 			start := time.Now()
-			emit(runners[name](c))
+			emit(runners[name](c, show))
 			fmt.Printf("[%s completed in %v]\n\n", name, time.Since(start).Round(time.Millisecond))
 		}
 	default:
@@ -258,7 +246,7 @@ func main() {
 			os.Exit(2)
 		}
 		start := time.Now()
-		emit(run(cfg))
+		emit(run(cfg, show))
 		fmt.Fprintf(os.Stderr, "[completed in %v]\n", time.Since(start).Round(time.Millisecond))
 	}
 }
@@ -276,15 +264,17 @@ func parseInts(s string) []int {
 	return out
 }
 
-func usage() {
-	fmt.Fprintln(os.Stderr, `puflab — regenerate the DAC'17 XOR arbiter PUF evaluation
+// usageText is the top-level help; its experiments line names exactly the
+// experiments main dispatches.
+const usageText = `puflab — regenerate the DAC'17 XOR arbiter PUF evaluation
 
 usage: puflab <experiment> [-full] [-seed N] [-csv]
 
-experiments: fig2 fig3 fig4 fig8 fig9 fig10 fig11 fig12 metrics protocols avalanche campaign all
-network:     serve auth keyex gateway (run "puflab serve -h" / "puflab auth -h" for the resilience and
-             fault-injection knobs; "puflab serve -keyex" + "puflab keyex" establish PUF-derived session keys;
-             "puflab serve -primary/-follower" replicates the registry; "puflab gateway" fronts the shards)
+experiments: fig2 fig3 fig4 fig8 fig9 fig10 fig11 fig12 pufmetrics protocols avalanche campaign all
+network:     serve auth gateway (run "puflab serve -h" / "puflab auth -h" for the resilience and
+             fault-injection knobs; "puflab serve -keyex" + "puflab auth -encrypt" run the sessions
+             inside a PUF-keyed encrypted channel; "puflab serve -primary/-follower" replicates the
+             registry; "puflab gateway" fronts the shards)
 replication: repl         (status / promote against a serve admin plane; promote fails over to a follower)
 rebalancing: rebalance    (live chip-range migration between serves: start / status / abort, plus an offline
              never-reuse audit over WAL journals; the target serve needs -migrate-listen)
@@ -292,5 +282,6 @@ fleet:       fleet        (persistent registry benchmark: enrollment throughput,
 lifecycle:   health       (drift-detector report, force-quarantine, re-enrollment; "puflab health" for usage)
 observe:     metrics top slo trace ("puflab metrics" scrapes a serve -admin plane; "puflab top" is a
              live dashboard; "puflab slo" gates on firing alerts; "puflab trace" renders one session's
-             span tree across gateway, shard, and follower)`)
-}
+             span tree across gateway, shard, and follower)`
+
+func usage() { fmt.Fprintln(os.Stderr, usageText) }

@@ -27,26 +27,11 @@ func runMetrics(args []string) {
 		os.Exit(2)
 	}
 
-	client := &http.Client{Timeout: *timeout}
-	url := "http://" + *addr + "/metrics"
+	path := "/metrics"
 	if *asJSON || !*raw {
-		url += "?format=json"
+		path += "?format=json"
 	}
-	resp, err := client.Get(url)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "puflab metrics: scraping %s: %v\n", url, err)
-		os.Exit(1)
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "puflab metrics: reading scrape: %v\n", err)
-		os.Exit(1)
-	}
-	if resp.StatusCode != http.StatusOK {
-		fmt.Fprintf(os.Stderr, "puflab metrics: %s returned %s\n%s", url, resp.Status, body)
-		os.Exit(1)
-	}
+	body := adminGet(&http.Client{Timeout: *timeout}, *addr, path)
 	if *raw || *asJSON {
 		os.Stdout.Write(body)
 		if len(body) > 0 && body[len(body)-1] != '\n' {

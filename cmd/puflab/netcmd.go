@@ -65,8 +65,9 @@ func runServe(args []string) {
 	fs.DurationVar(&cfg.Throttle, "throttle", 0, "minimum interval between attempts per chip (0 = off)")
 	fs.IntVar(&cfg.Budget, "budget", 0, "lifetime challenge budget per chip (0 = unlimited)")
 	keyexOn := fs.Bool("keyex", false, "enable the reverse fuzzy-extractor key exchange (encrypted sessions)")
-	keyexM := fs.Int("keyex-m", 8, "key exchange BCH field degree m (code length 2^m−1 challenges per derivation)")
-	keyexT := fs.Int("keyex-t", 12, "key exchange BCH correction capability t")
+	keyexCfg := keyex.DefaultConfig()
+	fs.IntVar(&keyexCfg.M, "keyex-m", keyexCfg.M, "key exchange BCH field degree m (code length 2^m−1 challenges per derivation)")
+	fs.IntVar(&keyexCfg.T, "keyex-t", keyexCfg.T, "key exchange BCH correction capability t")
 	fs.StringVar(&cfg.State, "state", "", "registry state directory (empty = in-memory; set to survive restarts)")
 	fs.StringVar(&cfg.Admin, "admin", "", "admin HTTP address serving /metrics, /healthz, /traces, /debug/pprof (empty = off)")
 	fs.IntVar(&cfg.Workers, "workers", 0, "enrollment worker-pool size (0 = GOMAXPROCS)")
@@ -84,7 +85,7 @@ func runServe(args []string) {
 		os.Exit(2)
 	}
 	if *keyexOn {
-		cfg.KeyEx = &keyex.Config{M: *keyexM, T: *keyexT}
+		cfg.KeyEx = &keyexCfg
 	}
 
 	nd, err := node.Start(cfg)
@@ -127,19 +128,25 @@ func runAuth(args []string) {
 	xorWidth := fs.Int("xor", 6, "XOR width (must match the serve side)")
 	seed := fs.Uint64("seed", 1, "simulation seed (must match the serve side)")
 	impostor := fs.Bool("impostor", false, "present counterfeit silicon for the chip ID")
-	sessions := fs.Int("sessions", 1, "number of authentication sessions to run")
+	sessions := fs.Int("sessions", 1, "number of authentication sessions to run (0 with -encrypt: key exchange and payload only)")
 	timeout := fs.Duration("timeout", 5*time.Second, "per-message I/O deadline")
-	attempts := fs.Int("attempts", 4, "retry budget per session (including the first try)")
+	attempts := fs.Int("attempts", 4, "retry budget per batch (including the first try; -encrypt never retries)")
 	baseDelay := fs.Duration("base-delay", 50*time.Millisecond, "initial retry backoff")
 	maxDelay := fs.Duration("max-delay", 2*time.Second, "retry backoff cap")
 	vdd := fs.Float64("vdd", silicon.Nominal.VDD, "supply voltage the device is read at")
 	tempC := fs.Float64("temp", silicon.Nominal.TempC, "temperature (°C) the device is read at")
-	encrypt := fs.Bool("encrypt", false, "establish a PUF-derived session key first and authenticate inside the encrypted channel (server must run -keyex)")
-	batch := fs.Int("batch", 1, "sessions pipelined per round trip over the persistent connection (ignored with -encrypt)")
+	encrypt := fs.Bool("encrypt", false, "establish one PUF-derived session key first and run every session inside the encrypted channel (server must run -keyex)")
+	batch := fs.Int("batch", 1, "sessions pipelined per round trip, over the persistent connection or inside the channel")
+	payload := fs.Int("payload", 0, "with -encrypt: bytes of application payload to ship over the channel after the sessions (0 = none)")
 	traced := fs.Bool("trace", false, "mint a distributed-trace context, propagate it to the server, and print the trace ID")
 	var fault faultnet.Config
 	faultFlags(fs, &fault)
 	if err := fs.Parse(args); err != nil {
+		os.Exit(2)
+	}
+
+	if *payload > 0 && !*encrypt {
+		fmt.Fprintln(os.Stderr, "puflab auth: -payload needs -encrypt")
 		os.Exit(2)
 	}
 
@@ -177,89 +184,91 @@ func runAuth(args []string) {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	if !*encrypt && *batch > 1 {
-		runAuthBatched(ctx, client, *sessions, *batch)
-		return
+	run := func(k int) ([]netauth.Result, error) { return client.AuthenticateBatch(ctx, k) }
+	var ss *netauth.SecureSession
+	if *encrypt {
+		start := time.Now()
+		var err error
+		if ss, err = client.Establish(ctx); err != nil {
+			fmt.Printf("key exchange: FAILED (%s) in %v: %v\n", failureKind(err), since(start), err)
+			os.Exit(1)
+		}
+		fmt.Printf("key established %s (cipher=%s, %d challenges burned, %d bits corrected, %v)\n",
+			ss.Result.Session, ss.Result.Cipher, ss.Result.Challenges, ss.Result.Corrected, since(start))
+		run = func(k int) ([]netauth.Result, error) { return ss.AuthenticateBatch(k) }
 	}
 
-	exitCode := 0
-	for i := 0; i < *sessions; i++ {
-		start := time.Now()
-		var res netauth.Result
-		var err error
-		if *encrypt {
-			var ss *netauth.SecureSession
-			ss, err = client.Establish(ctx)
-			if err == nil {
-				fmt.Printf("session %d: key established (%s, %d challenges, %d bits corrected)\n",
-					i+1, ss.Result.Cipher, ss.Result.Challenges, ss.Result.Corrected)
-				res, err = ss.Authenticate()
-				_ = ss.Close()
+	exitCode, stopped := runSessions(run, *sessions, *batch, ss != nil)
+	if ss != nil {
+		if *payload > 0 && !stopped {
+			data := make([]byte, *payload)
+			for j := range data {
+				data[j] = byte(j)
 			}
-		} else {
-			res, err = client.Authenticate(ctx)
+			start := time.Now()
+			if err := ss.SendPayload(data); err != nil {
+				fmt.Printf("payload: FAILED: %v\n", err)
+				exitCode = 1
+			} else {
+				fmt.Printf("%d-byte payload acknowledged with matching digest in %v\n", *payload, since(start))
+			}
 		}
-		elapsed := time.Since(start).Round(time.Millisecond)
-		switch {
-		case err != nil:
-			kind := "terminal"
-			if netauth.Transient(err) {
-				kind = "retry budget exhausted"
-			}
-			fmt.Printf("session %d: FAILED (%s) after %d attempt(s) in %v: %v\n",
-				i+1, kind, res.Attempts, elapsed, err)
-			exitCode = 1
-			if !netauth.Transient(err) {
-				os.Exit(1)
-			}
-		case res.Approved:
-			fmt.Printf("session %d: APPROVED (%d/%d mismatches, %d attempt(s), %v)\n",
-				i+1, res.Mismatches, res.Challenges, res.Attempts, elapsed)
-		default:
-			fmt.Printf("session %d: DENIED (%d/%d mismatches, %d attempt(s), %v)\n",
-				i+1, res.Mismatches, res.Challenges, res.Attempts, elapsed)
-			exitCode = 1
+		if err := ss.Close(); err != nil {
+			fmt.Printf("close: %v\n", err)
 		}
 	}
 	os.Exit(exitCode)
 }
 
-// runAuthBatched drives the pipelined arm of `puflab auth`: batches of
-// sessions multiplexed over one persistent connection, reporting
-// aggregate throughput instead of per-session latency.
-func runAuthBatched(ctx context.Context, c *netauth.V2Client, sessions, batch int) {
-	exitCode := 0
-	approved, denied := 0, 0
+// runSessions runs sessions in batches of batch through run and prints one
+// line per session plus a throughput summary.  It stops at a terminal
+// failure, or at any failure inside a channel, which leaves the channel
+// unusable; stopped reports that stop.  exitCode is 1 unless every session
+// was approved.
+func runSessions(run func(k int) ([]netauth.Result, error), sessions, batch int, inChannel bool) (exitCode int, stopped bool) {
+	approved := 0
 	start := time.Now()
 	for done := 0; done < sessions; {
-		k := batch
-		if rem := sessions - done; rem < k {
-			k = rem
-		}
-		results, err := c.AuthenticateBatch(ctx, k)
+		k := min(max(batch, 1), sessions-done)
+		bStart := time.Now()
+		results, err := run(k)
+		elapsed := since(bStart)
 		if err != nil {
-			kind := "terminal"
-			if netauth.Transient(err) {
-				kind = "retry budget exhausted"
+			fmt.Printf("session %d (batch of %d): FAILED (%s) in %v: %v\n", done+1, k, failureKind(err), elapsed, err)
+			if inChannel || !netauth.Transient(err) {
+				return 1, true
 			}
-			fmt.Printf("batch of %d (after %d sessions): FAILED (%s): %v\n", k, done, kind, err)
-			os.Exit(1)
+			exitCode = 1
+			done += k
+			continue
 		}
 		for _, res := range results {
 			done++
+			verdict := "DENIED"
 			if res.Approved {
+				verdict = "APPROVED"
 				approved++
 			} else {
-				denied++
-				fmt.Printf("session %d: DENIED (%d/%d mismatches)\n",
-					done, res.Mismatches, res.Challenges)
 				exitCode = 1
 			}
+			fmt.Printf("session %d: %s (%d/%d mismatches, %d attempt(s), %v)\n",
+				done, verdict, res.Mismatches, res.Challenges, res.Attempts, elapsed)
 		}
 	}
-	elapsed := time.Since(start)
-	rate := float64(approved+denied) / elapsed.Seconds()
-	fmt.Printf("%d sessions in batches of %d: %d approved, %d denied in %v (%.0f sessions/sec)\n",
-		sessions, batch, approved, denied, elapsed.Round(time.Millisecond), rate)
-	os.Exit(exitCode)
+	if sessions > 1 {
+		elapsed := time.Since(start)
+		fmt.Printf("%d sessions in batches of %d: %d approved in %v (%.0f sessions/sec)\n",
+			sessions, batch, approved, elapsed.Round(time.Millisecond), float64(sessions)/elapsed.Seconds())
+	}
+	return exitCode, false
 }
+
+// failureKind labels a client error for the operator.
+func failureKind(err error) string {
+	if netauth.Transient(err) {
+		return "transient"
+	}
+	return "terminal"
+}
+
+func since(t time.Time) time.Duration { return time.Since(t).Round(time.Millisecond) }

@@ -22,11 +22,9 @@
 package main
 
 import (
-	"bytes"
 	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
 	"net/http"
 	"net/url"
 	"os"
@@ -68,25 +66,6 @@ func rebalanceUsage() {
   abort   abort the in-flight migration, pre-cutover only (-addr)
   audit   offline never-reuse audit over WAL journals: fails if any
           (chip, challenge) was freshly issued twice across all files`)
-}
-
-// adminPost posts to one admin-plane path and returns the body, exiting the
-// process on transport errors; HTTP errors are surfaced with the body so
-// the operator sees the server's refusal reason.
-func adminPost(client *http.Client, addr, path string, form url.Values) ([]byte, bool) {
-	u := "http://" + addr + path
-	resp, err := client.PostForm(u, form)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "puflab: posting %s: %v\n", u, err)
-		os.Exit(1)
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "puflab: reading %s: %v\n", u, err)
-		os.Exit(1)
-	}
-	return bytes.TrimSpace(body), resp.StatusCode == http.StatusOK
 }
 
 func runRebalanceStart(args []string) {

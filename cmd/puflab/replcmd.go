@@ -50,19 +50,14 @@ follower to stop replicating and start serving authentication (failover).
 	client := &http.Client{Timeout: *timeout}
 
 	if sub == "promote" {
-		resp, err := client.Post("http://"+*addr+"/repl/promote", "application/json", nil)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "puflab repl promote: %v\n", err)
-			os.Exit(1)
-		}
-		defer resp.Body.Close()
+		body, ok := adminPost(client, *addr, "/repl/promote", nil)
 		var doc struct {
 			Promoted bool   `json:"promoted"`
 			Seq      uint64 `json:"seq"`
 		}
-		if resp.StatusCode != http.StatusOK || json.NewDecoder(resp.Body).Decode(&doc) != nil || !doc.Promoted {
+		if !ok || json.Unmarshal(body, &doc) != nil || !doc.Promoted {
 			fmt.Fprintf(os.Stderr, "puflab repl promote: %s refused (%s) — is it a follower with -admin?\n",
-				*addr, resp.Status)
+				*addr, body)
 			os.Exit(1)
 		}
 		fmt.Printf("promoted: %s serving authentication at seq %d\n", *addr, doc.Seq)

@@ -8,35 +8,12 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
 	"net/http"
 	"os"
 	"time"
 
 	"xorpuf/internal/telemetry/slo"
 )
-
-// adminGet fetches one admin-plane path and returns the body, exiting the
-// process on transport or HTTP errors (these commands are terminal tools).
-func adminGet(client *http.Client, addr, path string) []byte {
-	url := "http://" + addr + path
-	resp, err := client.Get(url)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "puflab: fetching %s: %v\n", url, err)
-		os.Exit(1)
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "puflab: reading %s: %v\n", url, err)
-		os.Exit(1)
-	}
-	if resp.StatusCode != http.StatusOK {
-		fmt.Fprintf(os.Stderr, "puflab: %s returned %s\n%s", url, resp.Status, body)
-		os.Exit(1)
-	}
-	return body
-}
 
 // alertsDoc mirrors the /alerts payload.
 type alertsDoc struct {

@@ -61,16 +61,6 @@ var keepUnreached = map[string]string{
 	"internal/telemetry/dtrace/dtrace.go:Recorder.ByTrace": "test seam: tests read one trace's spans from the ring",
 	"internal/silicon/chip.go:Chip.ReadIndividual":         "the fuse-gated per-member read; silicon tests check the fuse gate on it",
 	"internal/rng/rng.go:Source.Perm":                      "seeded error positions for the ecc and keygen tests",
-
-	// Only their own tests reach these; each goes with its tests in a
-	// later pass (ROADMAP item 9).
-	"internal/challenge/challenge.go:All":                       "its own tests only: TestAllEnumeratesExactly, TestAllEarlyStop",
-	"internal/dist/dist.go:NormalQuantile":                      "its own tests only: TestNormalQuantile*",
-	"internal/dist/dist.go:NormalSF":                            "its own test only: TestNormalSFComplement",
-	"internal/rng/rng.go:Source.NormPair":                       "its own test only: TestNormPairMatchesMoments",
-	"internal/silicon/feedforward.go:FeedForwardPUF.Loops":      "its own test only: TestFeedForwardLoopsAccessor",
-	"internal/stats/stats.go:MinMax":                            "its own test only: TestMinMax",
-	"internal/telemetry/history/sampler.go:Sampler.SeriesNames": "its own test only: TestSeriesNames",
 }
 
 // TestEveryExportIsReached fails on an exported top-level func, method or

@@ -51,6 +51,17 @@ const (
 
 func failChipID(i int) string { return fmt.Sprintf("chip-%d", i) }
 
+// authOnce runs one authentication session on a connection of its own:
+// a single attempt, no retry, under one overall deadline.
+func authOnce(addr, chipID string, dev core.Device, cond silicon.Condition, timeout time.Duration) (netauth.Result, error) {
+	c := &netauth.V2Client{Addr: addr, ChipID: chipID, Device: dev, Cond: cond,
+		Timeout: timeout, Policy: netauth.RetryPolicy{MaxAttempts: 1}}
+	defer c.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), timeout)
+	defer cancel()
+	return c.Authenticate(ctx)
+}
+
 // recordingDevice wraps fielded silicon and logs every challenge word the
 // verifier sends for one chip ID — the raw material of the never-reuse
 // audit.  Both the genuine and the counterfeit device for a chip ID share
@@ -185,7 +196,7 @@ func TestFailoverSoakNeverReusesChallenges(t *testing.T) {
 				if i >= failImpostorFrom && j%2 == 1 {
 					dev = counterfeit[i]
 				}
-				res, err := netauth.Authenticate(gwAddr, failChipID(i), dev, silicon.Nominal, 5*time.Second)
+				res, err := authOnce(gwAddr, failChipID(i), dev, silicon.Nominal, 5*time.Second)
 				statMu.Lock()
 				switch {
 				case err != nil:
@@ -243,7 +254,7 @@ func TestFailoverSoakNeverReusesChallenges(t *testing.T) {
 	// --- Post-failover sweep: every non-impostor chip still authenticates
 	// at zero HD through the same gateway address.
 	for i := 0; i < failImpostorFrom; i++ {
-		res, err := netauth.Authenticate(gwAddr, failChipID(i), genuine[i], silicon.Nominal, 10*time.Second)
+		res, err := authOnce(gwAddr, failChipID(i), genuine[i], silicon.Nominal, 10*time.Second)
 		if err != nil {
 			t.Fatalf("post-failover auth %s: %v", failChipID(i), err)
 		}
@@ -255,7 +266,7 @@ func TestFailoverSoakNeverReusesChallenges(t *testing.T) {
 		}
 	}
 	// Counterfeit silicon stays counterfeit on the promoted copy.
-	res, err := netauth.Authenticate(gwAddr, failChipID(failChips-1), counterfeit[failChips-1],
+	res, err := authOnce(gwAddr, failChipID(failChips-1), counterfeit[failChips-1],
 		silicon.Nominal, 10*time.Second)
 	if err == nil && res.Approved {
 		t.Fatal("impostor approved after failover")

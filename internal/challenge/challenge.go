@@ -147,22 +147,3 @@ func FeatureMatrix(cs []Challenge) *linalg.Matrix {
 	}
 	return m
 }
-
-// All enumerates every k-bit challenge in counting order, invoking fn for
-// each; it stops early if fn returns false.  Only practical for small k
-// (tests, exhaustive CRP-space checks).
-func All(k int, fn func(Challenge) bool) {
-	if k > 30 {
-		panic("challenge: exhaustive enumeration limited to k <= 30")
-	}
-	c := make(Challenge, k)
-	total := uint64(1) << uint(k)
-	for w := uint64(0); w < total; w++ {
-		for i := 0; i < k; i++ {
-			c[i] = uint8((w >> uint(i)) & 1)
-		}
-		if !fn(c) {
-			return
-		}
-	}
-}

@@ -124,28 +124,6 @@ func TestFeatureMatrixRows(t *testing.T) {
 	}
 }
 
-func TestAllEnumeratesExactly(t *testing.T) {
-	seen := map[uint64]bool{}
-	All(6, func(c Challenge) bool {
-		seen[c.Word()] = true
-		return true
-	})
-	if len(seen) != 64 {
-		t.Fatalf("enumerated %d challenges, want 64", len(seen))
-	}
-}
-
-func TestAllEarlyStop(t *testing.T) {
-	count := 0
-	All(8, func(c Challenge) bool {
-		count++
-		return count < 10
-	})
-	if count != 10 {
-		t.Fatalf("early stop after %d, want 10", count)
-	}
-}
-
 func TestValidateRejectsBadBit(t *testing.T) {
 	c := Challenge{0, 1, 2}
 	if err := c.Validate(); err == nil {

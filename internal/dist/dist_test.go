@@ -16,70 +16,17 @@ func TestNormalCDFKnownValues(t *testing.T) {
 		{1.959963984540054, 0.975},
 		{4.35, 0.99999319312},
 		{-4.35, 6.80688e-06},
+		{6, 0.9999999990134123},
+		{-6, 9.865876450376981e-10},
 	}
 	for _, c := range cases {
-		if got := NormalCDF(c.z); math.Abs(got-c.want) > 1e-8 {
+		tol := 1e-8
+		if c.want < 1e-6 {
+			tol = 1e-12 * c.want // deep in the lower tail only a relative bound says anything
+		}
+		if got := NormalCDF(c.z); math.Abs(got-c.want) > tol {
 			t.Errorf("NormalCDF(%v) = %v, want %v", c.z, got, c.want)
 		}
-	}
-}
-
-func TestNormalSFComplement(t *testing.T) {
-	if err := quick.Check(func(raw int16) bool {
-		z := float64(raw) / 4096 // |z| <= 8
-		return math.Abs(NormalCDF(z)+NormalSF(z)-1) < 1e-14
-	}, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestNormalQuantileRoundTrip(t *testing.T) {
-	// Φ⁻¹(Φ(z)) == z across the usable range, including deep tails.
-	for z := -6.0; z <= 6.0; z += 0.01 {
-		p := NormalCDF(z)
-		got := NormalQuantile(p)
-		if math.Abs(got-z) > 1e-6 {
-			t.Fatalf("round trip at z=%v: got %v", z, got)
-		}
-	}
-}
-
-func TestNormalQuantileKnownValues(t *testing.T) {
-	cases := []struct {
-		p, want float64
-	}{
-		{0.5, 0},
-		{0.975, 1.959963984540054},
-		{0.6, 0.2533471031357997},
-		{0.8413447460685429, 1.0}, // Φ(1)
-	}
-	for _, c := range cases {
-		if got := NormalQuantile(c.p); math.Abs(got-c.want) > 1e-4 {
-			t.Errorf("NormalQuantile(%v) = %v, want %v", c.p, got, c.want)
-		}
-	}
-}
-
-func TestNormalQuantileEdges(t *testing.T) {
-	if !math.IsInf(NormalQuantile(0), -1) {
-		t.Error("NormalQuantile(0) should be -Inf")
-	}
-	if !math.IsInf(NormalQuantile(1), 1) {
-		t.Error("NormalQuantile(1) should be +Inf")
-	}
-	if !math.IsNaN(NormalQuantile(-0.1)) || !math.IsNaN(NormalQuantile(1.1)) {
-		t.Error("out-of-range p should be NaN")
-	}
-}
-
-func TestNormalQuantileMonotone(t *testing.T) {
-	prev := math.Inf(-1)
-	for p := 1e-10; p < 1; p += 1e-3 {
-		z := NormalQuantile(p)
-		if z <= prev {
-			t.Fatalf("not monotone at p=%v", p)
-		}
-		prev = z
 	}
 }
 

@@ -35,7 +35,6 @@
 package health
 
 import (
-	"errors"
 	"fmt"
 
 	"xorpuf/internal/telemetry"
@@ -148,97 +147,39 @@ func (e Event) String() string {
 		e.ChipID, e.From, e.To, e.Cause, e.Stats.FailEWMA, e.Stats.CUSUM, e.Stats.Sessions)
 }
 
-// Config tunes the drift detectors.  The zero value takes every default.
-type Config struct {
-	// Alpha is the EWMA smoothing factor over the session failure
-	// indicator (default 0.15; higher reacts faster, noisier).
-	Alpha float64
-	// CUSUMSlack is the CUSUM allowance k: per-session mismatch fractions
-	// below it are absorbed as noise (default 0.02).
-	CUSUMSlack float64
-	// DegradeCUSUM is the CUSUM decision limit h for healthy → degraded
-	// (default 0.15).
-	DegradeCUSUM float64
-	// QuarantineCUSUM is the higher CUSUM limit for escalation to
-	// quarantined (default 0.5).
-	QuarantineCUSUM float64
-	// DegradeFailRate is the failure-rate EWMA limit for healthy →
-	// degraded (default 0.35).
-	DegradeFailRate float64
-	// QuarantineFailRate is the failure-rate EWMA limit for escalation to
-	// quarantined (default 0.6).
-	QuarantineFailRate float64
-	// RecoverFailRate: a degraded chip whose EWMA decays below this AND
-	// whose CUSUM decays below DegradeCUSUM/2 returns to healthy (default
-	// 0.05).  Quarantined chips never auto-recover — only re-enrollment or
-	// an operator releases them.
-	RecoverFailRate float64
-	// MinSessions is the warm-up before any detector-driven transition
-	// (default 5): one unlucky first session must not classify a chip.
-	MinSessions int
-}
-
-// DefaultConfig returns the default detector tuning.  With 20+-challenge
-// sessions a healthy chip's occasional single-bit upset (mismatch fraction
-// ≈ 0.04) stays under every limit, while a drifted chip failing most
-// sessions at mismatch fractions ≥ 0.1 is degraded within ~3 sessions of
-// warm-up ending and quarantined a few sessions later.
-func DefaultConfig() Config {
-	return Config{
-		Alpha:              0.15,
-		CUSUMSlack:         0.02,
-		DegradeCUSUM:       0.15,
-		QuarantineCUSUM:    0.5,
-		DegradeFailRate:    0.35,
-		QuarantineFailRate: 0.6,
-		RecoverFailRate:    0.05,
-		MinSessions:        5,
-	}
-}
-
-// normalized fills zero fields with defaults.
-func (c Config) normalized() Config {
-	def := DefaultConfig()
-	if c.Alpha <= 0 || c.Alpha > 1 {
-		c.Alpha = def.Alpha
-	}
-	if c.CUSUMSlack <= 0 {
-		c.CUSUMSlack = def.CUSUMSlack
-	}
-	if c.DegradeCUSUM <= 0 {
-		c.DegradeCUSUM = def.DegradeCUSUM
-	}
-	if c.QuarantineCUSUM <= 0 {
-		c.QuarantineCUSUM = def.QuarantineCUSUM
-	}
-	if c.DegradeFailRate <= 0 {
-		c.DegradeFailRate = def.DegradeFailRate
-	}
-	if c.QuarantineFailRate <= 0 {
-		c.QuarantineFailRate = def.QuarantineFailRate
-	}
-	if c.RecoverFailRate <= 0 {
-		c.RecoverFailRate = def.RecoverFailRate
-	}
-	if c.MinSessions <= 0 {
-		c.MinSessions = def.MinSessions
-	}
-	return c
-}
-
-// Validate rejects self-contradictory tunings.
-func (c Config) Validate() error {
-	c = c.normalized()
-	switch {
-	case c.QuarantineCUSUM < c.DegradeCUSUM:
-		return errors.New("health: QuarantineCUSUM below DegradeCUSUM")
-	case c.QuarantineFailRate < c.DegradeFailRate:
-		return errors.New("health: QuarantineFailRate below DegradeFailRate")
-	case c.RecoverFailRate >= c.DegradeFailRate:
-		return errors.New("health: RecoverFailRate must sit below DegradeFailRate (hysteresis)")
-	}
-	return nil
-}
+// Detector limits.  With 20+-challenge sessions a healthy chip's occasional
+// single-bit upset (mismatch fraction ≈ 0.04) stays under every limit,
+// while a drifted chip failing most sessions at mismatch fractions ≥ 0.1 is
+// degraded within ~3 sessions of warm-up ending and quarantined a few
+// sessions later.  Each quarantine limit sits above its degrade limit, and
+// the recovery limit below both, so the classification has hysteresis.
+const (
+	// alpha is the EWMA smoothing factor over the session failure
+	// indicator (higher reacts faster, noisier).
+	alpha = 0.15
+	// cusumSlack is the CUSUM allowance k: per-session mismatch fractions
+	// below it are absorbed as noise.
+	cusumSlack = 0.02
+	// degradeCUSUM is the CUSUM decision limit h for healthy → degraded.
+	degradeCUSUM = 0.15
+	// quarantineCUSUM is the higher CUSUM limit for escalation to
+	// quarantined.
+	quarantineCUSUM = 0.5
+	// degradeFailRate is the failure-rate EWMA limit for healthy →
+	// degraded.
+	degradeFailRate = 0.35
+	// quarantineFailRate is the failure-rate EWMA limit for escalation to
+	// quarantined.
+	quarantineFailRate = 0.6
+	// recoverFailRate: a degraded chip whose EWMA decays below this AND
+	// whose CUSUM decays below degradeCUSUM/2 returns to healthy.
+	// Quarantined chips never auto-recover — only re-enrollment or an
+	// operator releases them.
+	recoverFailRate = 0.05
+	// minSessions is the warm-up before any detector-driven transition:
+	// one unlucky first session must not classify a chip.
+	minSessions = 5
+)
 
 // TrackerState is the portable persistent state of one chip's tracker —
 // what the registry journals and snapshots so classification survives
@@ -257,13 +198,12 @@ type TrackerState struct {
 // Tracker runs the drift detectors for one chip.  It is NOT safe for
 // concurrent use — the registry guards it with the entry lock.
 type Tracker struct {
-	cfg Config
-	st  TrackerState
+	st TrackerState
 }
 
-// NewTracker returns a healthy tracker under cfg (zero value → defaults).
-func NewTracker(cfg Config) *Tracker {
-	return &Tracker{cfg: cfg.normalized()}
+// NewTracker returns a healthy tracker.
+func NewTracker() *Tracker {
+	return &Tracker{}
 }
 
 // State returns the current classification.
@@ -285,31 +225,31 @@ func (t *Tracker) Record(o Outcome) (Event, bool) {
 		t.st.Failures++
 	}
 	t.st.Sessions++
-	t.st.FailEWMA += t.cfg.Alpha * (fail - t.st.FailEWMA)
-	t.st.CUSUM += o.mismatchFraction() - t.cfg.CUSUMSlack
+	t.st.FailEWMA += alpha * (fail - t.st.FailEWMA)
+	t.st.CUSUM += o.mismatchFraction() - cusumSlack
 	if t.st.CUSUM < 0 {
 		t.st.CUSUM = 0
 	}
 
-	if t.st.Sessions < uint64(t.cfg.MinSessions) {
+	if t.st.Sessions < minSessions {
 		return Event{}, false
 	}
 	switch t.st.State {
 	case Healthy:
-		if t.st.CUSUM >= t.cfg.DegradeCUSUM {
+		if t.st.CUSUM >= degradeCUSUM {
 			return t.transition(Degraded, CauseCUSUM), true
 		}
-		if t.st.FailEWMA >= t.cfg.DegradeFailRate {
+		if t.st.FailEWMA >= degradeFailRate {
 			return t.transition(Degraded, CauseFailureRate), true
 		}
 	case Degraded:
-		if t.st.CUSUM >= t.cfg.QuarantineCUSUM {
+		if t.st.CUSUM >= quarantineCUSUM {
 			return t.transition(Quarantined, CauseCUSUM), true
 		}
-		if t.st.FailEWMA >= t.cfg.QuarantineFailRate {
+		if t.st.FailEWMA >= quarantineFailRate {
 			return t.transition(Quarantined, CauseFailureRate), true
 		}
-		if t.st.FailEWMA <= t.cfg.RecoverFailRate && t.st.CUSUM <= t.cfg.DegradeCUSUM/2 {
+		if t.st.FailEWMA <= recoverFailRate && t.st.CUSUM <= degradeCUSUM/2 {
 			return t.transition(Healthy, CauseRecovered), true
 		}
 	case Quarantined:

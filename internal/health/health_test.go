@@ -6,7 +6,7 @@ func clean() Outcome  { return Outcome{Approved: true, Mismatches: 0, Challenges
 func failed() Outcome { return Outcome{Approved: false, Mismatches: 5, Challenges: 25} }
 
 func TestTrackerStaysHealthyOnCleanTraffic(t *testing.T) {
-	tr := NewTracker(Config{})
+	tr := NewTracker()
 	for i := 0; i < 1000; i++ {
 		if ev, ok := tr.Record(clean()); ok {
 			t.Fatalf("clean session %d caused transition %v", i, ev)
@@ -21,7 +21,7 @@ func TestTrackerToleratesIsolatedUpsets(t *testing.T) {
 	// One single-bit-mismatch denial every 10 sessions is the healthy-chip
 	// noise floor the detectors must absorb (the whole point of selected
 	// CRPs is that this is already rarer than reality).
-	tr := NewTracker(Config{})
+	tr := NewTracker()
 	for i := 0; i < 500; i++ {
 		o := clean()
 		if i%10 == 9 {
@@ -34,7 +34,7 @@ func TestTrackerToleratesIsolatedUpsets(t *testing.T) {
 }
 
 func TestTrackerDegradesThenQuarantinesOnSustainedDrift(t *testing.T) {
-	tr := NewTracker(Config{})
+	tr := NewTracker()
 	var events []Event
 	for i := 0; i < 100; i++ {
 		if ev, ok := tr.Record(failed()); ok {
@@ -68,9 +68,8 @@ func TestTrackerDegradesThenQuarantinesOnSustainedDrift(t *testing.T) {
 }
 
 func TestTrackerMinSessionsWarmup(t *testing.T) {
-	cfg := DefaultConfig()
-	tr := NewTracker(cfg)
-	for i := 0; i < cfg.MinSessions-1; i++ {
+	tr := NewTracker()
+	for i := 0; i < minSessions-1; i++ {
 		if ev, ok := tr.Record(failed()); ok {
 			t.Fatalf("transition %v during warm-up session %d", ev, i)
 		}
@@ -81,7 +80,7 @@ func TestTrackerMinSessionsWarmup(t *testing.T) {
 }
 
 func TestTrackerRecoversFromTransientDegradation(t *testing.T) {
-	tr := NewTracker(Config{})
+	tr := NewTracker()
 	// Drive into degraded with mild failures (single-bit mismatches), so the
 	// CUSUM stays well under the quarantine limit and a recovery is possible.
 	for tr.State() != Degraded {
@@ -106,7 +105,7 @@ func TestTrackerCUSUMCatchesSubFailureDrift(t *testing.T) {
 	// A drifting chip that still passes most sessions: every session has a
 	// mismatch fraction of 0.08 (2/25) but only some fail outright.  The
 	// failure-rate EWMA alone would need many sessions; CUSUM must fire.
-	tr := NewTracker(Config{})
+	tr := NewTracker()
 	fired := false
 	for i := 0; i < 40; i++ {
 		approved := i%3 != 0 // 67% of sessions still "pass"
@@ -125,7 +124,7 @@ func TestTrackerCUSUMCatchesSubFailureDrift(t *testing.T) {
 }
 
 func TestTrackerForceAndReset(t *testing.T) {
-	tr := NewTracker(Config{})
+	tr := NewTracker()
 	ev, ok := tr.Force(Quarantined)
 	if !ok || ev.To != Quarantined || ev.Cause != CauseForced {
 		t.Fatalf("Force: %v %v", ev, ok)
@@ -146,13 +145,13 @@ func TestTrackerForceAndReset(t *testing.T) {
 }
 
 func TestTrackerSnapshotRestoreRoundTrip(t *testing.T) {
-	a := NewTracker(Config{})
+	a := NewTracker()
 	for i := 0; i < 7; i++ {
 		a.Record(failed())
 	}
 	st := a.Snapshot()
 
-	b := NewTracker(Config{})
+	b := NewTracker()
 	b.Restore(st)
 	if b.Snapshot() != st {
 		t.Fatal("restore did not reproduce snapshot")
@@ -163,25 +162,6 @@ func TestTrackerSnapshotRestoreRoundTrip(t *testing.T) {
 		evB, okB := b.Record(failed())
 		if okA != okB || evA.To != evB.To || evA.Cause != evB.Cause {
 			t.Fatalf("diverged at session %d: (%v,%v) vs (%v,%v)", i, evA, okA, evB, okB)
-		}
-	}
-}
-
-func TestConfigValidate(t *testing.T) {
-	if err := (Config{}).Validate(); err != nil {
-		t.Errorf("zero config invalid: %v", err)
-	}
-	if err := DefaultConfig().Validate(); err != nil {
-		t.Errorf("default config invalid: %v", err)
-	}
-	bad := []Config{
-		{DegradeCUSUM: 0.5, QuarantineCUSUM: 0.2},
-		{DegradeFailRate: 0.7, QuarantineFailRate: 0.3},
-		{RecoverFailRate: 0.5, DegradeFailRate: 0.4},
-	}
-	for i, cfg := range bad {
-		if err := cfg.Validate(); err == nil {
-			t.Errorf("bad config %d accepted", i)
 		}
 	}
 }

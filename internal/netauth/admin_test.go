@@ -33,7 +33,7 @@ func (zeroDevice) ReadXOR(challenge.Challenge, silicon.Condition) uint8 { return
 func TestDeregisterRevokesChip(t *testing.T) {
 	addr, srv, chip := startServer(t, 30)
 
-	res, err := Authenticate(addr, "chip-A", chip, silicon.Nominal, 5*time.Second)
+	res, err := authOnce(addr, "chip-A", chip, silicon.Nominal, 5*time.Second)
 	if err != nil || !res.Approved {
 		t.Fatalf("genuine auth before Deregister: %+v, %v", res, err)
 	}
@@ -46,7 +46,7 @@ func TestDeregisterRevokesChip(t *testing.T) {
 	if st := srv.ChipStatus("chip-A"); st.Registered {
 		t.Fatal("chip-A still registered per ChipStatus")
 	}
-	_, err = Authenticate(addr, "chip-A", chip, silicon.Nominal, 5*time.Second)
+	_, err = authOnce(addr, "chip-A", chip, silicon.Nominal, 5*time.Second)
 	var perr *ProtocolError
 	if !errors.As(err, &perr) || perr.Code != CodeUnknownChip {
 		t.Fatalf("auth after Deregister err = %v, want %s", err, CodeUnknownChip)
@@ -85,7 +85,7 @@ func TestServerOverRecoveredRegistry(t *testing.T) {
 	}
 	go srv.Serve(ln) //nolint:errcheck
 	defer srv.Close()
-	res, err := Authenticate(ln.Addr().String(), "chip-Z", zeroDevice{}, silicon.Nominal, 5*time.Second)
+	res, err := authOnce(ln.Addr().String(), "chip-Z", zeroDevice{}, silicon.Nominal, 5*time.Second)
 	if err != nil || !res.Approved {
 		t.Fatalf("auth over recovered registry: %+v, %v", res, err)
 	}
@@ -119,7 +119,7 @@ func TestConcurrentAdminOps(t *testing.T) {
 			defer wg.Done()
 			id := fmt.Sprintf("auth-%d", w)
 			for i := 0; i < perWorker; i++ {
-				res, err := Authenticate(addr, id, zeroDevice{}, silicon.Nominal, 5*time.Second)
+				res, err := authOnce(addr, id, zeroDevice{}, silicon.Nominal, 5*time.Second)
 				if err != nil {
 					t.Errorf("auth %s: %v", id, err)
 					return

@@ -1,7 +1,8 @@
 // Device side of the protocol.  V2Client keeps a single connection alive
 // and multiplexes batches of sessions over it — the hello's batch field
 // opens k streams, and the codec's pooled buffers make the steady-state
-// exchange nearly allocation-free on both ends.
+// exchange nearly allocation-free on both ends.  The same exchange runs
+// inside a key-exchange channel (SecureSession).
 package netauth
 
 import (
@@ -10,6 +11,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"sync"
 	"time"
@@ -126,14 +128,8 @@ type V2Client struct {
 
 	once sync.Once
 
-	mu      sync.Mutex
-	conn    net.Conn
-	br      *bufio.Reader
-	rd      *wire.Reader
-	wb      *[]byte
-	pb      *[]byte // packed-response scratch
-	scratch challenge.Challenge
-	next    uint64
+	mu sync.Mutex
+	x  exchange
 }
 
 func (c *V2Client) init() {
@@ -157,23 +153,10 @@ func (c *V2Client) init() {
 func (c *V2Client) Close() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.teardown()
+	_ = c.x.close()
 }
 
-// teardown closes the connection and returns pooled state.  Caller holds mu.
-func (c *V2Client) teardown() {
-	if c.conn != nil {
-		c.conn.Close()
-		c.conn = nil
-	}
-	if c.rd != nil {
-		c.rd.Release()
-		c.rd = nil
-	}
-	c.br = nil
-}
-
-// dial opens and prepares a fresh connection.  Caller holds mu.
+// dial opens a fresh connection under the exchange.  Caller holds mu.
 func (c *V2Client) dial(ctx context.Context) error {
 	dialCtx, cancel := context.WithTimeout(ctx, c.Timeout)
 	defer cancel()
@@ -181,15 +164,7 @@ func (c *V2Client) dial(ctx context.Context) error {
 	if err != nil {
 		return err
 	}
-	c.conn = conn
-	c.br = bufio.NewReader(conn)
-	c.rd = wire.NewReader(c.br)
-	if c.wb == nil {
-		c.wb = wire.GetBuf()
-	}
-	if c.pb == nil {
-		c.pb = wire.GetBuf()
-	}
+	c.x.open(conn, conn, c.Timeout)
 	return nil
 }
 
@@ -222,11 +197,9 @@ func (c *V2Client) AuthenticateBatch(ctx context.Context, k int) ([]Result, erro
 
 func (c *V2Client) authenticateBatch(ctx context.Context, k int) ([]Result, int, error) {
 	c.init()
-	if k <= 0 {
-		k = 1
-	}
-	if k > wire.MaxBatch {
-		return nil, 0, fmt.Errorf("netauth: batch of %d exceeds protocol cap %d", k, wire.MaxBatch)
+	k, err := batchSize(k)
+	if err != nil {
+		return nil, 0, err
 	}
 	if err := c.Cond.Validate(); err != nil {
 		return nil, 0, fmt.Errorf("netauth: operating condition: %w", err)
@@ -247,6 +220,15 @@ func (c *V2Client) authenticateBatch(ctx context.Context, k int) ([]Result, int,
 	return res, attempts, err
 }
 
+// batchSize maps a requested batch onto the streams one hello opens: at
+// least one, at most the protocol's cap.
+func batchSize(k int) (int, error) {
+	if k > wire.MaxBatch {
+		return 0, fmt.Errorf("netauth: batch of %d exceeds protocol cap %d", k, wire.MaxBatch)
+	}
+	return max(k, 1), nil
+}
+
 // batchLoop is the retry loop.
 func (c *V2Client) batchLoop(ctx context.Context, k int) ([]Result, int, error) {
 	var lastErr error
@@ -263,7 +245,7 @@ func (c *V2Client) batchLoop(ctx context.Context, k int) ([]Result, int, error) 
 			}
 			return res, attempt, nil
 		}
-		c.teardown()
+		_ = c.x.close()
 		lastErr = err
 		if !Transient(err) {
 			return nil, attempt, err
@@ -274,57 +256,146 @@ func (c *V2Client) batchLoop(ctx context.Context, k int) ([]Result, int, error) 
 }
 
 // attemptBatch runs one pipelined batch over the live connection, dialing
-// first if needed.
+// first if needed.  ChipID, Device, Cond and Trace are read afresh on
+// every call.
 func (c *V2Client) attemptBatch(ctx context.Context, k int) ([]Result, error) {
-	if c.conn == nil {
+	if c.x.conn == nil {
 		if err := c.dial(ctx); err != nil {
 			return nil, ctxErr(ctx, err)
 		}
 	}
-	conn := c.conn
+	conn := c.x.conn
 	// Cancellation must interrupt blocked reads/writes, not just the gaps
 	// between them: closing the connection fails the pending I/O.
 	stop := context.AfterFunc(ctx, func() { conn.Close() })
 	defer stop()
-
-	base := c.next
-	c.next += uint64(k)
-	hello := wire.Msg{
-		Type: wire.THello, Stream: base, ChipID: c.ChipID,
-		Batch: k, Caps: wire.CapChaCha20Poly1305, Trace: c.Trace,
+	res, err := c.x.batch(c.ChipID, c.Trace, c.Device, c.Cond, k)
+	if err != nil {
+		return nil, ctxErr(ctx, err)
 	}
-	*c.wb = wire.AppendFrame((*c.wb)[:0], &hello)
-	if err := c.write(ctx); err != nil {
-		return nil, err
-	}
+	return res, nil
+}
 
+// exchange is the device end of one frame transport: a V2Client's TCP
+// connection, or the decrypted byte stream of a SecureSession's channel
+// riding on one.  Output frames are queued and flushed in one write just
+// before a read that could block, so a pipelined batch's responses leave
+// together — inside a channel as one sealed box per flush, as the
+// server's inner link does.
+type exchange struct {
+	conn    net.Conn  // deadlines and teardown
+	out     io.Writer // the connection, or the channel's sealing stream
+	br      *bufio.Reader
+	rd      *wire.Reader
+	wb      *[]byte // queued output frames
+	pb      *[]byte // packed-response scratch, checked out on first use
+	scratch challenge.Challenge
+	next    uint64 // first stream id of the next hello
+	timeout time.Duration
+}
+
+// open points the exchange at a fresh transport: frames are read from and
+// written to rw, under per-message deadlines set on conn.
+func (x *exchange) open(conn net.Conn, rw io.ReadWriter, timeout time.Duration) {
+	x.conn, x.out, x.timeout = conn, rw, timeout
+	x.br = bufio.NewReader(rw)
+	x.rd = wire.NewReader(x.br)
+	if x.wb == nil {
+		x.wb = wire.GetBuf()
+	}
+}
+
+// close closes the transport, drops any queued output and returns the
+// reader's pooled buffer.  The write and response buffers stay for the
+// next open.
+func (x *exchange) close() error {
+	var err error
+	if x.conn != nil {
+		err = x.conn.Close()
+		x.conn = nil
+	}
+	if x.rd != nil {
+		x.rd.Release()
+		x.rd = nil
+	}
+	x.br = nil
+	if x.wb != nil {
+		*x.wb = (*x.wb)[:0]
+	}
+	return err
+}
+
+// queue appends one encoded frame to the pending output.
+func (x *exchange) queue(m *wire.Msg) {
+	*x.wb = wire.AppendFrame(*x.wb, m)
+}
+
+// flush writes the queued frames under the per-message deadline.
+func (x *exchange) flush() error {
+	_ = x.conn.SetWriteDeadline(time.Now().Add(x.timeout))
+	_, err := x.out.Write(*x.wb)
+	*x.wb = (*x.wb)[:0]
+	return err
+}
+
+// read reads one frame into m under the per-message deadline, flushing
+// the queued frames first when the read could block; while more server
+// frames are already buffered the queue keeps growing, so a whole batch's
+// responses leave in one write.  A server error frame comes back as a
+// *ProtocolError.
+func (x *exchange) read(m *wire.Msg) error {
+	if len(*x.wb) > 0 && x.br.Buffered() == 0 {
+		if err := x.flush(); err != nil {
+			return err
+		}
+	}
+	_ = x.conn.SetReadDeadline(time.Now().Add(x.timeout))
+	if _, err := x.rd.Next(m); err != nil {
+		return err
+	}
+	if m.Type == wire.TError {
+		return protocolError(m)
+	}
+	return nil
+}
+
+// expect reads one frame that must be of type want into m.
+func (x *exchange) expect(m *wire.Msg, want byte) error {
+	if err := x.read(m); err != nil {
+		return err
+	}
+	if m.Type != want {
+		return fmt.Errorf("netauth: unexpected frame type 0x%02x, want 0x%02x", m.Type, want)
+	}
+	return nil
+}
+
+// batch runs one pipelined batch of k sessions for chipID: one hello opens
+// k streams, dev answers each challenges frame at cond, and the verdicts
+// come back per stream.
+func (x *exchange) batch(chipID, trace string, dev core.Device, cond silicon.Condition, k int) ([]Result, error) {
+	base := x.next
+	x.next += uint64(k)
+	x.queue(&wire.Msg{
+		Type: wire.THello, Stream: base, ChipID: chipID,
+		Batch: k, Caps: wire.CapChaCha20Poly1305, Trace: trace,
+	})
 	results := make([]Result, k)
 	done := make([]bool, k)
-	remaining := k
 	var m wire.Msg
-	for remaining > 0 {
-		// Flush queued response frames before a read that could block;
-		// while more server frames are already buffered, keep queueing —
-		// a whole batch's responses then leave in one write.
-		if len(*c.wb) > 0 && c.br.Buffered() == 0 {
-			if err := c.write(ctx); err != nil {
-				return nil, err
-			}
+	for remaining := k; remaining > 0; {
+		if err := x.read(&m); err != nil {
+			return nil, err
 		}
-		_ = conn.SetReadDeadline(time.Now().Add(c.Timeout))
-		if _, err := c.rd.Next(&m); err != nil {
-			return nil, ctxErr(ctx, err)
-		}
+		i := int(m.Stream - base)
 		switch m.Type {
 		case wire.TChallenges:
-			i := int(m.Stream - base)
 			if i < 0 || i >= k || done[i] || results[i].Challenges != 0 {
 				return nil, fmt.Errorf("netauth: challenges for unexpected stream %d", m.Stream)
 			}
 			results[i].Challenges = m.Count
-			c.answer(&m)
+			x.answer(&m, dev, cond)
 		case wire.TVerdict:
-			i := int(m.Stream - base)
 			if i < 0 || i >= k || done[i] {
 				return nil, fmt.Errorf("netauth: verdict for unexpected stream %d", m.Stream)
 			}
@@ -332,8 +403,6 @@ func (c *V2Client) attemptBatch(ctx context.Context, k int) ([]Result, error) {
 			results[i].Mismatches = m.Mismatches
 			done[i] = true
 			remaining--
-		case wire.TError:
-			return nil, protocolError(&m)
 		default:
 			return nil, fmt.Errorf("netauth: unexpected frame type 0x%02x", m.Type)
 		}
@@ -344,17 +413,19 @@ func (c *V2Client) attemptBatch(ctx context.Context, k int) ([]Result, error) {
 // answer computes and queues the packed response vector for one
 // challenges frame.  The challenge scratch and response buffer are reused
 // across sessions — the client-side half of the zero-alloc path.
-func (c *V2Client) answer(m *wire.Msg) {
-	if cap(c.scratch) < m.Width {
-		c.scratch = make(challenge.Challenge, m.Width)
+func (x *exchange) answer(m *wire.Msg, dev core.Device, cond silicon.Condition) {
+	if cap(x.scratch) < m.Width {
+		x.scratch = make(challenge.Challenge, m.Width)
 	}
-	*c.pb = readChallenges((*c.pb)[:0], c.scratch[:m.Width], c.Device, c.Cond, m)
+	if x.pb == nil {
+		x.pb = wire.GetBuf()
+	}
+	*x.pb = readChallenges((*x.pb)[:0], x.scratch[:m.Width], dev, cond, m)
 	// m.Session and the packed responses alias live buffers; AppendFrame
 	// copies them into the write buffer before the next read reuses
-	// either.  The frame is queued, not written — the batch loop flushes
-	// before it would block reading.
-	*c.wb = wire.AppendFrame(*c.wb, &wire.Msg{
-		Type: wire.TResponses, Stream: m.Stream, Session: m.Session, Count: m.Count, Packed: *c.pb,
+	// either.
+	x.queue(&wire.Msg{
+		Type: wire.TResponses, Stream: m.Stream, Session: m.Session, Count: m.Count, Packed: *x.pb,
 	})
 }
 
@@ -397,16 +468,6 @@ func wordAt(packed []byte, off, n int) uint64 {
 		w |= uint64(packed[i+8]) << (64 - s)
 	}
 	return w & (^uint64(0) >> uint(64-n))
-}
-
-// write flushes the queued frames under the per-message deadline.
-func (c *V2Client) write(ctx context.Context) error {
-	_ = c.conn.SetWriteDeadline(time.Now().Add(c.Timeout))
-	if _, err := c.conn.Write(*c.wb); err != nil {
-		return ctxErr(ctx, err)
-	}
-	*c.wb = (*c.wb)[:0]
-	return nil
 }
 
 // protocolError surfaces a server's error frame.
@@ -459,24 +520,4 @@ func Transient(err error) bool {
 	// expirations, frames corrupted in flight — is a channel problem, not
 	// a protocol verdict.
 	return true
-}
-
-// Authenticate connects to the server at addr and authenticates the device
-// under chipID, evaluating the chip at cond.  The device answers each
-// challenge with a single XOR readout, as the protocol permits for selected
-// (100 %-stable) CRPs.  This is the single-shot form — one attempt on a
-// connection of its own; use V2Client for retries and pipelining.
-func Authenticate(addr, chipID string, dev core.Device, cond silicon.Condition, timeout time.Duration) (Result, error) {
-	c := &V2Client{
-		Addr:    addr,
-		ChipID:  chipID,
-		Device:  dev,
-		Cond:    cond,
-		Timeout: timeout,
-		Policy:  RetryPolicy{MaxAttempts: 1},
-	}
-	defer c.Close()
-	ctx, cancel := context.WithTimeout(context.Background(), timeout)
-	defer cancel()
-	return c.Authenticate(ctx)
 }

@@ -93,7 +93,7 @@ func TestGatewayRoutesAndReroutesOnFailover(t *testing.T) {
 		{Name: "shard-0", Addrs: []string{ln1.Addr().String(), ln2.Addr().String()}},
 	}, GatewayConfig{Cooldown: 200 * time.Millisecond})
 
-	res, err := Authenticate(gwAddr, "chip-A", chip, silicon.Nominal, 10*time.Second)
+	res, err := authOnce(gwAddr, "chip-A", chip, silicon.Nominal, 10*time.Second)
 	if err != nil || !res.Approved {
 		t.Fatalf("auth via gateway: %+v, %v", res, err)
 	}
@@ -103,7 +103,7 @@ func TestGatewayRoutesAndReroutesOnFailover(t *testing.T) {
 
 	// Primary replica dies; the same device address must keep working.
 	srv1.Close()
-	res, err = Authenticate(gwAddr, "chip-A", chip, silicon.Nominal, 10*time.Second)
+	res, err = authOnce(gwAddr, "chip-A", chip, silicon.Nominal, 10*time.Second)
 	if err != nil || !res.Approved {
 		t.Fatalf("auth after failover: %+v, %v", res, err)
 	}
@@ -151,7 +151,7 @@ func TestGatewayRefusalsAreStructured(t *testing.T) {
 	}, GatewayConfig{DialTimeout: 200 * time.Millisecond})
 
 	chip := silicon.NewChip(rng.New(1), silicon.DefaultParams(), 2)
-	_, err := Authenticate(gwAddr, "chip-A", chip, silicon.Nominal, 5*time.Second)
+	_, err := authOnce(gwAddr, "chip-A", chip, silicon.Nominal, 5*time.Second)
 	var perr *ProtocolError
 	if !errors.As(err, &perr) || perr.Code != CodeBusy || !perr.Retryable {
 		t.Fatalf("unroutable session error = %v, want retryable %s", err, CodeBusy)
@@ -225,7 +225,7 @@ func TestGatewayFollowsMovedRedirect(t *testing.T) {
 
 	// A direct dial at the resurrected source gets the structured moved
 	// error carrying the redirect — never an issuance.
-	_, err = Authenticate(ln1.Addr().String(), "chip-A", chip, silicon.Nominal, 5*time.Second)
+	_, err = authOnce(ln1.Addr().String(), "chip-A", chip, silicon.Nominal, 5*time.Second)
 	var perr *ProtocolError
 	if !errors.As(err, &perr) || perr.Code != CodeMoved || !perr.Retryable || perr.Redirect != ln2.Addr().String() {
 		t.Fatalf("direct dial at departed source = %v, want retryable %s with redirect %s", err, CodeMoved, ln2.Addr())
@@ -237,7 +237,7 @@ func TestGatewayFollowsMovedRedirect(t *testing.T) {
 	_, gwAddr := startGateway(t, []GatewayShard{
 		{Name: "shard-0", Addrs: []string{ln1.Addr().String()}},
 	}, GatewayConfig{})
-	res, err := Authenticate(gwAddr, "chip-A", chip, silicon.Nominal, 10*time.Second)
+	res, err := authOnce(gwAddr, "chip-A", chip, silicon.Nominal, 10*time.Second)
 	if err != nil || !res.Approved {
 		t.Fatalf("auth through redirect: %+v, %v", res, err)
 	}

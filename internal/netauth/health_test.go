@@ -48,7 +48,7 @@ func TestDriftQuarantineLifecycle(t *testing.T) {
 
 	// Fail sessions until the detectors quarantine the chip.
 	for i := 0; i < 30; i++ {
-		res, err := Authenticate(addr, "drifter", oneDevice{}, silicon.Nominal, 5*time.Second)
+		res, err := authOnce(addr, "drifter", oneDevice{}, silicon.Nominal, 5*time.Second)
 		if err != nil {
 			t.Fatalf("session %d: %v", i, err)
 		}
@@ -70,7 +70,7 @@ func TestDriftQuarantineLifecycle(t *testing.T) {
 
 	// Quarantined denial: structured, terminal, and challenge-free.
 	burned := srv.ChipStatus("drifter").Issued
-	_, err = Authenticate(addr, "drifter", oneDevice{}, silicon.Nominal, 5*time.Second)
+	_, err = authOnce(addr, "drifter", oneDevice{}, silicon.Nominal, 5*time.Second)
 	var perr *ProtocolError
 	if !errors.As(err, &perr) || perr.Code != CodeQuarantined {
 		t.Fatalf("quarantined auth err = %v, want %s", err, CodeQuarantined)
@@ -83,7 +83,7 @@ func TestDriftQuarantineLifecycle(t *testing.T) {
 	}
 	// Even a device that would now answer correctly is refused — the
 	// acceptance path is closed, not loosened.
-	if _, err := Authenticate(addr, "drifter", zeroDevice{}, silicon.Nominal, 5*time.Second); !errors.As(err, &perr) || perr.Code != CodeQuarantined {
+	if _, err := authOnce(addr, "drifter", zeroDevice{}, silicon.Nominal, 5*time.Second); !errors.As(err, &perr) || perr.Code != CodeQuarantined {
 		t.Fatalf("good-device auth err = %v, want %s", err, CodeQuarantined)
 	}
 
@@ -95,7 +95,7 @@ func TestDriftQuarantineLifecycle(t *testing.T) {
 	if got := srv.ChipStatus("drifter").Health; got != health.Healthy {
 		t.Fatalf("post-replace health %v, want healthy", got)
 	}
-	res, err := Authenticate(addr, "drifter", zeroDevice{}, silicon.Nominal, 5*time.Second)
+	res, err := authOnce(addr, "drifter", zeroDevice{}, silicon.Nominal, 5*time.Second)
 	if err != nil || !res.Approved || res.Mismatches != 0 {
 		t.Fatalf("post-replace auth: %+v, %v", res, err)
 	}
@@ -129,7 +129,7 @@ func TestHealthyTrafficNeverQuarantines(t *testing.T) {
 			defer wg.Done()
 			id := fmt.Sprintf("good-%d", i)
 			for j := 0; j < 20; j++ {
-				res, err := Authenticate(addr, id, zeroDevice{}, silicon.Nominal, 5*time.Second)
+				res, err := authOnce(addr, id, zeroDevice{}, silicon.Nominal, 5*time.Second)
 				if err != nil || !res.Approved {
 					t.Errorf("%s session %d: %+v, %v", id, j, res, err)
 					return

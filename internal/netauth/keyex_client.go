@@ -36,22 +36,20 @@ type KeyexResult struct {
 }
 
 // SecureSession is an established, mutually key-confirmed session with an
-// AEAD-encrypted channel over the same connection; Authenticate and
-// SendPayload run their frames inside it.  Not safe for concurrent use.
-// Close it when done.
+// AEAD-encrypted channel over the same connection; AuthenticateBatch and
+// SendPayload run their frames inside it through the same exchange a
+// V2Client runs over TCP.  Not safe for concurrent use.  Close it when
+// done.
 type SecureSession struct {
 	Result KeyexResult
 
 	chipID  string
 	dev     core.Device
 	cond    silicon.Condition
-	timeout time.Duration
 	session []byte
 
-	conn net.Conn
 	ch   *keyex.Channel
-	rd   *wire.Reader // frames decrypted from ch
-	wb   []byte
+	x    exchange    // frames sealed into and opened from ch
 	stop func() bool // cancels the context watchdog on the conn
 }
 
@@ -160,8 +158,7 @@ func (c *V2Client) establish(conn net.Conn) (*SecureSession, error) {
 		return nil, errors.New("netauth: server failed key confirmation")
 	}
 
-	ch := keyex.NewChannel(readWriter{br, conn}, keys, transcript, true)
-	return &SecureSession{
+	ss := &SecureSession{
 		Result: KeyexResult{
 			Session:    session,
 			Challenges: n,
@@ -171,12 +168,11 @@ func (c *V2Client) establish(conn net.Conn) (*SecureSession, error) {
 		chipID:  c.ChipID,
 		dev:     c.Device,
 		cond:    c.Cond,
-		timeout: c.Timeout,
 		session: sessRaw,
-		conn:    conn,
-		ch:      ch,
-		rd:      wire.NewReader(bufio.NewReader(&channelStream{ch: ch})),
-	}, nil
+		ch:      keyex.NewChannel(readWriter{br, conn}, keys, transcript, true),
+	}
+	ss.x.open(conn, &channelStream{ch: ss.ch}, c.Timeout)
+	return ss, nil
 }
 
 // readHandshake reads one handshake frame into m and returns its raw
@@ -199,44 +195,51 @@ func (c *V2Client) readHandshake(conn net.Conn, br *bufio.Reader, m *wire.Msg, w
 	return raw, nil
 }
 
-// Authenticate runs one full authentication exchange inside the encrypted
-// channel — the same challenge/response/verdict frames, now opaque to a
-// network observer.
+// errSessionClosed is returned by calls on a closed SecureSession.
+var errSessionClosed = errors.New("netauth: secure session is closed")
+
+// AuthenticateBatch pipelines k authentication sessions inside the
+// encrypted channel — the same hello, challenges, responses and verdict
+// frames as V2Client.AuthenticateBatch, now opaque to a network observer.
+// There is no retry: a failure leaves the channel unusable.
+func (s *SecureSession) AuthenticateBatch(k int) ([]Result, error) {
+	if s.x.rd == nil {
+		return nil, errSessionClosed
+	}
+	k, err := batchSize(k)
+	if err != nil {
+		return nil, err
+	}
+	res, err := s.x.batch(s.chipID, "", s.dev, s.cond, k)
+	if err != nil {
+		return nil, err
+	}
+	for i := range res {
+		res[i].Attempts = 1
+	}
+	return res, nil
+}
+
+// Authenticate runs one session inside the channel — AuthenticateBatch of
+// one.
 func (s *SecureSession) Authenticate() (Result, error) {
-	if err := s.write(&wire.Msg{Type: wire.THello, ChipID: s.chipID, Batch: 1}); err != nil {
+	res, err := s.AuthenticateBatch(1)
+	if err != nil {
 		return Result{}, err
 	}
-	var m wire.Msg
-	if err := s.read(&m, wire.TChallenges); err != nil {
-		return Result{}, err
-	}
-	challenges := m.Count
-	packed := readChallenges(nil, make(challenge.Challenge, m.Width), s.dev, s.cond, &m)
-	if err := s.write(&wire.Msg{Type: wire.TResponses, Stream: m.Stream,
-		Session: m.Session, Count: m.Count, Packed: packed}); err != nil {
-		return Result{}, err
-	}
-	if err := s.read(&m, wire.TVerdict); err != nil {
-		return Result{}, err
-	}
-	return Result{
-		Approved:   m.Approved,
-		Mismatches: m.Mismatches,
-		Challenges: challenges,
-		Attempts:   1,
-	}, nil
+	return res[0], nil
 }
 
 // SendPayload ships application data over the encrypted channel and
 // verifies the server's acknowledged digest end to end.
 func (s *SecureSession) SendPayload(data []byte) error {
-	sum := sha256.Sum256(data)
-	if err := s.write(&wire.Msg{Type: wire.TPayload, Session: s.session,
-		Digest: sum[:], Data: data}); err != nil {
-		return err
+	if s.x.rd == nil {
+		return errSessionClosed
 	}
+	sum := sha256.Sum256(data)
+	s.x.queue(&wire.Msg{Type: wire.TPayload, Session: s.session, Digest: sum[:], Data: data})
 	var m wire.Msg
-	if err := s.read(&m, wire.TPayloadAck); err != nil {
+	if err := s.x.expect(&m, wire.TPayloadAck); err != nil {
 		return err
 	}
 	if !bytes.Equal(m.Digest, sum[:]) {
@@ -248,45 +251,18 @@ func (s *SecureSession) SendPayload(data []byte) error {
 // Close says bye (best effort), tears down the channel, and closes the
 // connection.  Safe to call more than once.
 func (s *SecureSession) Close() error {
-	if !s.ch.Broken() {
-		if err := s.write(&wire.Msg{Type: wire.TBye}); err == nil {
-			var m wire.Msg
-			_ = s.read(&m, wire.TBye)
-		}
+	if s.x.rd != nil && !s.ch.Broken() {
+		s.x.queue(&wire.Msg{Type: wire.TBye})
+		var m wire.Msg
+		_ = s.x.expect(&m, wire.TBye)
 	}
 	s.ch.Close()
 	if s.stop != nil {
 		s.stop()
 	}
-	if s.rd != nil {
-		s.rd.Release()
-		s.rd = nil
-	}
-	return s.conn.Close()
-}
-
-// write seals one frame into the channel.
-func (s *SecureSession) write(m *wire.Msg) error {
-	s.wb = wire.AppendFrame(s.wb[:0], m)
-	_ = s.conn.SetWriteDeadline(time.Now().Add(s.timeout))
-	return s.ch.WriteFrame(s.wb)
-}
-
-// read receives one frame of type want from the channel into m; a server
-// error frame comes back as a *ProtocolError.
-func (s *SecureSession) read(m *wire.Msg, want byte) error {
-	if s.rd == nil {
-		return errors.New("netauth: secure session is closed")
-	}
-	_ = s.conn.SetReadDeadline(time.Now().Add(s.timeout))
-	if _, err := s.rd.Next(m); err != nil {
-		return err
-	}
-	if m.Type == wire.TError {
-		return protocolError(m)
-	}
-	if m.Type != want {
-		return fmt.Errorf("netauth: unexpected frame type 0x%02x, want 0x%02x", m.Type, want)
-	}
-	return nil
+	err := s.x.close()
+	wire.PutBuf(s.x.wb)
+	wire.PutBuf(s.x.pb)
+	s.x.wb, s.x.pb = nil, nil
+	return err
 }

@@ -85,6 +85,49 @@ func TestKeyExchangeOverTCP(t *testing.T) {
 	}
 }
 
+// TestSecureSessionAuthenticateBatch pipelines batches of 1, 4 and 16
+// sessions inside one channel: every stream of the genuine chip is approved
+// at zero HD, and each lands in the server's session ring as one ok
+// netauth.session record.
+func TestSecureSessionAuthenticateBatch(t *testing.T) {
+	addr, srv, chip := startKeyexServer(t, 30, keyex.Config{M: 7, T: 8})
+	ss, err := keyexClient(addr, chip, silicon.Nominal).Establish(context.Background())
+	if err != nil {
+		t.Fatalf("Establish: %v", err)
+	}
+	defer ss.Close()
+	okSessions := func() int {
+		n := 0
+		for _, sp := range srv.SessionRecorder().Spans() {
+			if sp.Name == "netauth.session" && sp.Status == "ok" {
+				n++
+			}
+		}
+		return n
+	}
+	for _, k := range []int{1, 4, 16} {
+		before := okSessions()
+		res, err := ss.AuthenticateBatch(k)
+		if err != nil {
+			t.Fatalf("AuthenticateBatch(%d): %v", k, err)
+		}
+		if len(res) != k {
+			t.Fatalf("AuthenticateBatch(%d) returned %d results", k, len(res))
+		}
+		for i, r := range res {
+			if !r.Approved || r.Mismatches != 0 || r.Challenges != 30 || r.Attempts != 1 {
+				t.Errorf("batch %d stream %d: %+v, want zero-HD approval of 30 challenges", k, i, r)
+			}
+		}
+		if got := okSessions() - before; got != k {
+			t.Errorf("batch %d added %d ok session records, want %d", k, got, k)
+		}
+	}
+	if err := ss.SendPayload([]byte("after the batches")); err != nil {
+		t.Fatalf("SendPayload: %v", err)
+	}
+}
+
 func TestKeyExchangeAtStressedCorner(t *testing.T) {
 	// The default production geometry: BCH(255,·,12).  The stressed V/T
 	// corner flips more selected-CRP bits than nominal; T must absorb them.
@@ -331,7 +374,7 @@ func TestKeyexChallengesNeverOverlapAuth(t *testing.T) {
 	}
 
 	// A plain authentication afterwards must avoid all of them too.
-	res2, err := Authenticate(addr, "chip-A", chip, silicon.Nominal, 5*time.Second)
+	res2, err := authOnce(addr, "chip-A", chip, silicon.Nominal, 5*time.Second)
 	if err != nil || !res2.Approved {
 		t.Fatalf("plain auth after keyex: res=%+v err=%v", res2, err)
 	}

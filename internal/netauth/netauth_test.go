@@ -1,6 +1,7 @@
 package netauth
 
 import (
+	"context"
 	"errors"
 	"net"
 	"strings"
@@ -55,9 +56,20 @@ func startServerConfigured(t *testing.T, numChallenges int, configure func(*Serv
 	return ln.Addr().String(), srv, chip
 }
 
+// authOnce runs one authentication session on a connection of its own:
+// a single attempt, no retry, under one overall deadline.
+func authOnce(addr, chipID string, dev core.Device, cond silicon.Condition, timeout time.Duration) (Result, error) {
+	c := &V2Client{Addr: addr, ChipID: chipID, Device: dev, Cond: cond,
+		Timeout: timeout, Policy: RetryPolicy{MaxAttempts: 1}}
+	defer c.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), timeout)
+	defer cancel()
+	return c.Authenticate(ctx)
+}
+
 func TestAuthenticateGenuineOverTCP(t *testing.T) {
 	addr, srv, chip := startServer(t, 60)
-	res, err := Authenticate(addr, "chip-A", chip, silicon.Nominal, 5*time.Second)
+	res, err := authOnce(addr, "chip-A", chip, silicon.Nominal, 5*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +85,7 @@ func TestAuthenticateGenuineOverTCP(t *testing.T) {
 func TestAuthenticateImpostorOverTCP(t *testing.T) {
 	addr, srv, _ := startServer(t, 60)
 	impostor := silicon.NewChip(rng.New(999), silicon.DefaultParams(), 4)
-	res, err := Authenticate(addr, "chip-A", impostor, silicon.Nominal, 5*time.Second)
+	res, err := authOnce(addr, "chip-A", impostor, silicon.Nominal, 5*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +103,7 @@ func TestAuthenticateImpostorOverTCP(t *testing.T) {
 
 func TestUnknownChipRejected(t *testing.T) {
 	addr, _, chip := startServer(t, 10)
-	_, err := Authenticate(addr, "no-such-chip", chip, silicon.Nominal, 5*time.Second)
+	_, err := authOnce(addr, "no-such-chip", chip, silicon.Nominal, 5*time.Second)
 	if err == nil || !strings.Contains(err.Error(), "unknown chip") {
 		t.Errorf("err = %v, want unknown-chip error", err)
 	}
@@ -121,7 +133,7 @@ func TestConcurrentAuthentications(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			results[i], errs[i] = Authenticate(addr, "chip-A", chip, silicon.Nominal, 10*time.Second)
+			results[i], errs[i] = authOnce(addr, "chip-A", chip, silicon.Nominal, 10*time.Second)
 		}(i)
 	}
 	wg.Wait()
@@ -289,7 +301,7 @@ func TestAuthenticateAtCorner(t *testing.T) {
 	}
 	go srv.Serve(ln) //nolint:errcheck
 	defer srv.Close()
-	res, err := Authenticate(ln.Addr().String(), "edge-device", chip,
+	res, err := authOnce(ln.Addr().String(), "edge-device", chip,
 		silicon.Condition{VDD: 0.8, TempC: 60}, 5*time.Second)
 	if err != nil {
 		t.Fatal(err)

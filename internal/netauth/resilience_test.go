@@ -156,7 +156,7 @@ func TestLockoutAfterConsecutiveDenials(t *testing.T) {
 	impostor := silicon.NewChip(rng.New(999), silicon.DefaultParams(), 4)
 
 	for i := 0; i < k; i++ {
-		res, err := Authenticate(addr, "chip-A", impostor, silicon.Nominal, 5*time.Second)
+		res, err := authOnce(addr, "chip-A", impostor, silicon.Nominal, 5*time.Second)
 		if err != nil {
 			t.Fatalf("denial %d: %v", i+1, err)
 		}
@@ -171,7 +171,7 @@ func TestLockoutAfterConsecutiveDenials(t *testing.T) {
 	burned := st.Issued
 
 	// The locked chip gets a terminal error and burns no challenges.
-	_, err := Authenticate(addr, "chip-A", impostor, silicon.Nominal, 5*time.Second)
+	_, err := authOnce(addr, "chip-A", impostor, silicon.Nominal, 5*time.Second)
 	var pe *ProtocolError
 	if !errors.As(err, &pe) || pe.Code != CodeLockedOut || pe.Retryable {
 		t.Fatalf("locked chip err = %v, want terminal locked_out", err)
@@ -184,7 +184,7 @@ func TestLockoutAfterConsecutiveDenials(t *testing.T) {
 	if !srv.Unlock("chip-A") {
 		t.Fatal("Unlock reported chip not locked")
 	}
-	if _, err := Authenticate(addr, "chip-A", impostor, silicon.Nominal, 5*time.Second); err != nil {
+	if _, err := authOnce(addr, "chip-A", impostor, silicon.Nominal, 5*time.Second); err != nil {
 		t.Fatalf("after unlock: %v", err)
 	}
 }
@@ -192,10 +192,10 @@ func TestLockoutAfterConsecutiveDenials(t *testing.T) {
 func TestThrottleEnforcesMinimumInterval(t *testing.T) {
 	addr, srv, chip := startServer(t, 10)
 	srv.SetThrottle(time.Hour)
-	if _, err := Authenticate(addr, "chip-A", chip, silicon.Nominal, 5*time.Second); err != nil {
+	if _, err := authOnce(addr, "chip-A", chip, silicon.Nominal, 5*time.Second); err != nil {
 		t.Fatal(err)
 	}
-	_, err := Authenticate(addr, "chip-A", chip, silicon.Nominal, 5*time.Second)
+	_, err := authOnce(addr, "chip-A", chip, silicon.Nominal, 5*time.Second)
 	var pe *ProtocolError
 	if !errors.As(err, &pe) || pe.Code != CodeThrottled || !pe.Retryable {
 		t.Fatalf("err = %v, want retryable throttled", err)
@@ -294,7 +294,7 @@ func TestChallengeBudgetExhaustionIsTerminal(t *testing.T) {
 	addr := ln.Addr().String()
 
 	for i := 0; i < 2; i++ {
-		if _, err := Authenticate(addr, "chip-A", chip, silicon.Nominal, 5*time.Second); err != nil {
+		if _, err := authOnce(addr, "chip-A", chip, silicon.Nominal, 5*time.Second); err != nil {
 			t.Fatalf("session %d: %v", i+1, err)
 		}
 	}
@@ -302,7 +302,7 @@ func TestChallengeBudgetExhaustionIsTerminal(t *testing.T) {
 	if st.Issued != 120 || st.Remaining != 0 {
 		t.Fatalf("budget accounting off: %+v", st)
 	}
-	_, err = Authenticate(addr, "chip-A", chip, silicon.Nominal, 5*time.Second)
+	_, err = authOnce(addr, "chip-A", chip, silicon.Nominal, 5*time.Second)
 	var pe *ProtocolError
 	if !errors.As(err, &pe) || pe.Code != CodeSelectionFailed || pe.Retryable {
 		t.Fatalf("err = %v, want terminal selection_failed", err)

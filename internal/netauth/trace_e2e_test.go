@@ -242,7 +242,7 @@ func TestSessionObserverFeed(t *testing.T) {
 		t.Fatalf("key exchange burned %d challenges, want %d", burned, cfg.N())
 	}
 	var perr *ProtocolError
-	if _, err := Authenticate(addr, "chip-Z", chip, silicon.Nominal, 5*time.Second); !errors.As(err, &perr) || perr.Code != CodeUnknownChip {
+	if _, err := authOnce(addr, "chip-Z", chip, silicon.Nominal, 5*time.Second); !errors.As(err, &perr) || perr.Code != CodeUnknownChip {
 		t.Fatalf("unknown chip: %v, want %s", err, CodeUnknownChip)
 	}
 
@@ -445,7 +445,7 @@ func TestGatewayTraceMintsRootForUntracedDevice(t *testing.T) {
 	}, GatewayConfig{})
 
 	begin := time.Now()
-	res, err := Authenticate(gwAddr, "chip-A", chip, silicon.Nominal, 10*time.Second)
+	res, err := authOnce(gwAddr, "chip-A", chip, silicon.Nominal, 10*time.Second)
 	if err != nil || !res.Approved {
 		t.Fatalf("untraced session via gateway: %+v, %v", res, err)
 	}

@@ -2,6 +2,7 @@ package fleet_test
 
 import (
 	"bufio"
+	"context"
 	"fmt"
 	"net"
 	"reflect"
@@ -293,7 +294,7 @@ func TestKillAndRestartFleet(t *testing.T) {
 		var idx int
 		fmt.Sscanf(id, "chip-%d", &idx) //nolint:errcheck
 		dev := fleet.Chip(fleetSeed, idx, silicon.DefaultParams(), 2)
-		res, err := netauth.Authenticate(addr, id, dev, silicon.Nominal, 10*time.Second)
+		res, err := authOnce(addr, id, dev, silicon.Nominal, 10*time.Second)
 		if err != nil {
 			t.Fatalf("genuine auth %s: %v", id, err)
 		}
@@ -302,7 +303,7 @@ func TestKillAndRestartFleet(t *testing.T) {
 		}
 	}
 	impostor := fleet.Chip(^uint64(fleetSeed), 0, silicon.DefaultParams(), 2)
-	res, err := netauth.Authenticate(addr, "chip-7", impostor, silicon.Nominal, 10*time.Second)
+	res, err := authOnce(addr, "chip-7", impostor, silicon.Nominal, 10*time.Second)
 	if err != nil {
 		t.Fatalf("impostor auth: %v", err)
 	}
@@ -383,7 +384,7 @@ func TestKillAndRestartFleet(t *testing.T) {
 		var idx int
 		fmt.Sscanf(id, "chip-%d", &idx) //nolint:errcheck
 		dev := fleet.Chip(fleetSeed, idx, silicon.DefaultParams(), 2)
-		res, err := netauth.Authenticate(addr2, id, dev, silicon.Nominal, 10*time.Second)
+		res, err := authOnce(addr2, id, dev, silicon.Nominal, 10*time.Second)
 		if err != nil {
 			t.Fatalf("genuine auth %s post-restart: %v", id, err)
 		}
@@ -391,11 +392,22 @@ func TestKillAndRestartFleet(t *testing.T) {
 			t.Fatalf("genuine %s denied post-restart (%d mismatches)", id, res.Mismatches)
 		}
 	}
-	res, err = netauth.Authenticate(addr2, "chip-7", impostor, silicon.Nominal, 10*time.Second)
+	res, err = authOnce(addr2, "chip-7", impostor, silicon.Nominal, 10*time.Second)
 	if err != nil {
 		t.Fatalf("impostor auth post-restart: %v", err)
 	}
 	if res.Approved {
 		t.Fatal("impostor approved post-restart")
 	}
+}
+
+// authOnce runs one authentication session on a connection of its own:
+// a single attempt, no retry, under one overall deadline.
+func authOnce(addr, chipID string, dev core.Device, cond silicon.Condition, timeout time.Duration) (netauth.Result, error) {
+	c := &netauth.V2Client{Addr: addr, ChipID: chipID, Device: dev, Cond: cond,
+		Timeout: timeout, Policy: netauth.RetryPolicy{MaxAttempts: 1}}
+	defer c.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), timeout)
+	defer cancel()
+	return c.Authenticate(ctx)
 }

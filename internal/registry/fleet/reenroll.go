@@ -47,28 +47,19 @@ type ReEnrollConfig struct {
 	Budget int
 	// Chip supplies the fielded device to re-measure.  Required.
 	Chip ChipProvider
-	// Workers caps concurrent re-enrollments triggered through Handle
-	// (default 2); enrollment is measurement-heavy and should not starve
-	// live authentication traffic.
-	Workers int
-	// TriggerAt is the minimum health state Handle reacts to (default
-	// Quarantined; Degraded re-enrolls proactively, before service is
-	// interrupted).
-	TriggerAt health.State
 	// OnResult, when non-nil, observes each completed re-enrollment.  It
 	// must be safe for concurrent use.
 	OnResult func(id string, err error)
 }
 
+// reenrollWorkers caps concurrent re-enrollments triggered through Handle;
+// enrollment is measurement-heavy and should not starve live
+// authentication traffic.
+const reenrollWorkers = 2
+
 func (cfg ReEnrollConfig) normalized() ReEnrollConfig {
-	if cfg.Workers <= 0 {
-		cfg.Workers = 2
-	}
 	if cfg.Enroll.TrainingSize == 0 {
 		cfg.Enroll = core.DefaultEnrollConfig()
-	}
-	if cfg.TriggerAt == health.Healthy {
-		cfg.TriggerAt = health.Quarantined
 	}
 	return cfg
 }
@@ -103,16 +94,16 @@ func NewReEnroller(reg *registry.Registry, cfg ReEnrollConfig) (*ReEnroller, err
 		reg:     reg,
 		pending: make(map[string]bool),
 		gen:     make(map[string]int),
-		sem:     make(chan struct{}, cfg.Workers),
+		sem:     make(chan struct{}, reenrollWorkers),
 	}, nil
 }
 
-// Handle reacts to a health transition: when the chip reaches TriggerAt (or
-// worse), a re-enrollment is scheduled asynchronously.  Duplicate events
+// Handle reacts to a health transition: when the chip is quarantined, a
+// re-enrollment is scheduled asynchronously.  Duplicate events
 // for a chip whose repair is already in flight are ignored, so Handle can
 // be wired directly to a server's health handler without debouncing.
 func (re *ReEnroller) Handle(ev health.Event) {
-	if ev.To < re.cfg.TriggerAt {
+	if ev.To != health.Quarantined {
 		return
 	}
 	re.mu.Lock()

@@ -95,7 +95,7 @@ func TestReEnrollRepairsAgedChip(t *testing.T) {
 
 // TestHandleTriggersOnceAndRespectsThreshold: Handle wired as a health
 // handler re-enrolls asynchronously, deduplicates overlapping triggers, and
-// ignores events below TriggerAt.
+// ignores events short of quarantine.
 func TestHandleTriggersOnceAndRespectsThreshold(t *testing.T) {
 	reg := enrollOne(t)
 	reg.Lookup("chip-0").ForceHealth(health.Quarantined) //nolint:errcheck

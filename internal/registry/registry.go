@@ -390,7 +390,7 @@ type Entry struct {
 func (r *Registry) newEntry(rec record) *Entry {
 	sel := r.newSelector(rec.id, rec.model)
 	sel.ImportState(core.SelectorState{Budget: rec.budget, Used: rec.words})
-	tracker := health.NewTracker(health.Config{})
+	tracker := health.NewTracker()
 	tracker.Restore(rec.health)
 	return &Entry{id: rec.id, reg: r, model: rec.model, selector: sel,
 		denials: rec.denials, locked: rec.locked, tracker: tracker}

@@ -134,28 +134,21 @@ func (s *Source) Read(p []byte) (int, error) {
 // reproducible across platforms because it uses only basic arithmetic and
 // math.Sqrt/math.Log, which are correctly rounded on all Go ports.
 func (s *Source) Norm() float64 {
-	u, _, q := s.polar()
+	u, q := s.polar()
 	return u * math.Sqrt(-2*math.Log(q)/q)
 }
 
-// NormPair returns two independent standard normal variates, using both
-// outputs of the polar method (twice as fast when both are needed).
-func (s *Source) NormPair() (float64, float64) {
-	u, v, q := s.polar()
-	f := math.Sqrt(-2 * math.Log(q) / q)
-	return u * f, v * f
-}
-
 // polar draws the polar method's accepted point: u and v uniform on
-// (−1, 1), redrawn until q = u² + v² lies in (0, 1).  Norm, NormPair and
-// NoisyPositive all draw through it, so they consume the stream alike.
-func (s *Source) polar() (u, v, q float64) {
+// (−1, 1), redrawn until q = u² + v² lies in (0, 1); it returns u and q.
+// Norm and NoisyPositive both draw through it, so they consume the stream
+// alike.
+func (s *Source) polar() (u, q float64) {
 	for {
 		u = 2*s.Float64() - 1
-		v = 2*s.Float64() - 1
+		v := 2*s.Float64() - 1
 		q = u*u + v*v
 		if q > 0 && q < 1 {
-			return u, v, q
+			return u, q
 		}
 	}
 }
@@ -206,7 +199,7 @@ func (s *Source) polar() (u, v, q float64) {
 // 0, so every d with a normal rhs is settled with the answer d > 0, which
 // is the reference's since d + ±0 = d.
 func (s *Source) NoisyPositive(d, sigma float64) bool {
-	u, _, q := s.polar()
+	u, q := s.polar()
 	if u*d > 0 {
 		return d > 0
 	}

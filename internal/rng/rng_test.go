@@ -137,23 +137,6 @@ func TestNormMoments(t *testing.T) {
 	}
 }
 
-func TestNormPairMatchesMoments(t *testing.T) {
-	s := New(13)
-	const trials = 100000
-	var sum, sumSq float64
-	for i := 0; i < trials; i++ {
-		a, b := s.NormPair()
-		sum += a + b
-		sumSq += a*a + b*b
-	}
-	n := float64(2 * trials)
-	mean := sum / n
-	variance := sumSq/n - mean*mean
-	if math.Abs(mean) > 0.01 || math.Abs(variance-1) > 0.02 {
-		t.Errorf("mean=%v variance=%v", mean, variance)
-	}
-}
-
 func TestPermIsPermutation(t *testing.T) {
 	s := New(17)
 	if err := quick.Check(func(n uint8) bool {

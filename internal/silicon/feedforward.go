@@ -63,11 +63,6 @@ func (p *FeedForwardPUF) Stages() int { return p.base.params.Stages }
 // Params returns the fabrication parameters.
 func (p *FeedForwardPUF) Params() Params { return p.base.params }
 
-// Loops returns the feed-forward topology.
-func (p *FeedForwardPUF) Loops() []FeedForwardLoop {
-	return append([]FeedForwardLoop(nil), p.loops...)
-}
-
 // delay races the two edges structurally, resolving each feed-forward
 // arbiter when the race passes its tap stage.  tapNoise, if non-nil, draws
 // per-tap evaluation noise (intermediate arbiters are as noisy as the final

@@ -158,16 +158,3 @@ func TestFeedForwardStableChallengesExist(t *testing.T) {
 		t.Errorf("only %d/%d challenges stable", stable, n)
 	}
 }
-
-func TestFeedForwardLoopsAccessor(t *testing.T) {
-	p := testFFPUF(13)
-	loops := p.Loops()
-	if len(loops) != 2 || loops[0].Tap != 7 || loops[1].Target != 27 {
-		t.Errorf("Loops() = %+v", loops)
-	}
-	// Mutating the returned slice must not affect the PUF.
-	loops[0].Tap = 99
-	if p.Loops()[0].Tap != 7 {
-		t.Error("Loops() leaked internal state")
-	}
-}

@@ -40,24 +40,6 @@ func Std(xs []float64) float64 {
 	return math.Sqrt(ss / float64(n-1))
 }
 
-// MinMax returns the smallest and largest values of xs; it panics on empty
-// input.
-func MinMax(xs []float64) (lo, hi float64) {
-	if len(xs) == 0 {
-		panic("stats: MinMax of empty slice")
-	}
-	lo, hi = xs[0], xs[0]
-	for _, x := range xs[1:] {
-		if x < lo {
-			lo = x
-		}
-		if x > hi {
-			hi = x
-		}
-	}
-	return lo, hi
-}
-
 // Quantile returns the q-quantile (0 ≤ q ≤ 1) of xs using linear
 // interpolation between order statistics; it panics on empty input.
 func Quantile(xs []float64, q float64) float64 {

@@ -276,19 +276,6 @@ func TestDumpAndHandler(t *testing.T) {
 	}
 }
 
-func TestSeriesNames(t *testing.T) {
-	reg := telemetry.NewRegistry()
-	reg.Counter("b_total")
-	reg.Gauge("a_gauge")
-	clk := newFakeClock()
-	s := NewSampler(reg, Options{Now: clk.Now})
-	s.Tick()
-	names := s.SeriesNames()
-	if len(names) != 2 || names[0] != "a_gauge" || names[1] != "b_total" {
-		t.Fatalf("SeriesNames = %v", names)
-	}
-}
-
 // TestNilRegistry: a sampler over a nil registry must answer (with no
 // data) rather than panic, so wiring can be unconditional.
 func TestNilRegistry(t *testing.T) {

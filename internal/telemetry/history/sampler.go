@@ -402,25 +402,6 @@ func (s *Sampler) Dump(window time.Duration, withPoints bool) Dump {
 	return d
 }
 
-// SeriesNames returns the names of every retained series, sorted, for
-// operator discovery.
-func (s *Sampler) SeriesNames() []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	names := make([]string, 0, len(s.counters)+len(s.gauges)+len(s.hists))
-	for n := range s.counters {
-		names = append(names, n)
-	}
-	for n := range s.gauges {
-		names = append(names, n)
-	}
-	for n := range s.hists {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
-
 // Handler serves the /timeseries admin endpoint as application/json.
 // Query parameters: window (Go duration, default 60s), points=1 to include
 // raw samples.

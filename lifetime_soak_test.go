@@ -116,7 +116,7 @@ func TestLifetimeSoak(t *testing.T) {
 
 	chipID := func(i int) string { return fmt.Sprintf("chip-%d", i) }
 	auth := func(i int, cond silicon.Condition) (netauth.Result, error) {
-		return netauth.Authenticate(addr, chipID(i), devices[i], cond, 10*time.Second)
+		return authOnce(addr, chipID(i), devices[i], cond, 10*time.Second)
 	}
 
 	// --- Baseline: the whole factory-fresh fleet is zero-HD. ---------------

@@ -211,7 +211,7 @@ func TestRebalanceSoakZeroDowntimeMigration(t *testing.T) {
 						account("keyex "+id, err, false, 1)
 					}
 				} else {
-					res, err := netauth.Authenticate(gwAddr, id, devices[i], silicon.Nominal, 5*time.Second)
+					res, err := authOnce(gwAddr, id, devices[i], silicon.Nominal, 5*time.Second)
 					account("auth "+id, err, res.Approved, res.Attempts)
 				}
 				time.Sleep(time.Millisecond)
@@ -267,7 +267,7 @@ func TestRebalanceSoakZeroDowntimeMigration(t *testing.T) {
 
 	// A direct dial at the source gets the structured redirect, never an
 	// issuance; the gateway follows the same redirect transparently.
-	_, err = netauth.Authenticate(ln1a.Addr().String(), rebChipID(3), devices[3], silicon.Nominal, 5*time.Second)
+	_, err = authOnce(ln1a.Addr().String(), rebChipID(3), devices[3], silicon.Nominal, 5*time.Second)
 	var perr *netauth.ProtocolError
 	if !errors.As(err, &perr) || perr.Code != netauth.CodeMoved || !perr.Retryable ||
 		perr.Redirect != lnDst.Addr().String() {
@@ -310,7 +310,7 @@ func TestRebalanceSoakZeroDowntimeMigration(t *testing.T) {
 	// --- Sweep: every chip still authenticates at zero HD through the same
 	// gateway address, served by whichever side now owns it.
 	for i := 0; i < rebChips; i++ {
-		res, err := netauth.Authenticate(gwAddr, rebChipID(i), devices[i], silicon.Nominal, 10*time.Second)
+		res, err := authOnce(gwAddr, rebChipID(i), devices[i], silicon.Nominal, 10*time.Second)
 		if err != nil || !res.Approved || res.Mismatches != 0 {
 			t.Fatalf("final sweep %s: %+v, %v — want zero-HD approval", rebChipID(i), res, err)
 		}
