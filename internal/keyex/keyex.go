@@ -21,6 +21,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"sync"
 
 	"xorpuf/internal/ecc"
 )
@@ -52,6 +53,41 @@ func (c Config) Validate() error { return ecc.CheckParams(c.M, c.T) }
 // Validate.
 func (c Config) N() int { return (1 << uint(c.M)) - 1 }
 
+// maxCachedCodes bounds codeFor's cache: the device takes (M, T) from the
+// server's offer, so a peer that offers many codes gets the extra ones built
+// per call rather than kept.
+const maxCachedCodes = 8
+
+// codes holds one BCH code per Config.  A code is immutable once built, so
+// concurrent exchanges share it.
+var codes struct {
+	mu sync.Mutex
+	m  map[Config]*ecc.BCH
+}
+
+// codeFor returns the BCH code cfg names, building it on first use.
+func codeFor(cfg Config) (*ecc.BCH, error) {
+	codes.mu.Lock()
+	code := codes.m[cfg]
+	codes.mu.Unlock()
+	if code != nil {
+		return code, nil
+	}
+	code, err := ecc.NewBCH(cfg.M, cfg.T)
+	if err != nil {
+		return nil, err
+	}
+	codes.mu.Lock()
+	defer codes.mu.Unlock()
+	if codes.m == nil {
+		codes.m = make(map[Config]*ecc.BCH)
+	}
+	if len(codes.m) < maxCachedCodes {
+		codes.m[cfg] = code
+	}
+	return code, nil
+}
+
 // Generate is the server-side (reverse) step: bind the model-predicted
 // response bits w to a random codeword, returning the session master secret
 // and the public helper string.  len(w) must equal the code length.
@@ -63,7 +99,7 @@ func (c Config) N() int { return (1 << uint(c.M)) - 1 }
 // crypto/rand.Reader; a deterministic rng.Source is acceptable only in
 // closed simulations and benchmarks where nothing is exposed.
 func Generate(cfg Config, random io.Reader, w []uint8) (master [32]byte, helper []uint8, err error) {
-	code, err := ecc.NewBCH(cfg.M, cfg.T)
+	code, err := codeFor(cfg)
 	if err != nil {
 		return master, nil, err
 	}
@@ -78,7 +114,7 @@ func Generate(cfg Config, random io.Reader, w []uint8) (master [32]byte, helper 
 // flips.  Returns ecc.ErrReproduceFailed when the error pattern exceeds the
 // code's capability.
 func Reproduce(cfg Config, wPrime, helper []uint8) (master [32]byte, corrected int, err error) {
-	code, err := ecc.NewBCH(cfg.M, cfg.T)
+	code, err := codeFor(cfg)
 	if err != nil {
 		return master, 0, err
 	}

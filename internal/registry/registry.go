@@ -106,6 +106,7 @@ type Registry struct {
 	wal       *walFile
 	seq       uint64
 	sinceSnap int
+	walBuf    []byte // appendLocked's record frame, reused
 
 	closed     atomic.Bool
 	compacting atomic.Bool
@@ -525,13 +526,19 @@ func (e *Entry) issueBurned(ctx context.Context, rectype byte, count, maxExamine
 // Verdict records the outcome of one authentication: an approval clears the
 // denial streak, a denial extends it and — with lockoutK > 0 — quarantines
 // the chip at K consecutive denials.  The resulting streak and lockout flag
-// are journaled.  It returns whether the chip is now locked.
+// are journaled, except after an approval that found the streak already at
+// 0, which changes nothing.  It returns whether the chip is now locked.
 func (e *Entry) Verdict(approved bool, lockoutK int) bool {
 	e.reg.opmu.RLock()
 	defer e.reg.opmu.RUnlock()
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if approved {
+		if e.denials == 0 {
+			// The streak is already clear: a record would set the state
+			// the chip already has, so none is journaled.
+			return e.locked
+		}
 		e.denials = 0
 	} else {
 		e.denials++

@@ -3,6 +3,7 @@ package repl
 import (
 	"bufio"
 	"context"
+	"encoding/binary"
 	"errors"
 	"net"
 	"strconv"
@@ -209,20 +210,35 @@ func (f *Follower) session(ctx context.Context) error {
 	}
 	f.state = StateStreaming
 	f.mu.Unlock()
-	f.publishLag()
-	conn.SetDeadline(time.Now().Add(idleTimeout))
-	if err := wire.WriteOpaque(conn, fAck, U64Payload(applied)); err != nil {
-		return err
-	}
-
 	// Stream phase: apply, then acknowledge — never the other way around.
-	// lastApply* remember the most recent record's apply timing so a trace
-	// marker arriving right behind it (markers ship after their record on
-	// the same ordered link) can reconstruct the apply+ack span.
+	// The primary writes a burst of frames at once, so the follower acks
+	// once per burst: ackDue is set by every applied record and heartbeat,
+	// and the ack goes out as soon as the read buffer holds no further
+	// bytes, before the read that would block, or after maxUnacked records
+	// while a backlog keeps the buffer from draining.  It carries the last
+	// applied seq.  lastApply* remember the most recent record's apply
+	// timing so a trace marker arriving right behind it (markers ship after
+	// their record on the same ordered link) can reconstruct the apply+ack
+	// span.
+	ackDue := true // the snapshot phase's position
+	unacked := 0   // records applied since the last ack
+	var ack []byte
 	var lastApplyStart time.Time
 	var lastApplySeconds float64
 	for {
-		conn.SetDeadline(time.Now().Add(idleTimeout))
+		if br.Buffered() == 0 || unacked >= maxUnacked {
+			conn.SetDeadline(time.Now().Add(idleTimeout))
+			if ackDue {
+				var v [8]byte
+				binary.LittleEndian.PutUint64(v[:], applied)
+				ack = wire.AppendOpaque(ack[:0], fAck, v[:])
+				if _, err := conn.Write(ack); err != nil {
+					return err
+				}
+				ackDue, unacked = false, 0
+				f.publishLag()
+			}
+		}
 		typ, payload, err := wire.ReadOpaque(br, &buf)
 		if err != nil {
 			return err
@@ -251,6 +267,7 @@ func (f *Follower) session(ctx context.Context) error {
 					return linkErrf(code, "apply seq %d: %v", seq, err)
 				}
 				applied = seq
+				unacked++
 				replApplied.Inc()
 				f.mu.Lock()
 				f.appliedSeq = applied
@@ -260,9 +277,7 @@ func (f *Follower) session(ctx context.Context) error {
 				}
 				f.mu.Unlock()
 			}
-			if err := wire.WriteOpaque(conn, fAck, U64Payload(applied)); err != nil {
-				return err
-			}
+			ackDue = true
 		case fHeartbeat:
 			pseq, pbytes, err := decodeHeartbeat(payload)
 			if err != nil {
@@ -276,9 +291,7 @@ func (f *Follower) session(ctx context.Context) error {
 				f.primaryByte = pbytes
 			}
 			f.mu.Unlock()
-			if err := wire.WriteOpaque(conn, fAck, U64Payload(applied)); err != nil {
-				return err
-			}
+			ackDue = true
 		case fTraceMark:
 			// Observability only, tolerant end to end: a malformed marker
 			// or unparseable context is dropped, never a link error.  The
@@ -317,7 +330,6 @@ func (f *Follower) session(ctx context.Context) error {
 		default:
 			return linkErrf(CodeProto, "unexpected frame type %d", typ)
 		}
-		f.publishLag()
 	}
 }
 

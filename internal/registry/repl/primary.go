@@ -3,6 +3,7 @@ package repl
 import (
 	"bufio"
 	"context"
+	"encoding/binary"
 	"errors"
 	"net"
 	"strconv"
@@ -48,25 +49,82 @@ func (c PrimaryConfig) normalized() PrimaryConfig {
 	return c
 }
 
-// link is one connected follower.
+// link is one connected follower.  Frames wait in the link's queue until a
+// flusher writes them: an issuer waiting in WaitCommittedCtx, or the link's
+// own goroutine, which observe kicks on every enqueue so no frame stays
+// queued.  A flusher takes the whole queue and writes it in one write.
 type link struct {
 	conn  net.Conn
 	addr  string
-	ch    chan shipped
+	kick  chan struct{} // capacity 1: wakes the link goroutine
 	stop  chan struct{}
 	once  sync.Once
 	acked atomic.Uint64
-}
 
-// shipped is one record frame fanned out to followers.  The frame bytes are
-// shared read-only across links.
-type shipped struct {
-	seq   uint64
-	frame []byte
+	// qmu guards the queue.  It is taken under the registry's journal
+	// lock (observe), so nothing holding it may block.
+	qmu    sync.Mutex
+	queued []byte // frames in seq order, not yet written
+	n      int    // frames in queued
+	ready  bool   // the snapshot is sent: queued frames may be written
+
+	// wmu is held for every write to conn once the snapshot is sent, so
+	// frames leave the queue and reach the wire in the same order.
+	wmu   sync.Mutex
+	spare []byte // the last buffer written, the next queue (wmu held)
 }
 
 func (l *link) close() {
 	l.once.Do(func() { close(l.stop) })
+}
+
+// enqueue appends one frame to the queue and kicks the link goroutine.  It
+// never blocks; it reports false when the queue already holds linkBuffer
+// frames.
+func (l *link) enqueue(frame []byte) bool {
+	l.qmu.Lock()
+	if l.n >= linkBuffer {
+		l.qmu.Unlock()
+		return false
+	}
+	l.queued = append(l.queued, frame...)
+	l.n++
+	l.qmu.Unlock()
+	select {
+	case l.kick <- struct{}{}:
+	default:
+	}
+	return true
+}
+
+// markReady lets flushers write the queue once the snapshot is sent.
+func (l *link) markReady() {
+	l.qmu.Lock()
+	l.ready = true
+	l.qmu.Unlock()
+}
+
+// flush writes every queued frame, in one write per pass, until the queue
+// is empty, each write bounded by deadline.  Caller holds wmu.
+func (l *link) flush(deadline time.Time) error {
+	for {
+		l.qmu.Lock()
+		if !l.ready || len(l.queued) == 0 {
+			l.qmu.Unlock()
+			return nil
+		}
+		buf := l.queued
+		l.queued, l.n = l.spare[:0], 0
+		l.qmu.Unlock()
+		l.spare = nil
+		if cap(buf) <= maxKeptBuf {
+			l.spare = buf
+		}
+		l.conn.SetWriteDeadline(deadline)
+		if _, err := l.conn.Write(buf); err != nil {
+			return err
+		}
+	}
 }
 
 // Primary attaches to a registry as its replication source: it taps every
@@ -86,6 +144,8 @@ type Primary struct {
 	lastSeq uint64 // highest seq shipped (observer-maintained)
 	bytes   uint64 // cumulative record-frame bytes shipped
 
+	frame []byte // observe's encoded frame, reused (journal lock held)
+
 	wg sync.WaitGroup
 }
 
@@ -100,23 +160,28 @@ func NewPrimary(reg *registry.Registry, cfg PrimaryConfig) *Primary {
 	return p
 }
 
-// observe runs under the registry's journal lock: it must only do the
-// per-link fan-out.  A follower whose buffer is full is marked dead here
-// (its writer notices and drops the link) — blocking would stall every
-// journal append in the process.
+// observe runs under the registry's journal lock: it only encodes the
+// record's frame once, into p.frame, and queues a copy on every link.  A
+// follower whose queue is full is marked dead here (its writer notices and
+// drops the link) — blocking would stall every journal append in the
+// process.
 func (p *Primary) observe(seq uint64, typ byte, payload []byte) {
-	frame := wire.AppendOpaque(nil, fRecord, RecordPayload(seq, typ, payload))
+	var head [9]byte
+	binary.LittleEndian.PutUint64(head[:8], seq)
+	head[8] = typ
+	p.frame = wire.AppendOpaqueHead(p.frame[:0], fRecord, head[:], payload)
 	p.mu.Lock()
 	p.lastSeq = seq
-	p.bytes += uint64(len(frame))
+	p.bytes += uint64(len(p.frame))
 	for l := range p.links {
-		select {
-		case l.ch <- shipped{seq: seq, frame: frame}:
-		default:
+		if !l.enqueue(p.frame) {
 			l.close() // overflow: terminal for the link, never for the log
 		}
 	}
 	p.mu.Unlock()
+	if cap(p.frame) > maxKeptBuf {
+		p.frame = nil
+	}
 	replShipped.Inc()
 }
 
@@ -171,10 +236,10 @@ func (p *Primary) handle(conn net.Conn) {
 	}
 
 	// Subscribe before snapshotting: every record after the snapshot cut is
-	// then either in the snapshot (seq ≤ cut) or in the buffer (seq > cut),
+	// then either in the snapshot (seq ≤ cut) or in the queue (seq > cut),
 	// with overlap resolved by the follower skipping seqs it already has.
 	l := &link{conn: conn, addr: conn.RemoteAddr().String(),
-		ch: make(chan shipped, linkBuffer), stop: make(chan struct{})}
+		kick: make(chan struct{}, 1), stop: make(chan struct{})}
 	p.mu.Lock()
 	if p.closed {
 		p.mu.Unlock()
@@ -213,6 +278,7 @@ func (p *Primary) handle(conn net.Conn) {
 		return
 	}
 	conn.SetDeadline(time.Time{})
+	l.markReady()
 
 	// Ack reader: every fAck advances the link's high-water mark and wakes
 	// commit waiters.
@@ -247,29 +313,35 @@ func (p *Primary) handle(conn net.Conn) {
 		}
 	}()
 
-	// Writer: stream buffered records and heartbeats until the link dies.
+	// Writer: flush what no issuer flushed, and heartbeat, until the link
+	// dies.
 	hb := time.NewTicker(heartbeatEvery)
 	defer hb.Stop()
 	for {
+		var err error
 		select {
 		case <-l.stop:
 			return
-		case sh := <-l.ch:
-			if sh.seq <= snapSeq {
-				continue // the snapshot already covers it
-			}
-			conn.SetWriteDeadline(time.Now().Add(ioTimeout))
-			if _, err := conn.Write(sh.frame); err != nil {
-				return
-			}
+		case <-l.kick:
+			l.wmu.Lock()
+			err = l.flush(time.Now().Add(ioTimeout))
+			l.wmu.Unlock()
 		case <-hb.C:
 			p.mu.Lock()
 			seq, bytes := p.lastSeq, p.bytes
 			p.mu.Unlock()
-			conn.SetWriteDeadline(time.Now().Add(ioTimeout))
-			if err := wire.WriteOpaque(conn, fHeartbeat, heartbeatPayload(seq, bytes)); err != nil {
-				return
+			deadline := time.Now().Add(ioTimeout)
+			l.wmu.Lock()
+			if err = l.flush(deadline); err == nil {
+				// flush sets no deadline on an empty queue, and the last
+				// write's may have been an issuer's, long expired.
+				conn.SetWriteDeadline(deadline)
+				err = wire.WriteOpaque(conn, fHeartbeat, heartbeatPayload(seq, bytes))
 			}
+			l.wmu.Unlock()
+		}
+		if err != nil {
+			return
 		}
 	}
 }
@@ -322,30 +394,56 @@ func (p *Primary) WaitCommittedCtx(ctx context.Context, seq uint64) error {
 	return err
 }
 
-// shipTraceMark fans a trace marker to every connected follower.  Unlike
-// observe, a full buffer silently drops the marker instead of killing the
+// shipTraceMark queues a trace marker on every connected follower.  Unlike
+// observe, a full queue silently drops the marker instead of killing the
 // link: markers are observability, not log.
 func (p *Primary) shipTraceMark(seq uint64, tc dtrace.Context) {
 	frame := wire.AppendOpaque(nil, fTraceMark, traceMarkPayload(seq, tc.String()))
 	p.mu.Lock()
 	for l := range p.links {
-		select {
-		case l.ch <- shipped{seq: seq, frame: frame}:
-		default:
-		}
+		l.enqueue(frame)
 	}
 	p.mu.Unlock()
 }
 
-func (p *Primary) waitCommitted(seq uint64) error {
+// flushLinks writes every link's queue from the calling issuer, so its
+// record leaves without a hop to the link goroutine.  A link whose write
+// lock is held is skipped: its holder, or the link goroutine that the
+// enqueue kicked, writes the frames.  Each write is bounded by the issuer's
+// ack deadline; one that fails drops the link.
+func (p *Primary) flushLinks(deadline time.Time) {
+	var arr [4]*link
+	links := arr[:0]
 	p.mu.Lock()
-	defer p.mu.Unlock()
+	for l := range p.links {
+		links = append(links, l)
+	}
+	p.mu.Unlock()
+	for _, l := range links {
+		if !l.wmu.TryLock() {
+			continue
+		}
+		err := l.flush(deadline)
+		l.wmu.Unlock()
+		if err != nil {
+			// Drop the link: its goroutine stops, its ack reader fails on
+			// the closed connection, and handle's exit unlinks it.
+			l.close()
+			l.conn.Close()
+		}
+	}
+}
+
+func (p *Primary) waitCommitted(seq uint64) error {
 	if p.cfg.Quorum == 0 {
 		return nil
 	}
 	start := time.Now()
 	defer func() { replCommitSeconds.ObserveSince(start) }()
 	deadline := start.Add(p.cfg.AckTimeout)
+	p.flushLinks(deadline)
+	p.mu.Lock()
+	defer p.mu.Unlock()
 	timer := time.AfterFunc(p.cfg.AckTimeout, func() {
 		p.mu.Lock()
 		p.cond.Broadcast()

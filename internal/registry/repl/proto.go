@@ -32,7 +32,8 @@
 //
 // Every session starts hello → snapshot (dataLen 0 when the follower is
 // already at the cut) → record stream.  The follower acknowledges a record
-// only after Registry.ApplyReplicated has durably journaled and applied it;
+// only after Registry.ApplyReplicated has durably journaled and applied it,
+// once per burst of frames the primary wrote together;
 // anything that cannot be applied exactly — a sequence gap, a corrupt frame,
 // a local WAL failure — is terminal for the link: the follower degrades and
 // reconnects (re-bootstrapping from a snapshot), it never forks the log.
@@ -78,10 +79,19 @@ const (
 	// heartbeats an idle link every heartbeatEvery (500 ms), so this is 20
 	// missed heartbeats.
 	idleTimeout = 10 * time.Second
-	// linkBuffer is the per-follower in-flight record buffer; a follower
-	// that falls further behind than this is dropped and re-bootstraps
-	// from a snapshot.
+	// linkBuffer is how many frames a follower's link may hold queued and
+	// unwritten; a follower that falls further behind than this is dropped
+	// and re-bootstraps from a snapshot.
 	linkBuffer = 4096
+
+	// maxUnacked is the most records a follower applies between acks
+	// while a backlog keeps its read buffer from draining; a drained
+	// buffer acks at once.
+	maxUnacked = 64
+
+	// maxKeptBuf is the largest frame or link-queue buffer kept for reuse;
+	// a bigger one is left to the collector.
+	maxKeptBuf = 64 << 10
 
 	// snapChunkSize is how much snapshot data rides in one fSnapChunk.
 	snapChunkSize = 256 << 10

@@ -85,6 +85,11 @@ const (
 	// maxRecordPayload bounds one record so a corrupted length field cannot
 	// trigger a giant allocation during replay.
 	maxRecordPayload = 1 << 26
+
+	// maxKeptWALBuf is the largest record frame whose buffer appendLocked
+	// keeps for the next append; a bigger one (a migrate-in or
+	// re-enrollment record) is left to the collector.
+	maxKeptWALBuf = 64 << 10
 )
 
 // walFile is the open append handle.
@@ -148,14 +153,18 @@ func (r *Registry) appendRecordSeq(typ byte, payload []byte) (uint64, error) {
 
 // appendLocked writes one framed record at seq (pmu held), notifies the
 // append observer on success, and reports whether auto-compaction is due.
+// The frame is built in r.walBuf, which pmu guards, so an append allocates
+// nothing once the buffer has grown to the record size.
 func (r *Registry) appendLocked(seq uint64, typ byte, payload []byte) (needCompact bool, err error) {
 	if r.wal != nil {
-		buf := make([]byte, 0, recHeaderLen+len(payload)+recTrailerLen)
-		buf = appendU64(buf, seq)
+		buf := appendU64(r.walBuf[:0], seq)
 		buf = append(buf, typ)
 		buf = appendU32(buf, uint32(len(payload)))
 		buf = append(buf, payload...)
 		buf = appendU32(buf, crc32.ChecksumIEEE(buf))
+		if cap(buf) <= maxKeptWALBuf {
+			r.walBuf = buf
+		}
 		if err = r.wal.append(buf, r.opts.Fsync); err != nil {
 			return false, err
 		}

@@ -283,10 +283,17 @@ func AppendFrame(dst []byte, m *Msg) []byte {
 // verbatim — the replication and migration links' encoder, whose payload
 // layouts belong to their own packages.
 func AppendOpaque(dst []byte, typ byte, payload []byte) []byte {
+	return AppendOpaqueHead(dst, typ, nil, payload)
+}
+
+// AppendOpaqueHead appends the frame AppendOpaque writes for the payload
+// head ‖ body, without building the joined payload first.
+func AppendOpaqueHead(dst []byte, typ byte, head, body []byte) []byte {
 	start := len(dst)
 	dst = append(dst, Magic, typ, 0)
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(payload)))
-	dst = append(dst, payload...)
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(head)+len(body)))
+	dst = append(dst, head...)
+	dst = append(dst, body...)
 	return binary.LittleEndian.AppendUint32(dst, crc32.ChecksumIEEE(dst[start:]))
 }
 
